@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .engine import DEFAULT_ATOM_CAP, enumerate_sm
-from .grounder import GroundRule, UnsafeRuleError, _first_unsafe, ground
+from .engine import DEFAULT_ATOM_CAP, _Compiled, enumerate_sm
+from .grounder import GroundProgram, UnsafeRuleError, _first_unsafe, ground
 from .model import (
     HARD, Atom, Interpretation, Literal, Program, Rule, Term, Weight,
     desugar_choice,
@@ -149,32 +149,29 @@ def translate_reward(program: Program, scale: int = 1000) -> TranslatedProgram:
                              program.universe)
 
 
-def _implication_holds(g: GroundRule, interp: Interpretation) -> bool:
-    body = all(
-        (lit.atom in interp) if lit.negation != 1 else (lit.atom not in interp)
-        for lit in g.body)
-    return not body or any(h in interp for h in g.head)
-
-
 def phi_extend(program: Program, interp: Interpretation, flavor: str) -> Interpretation:
     """The witness map between source stable models and translated ones:
     penalty adds ``unsat(i,w,c)`` for every ground instance the model
     violates, reward adds ``sat(i,w,c)`` for every instance it satisfies."""
+    markers, = witness_markers(ground(program), [interp], flavor)
+    return frozenset(interp) | markers
+
+
+def witness_markers(gp: GroundProgram, interps, flavor: str):
+    """For each interpretation in turn, the set of markers ``phi_extend``
+    adds, computed over the already-ground program ``gp``."""
     if flavor not in ("penalty", "reward"):
         raise ValueError(f"unknown flavor {flavor!r}")
-    gp = ground(program)
-    rules_by_index = {r.index: r for r in program.rules}
-    extra = set()
-    for g in gp.rules:
-        holds = _implication_holds(g, interp)
-        if (flavor == "penalty") == (not holds):
-            name = UNSAT if flavor == "penalty" else SAT
-            args = (Term(str(g.origin_index)),
-                    _weight_token(g.weight))
-            if rules_by_index[g.origin_index].variables():
-                args += g.subst
-            extra.add(Atom(name, args))
-    return frozenset(interp) | extra
+    comp = _Compiled(gp.rules)
+    name = UNSAT if flavor == "penalty" else SAT
+    for interp in interps:
+        violated, _ = comp.check(comp.bits_of(interp))
+        markers = set()
+        for k in comp.counted(violated, flavor == "reward"):
+            g = gp.rules[k]
+            # subst is () exactly when the source rule has no variables
+            markers.add(Atom(name, (Term(str(g.origin_index)), _weight_token(g.weight)) + g.subst))
+        yield markers
 
 
 def _ground_weak(tp: TranslatedProgram) -> list[WeakConstraint]:
@@ -204,8 +201,12 @@ def _ground_weak(tp: TranslatedProgram) -> list[WeakConstraint]:
 def wc_penalty(tp: TranslatedProgram, interp: Interpretation, level: int) -> int:
     """Total penalty of an interpretation at one level: the summed weights
     of the level's ground weak constraints whose body it satisfies."""
+    return _level_penalty(_ground_weak(tp), interp, level)
+
+
+def _level_penalty(weak: list[WeakConstraint], interp: Interpretation, level: int) -> int:
     total = 0
-    for wc in _ground_weak(tp):
+    for wc in weak:
         if wc.level != level:
             continue
         if all((l.atom in interp) if l.negation != 1 else (l.atom not in interp)
@@ -228,7 +229,8 @@ def optimal_models(tp: TranslatedProgram, cap: int = DEFAULT_ATOM_CAP) -> list[I
     gp = ground(Program(tp.rules), universe=tp.source_universe)
     models = enumerate_sm(gp, hard_mode="strict", cap=cap)
     levels = sorted({wc.level for wc in tp.weak})
-    penalties = [{l: wc_penalty(tp, m, l) for l in levels} for m in models]
+    weak = _ground_weak(tp)
+    penalties = [{l: _level_penalty(weak, m, l) for l in levels} for m in models]
     return [m for i, m in enumerate(models)
             if not any(_dominated(penalties[i], penalties[j], levels)
                        for j in range(len(models)) if j != i)]

@@ -8,7 +8,8 @@ with -e conditionals, -all lists every stable model with its probability,
 otherwise a MAP estimate is printed.  --mode emit-asp-pnt / emit-asp-rwd /
 emit-mln export the translations instead of running inference.
 
-Exit codes: 0 success, 1 parse or safety error, 2 enumeration cap
+Exit codes: 0 success, 1 parse, safety or argument error (including a
+non-integer LPMLN_ATOM_CAP and --scale below 1), 2 enumeration cap
 exceeded, 3 inconsistent evidence / no stable models.  The environment
 variable LPMLN_ATOM_CAP overrides the enumeration cap.
 """
@@ -24,7 +25,7 @@ from pathlib import Path
 from . import asp_backend, inference, mln_backend
 from .engine import DEFAULT_ATOM_CAP, EnumerationCapError
 from .grounder import GroundingCapError, GroundingError, ground, ground_to_program
-from .model import Program, atom_sort_key, merge_programs
+from .model import atom_sort_key, merge_programs
 from .parser import LpmlnSyntaxError, parse_evidence, parse_program, parse_query_spec
 
 EXIT_OK = 0
@@ -64,29 +65,31 @@ def _fmt(p: float) -> str:
     return f"{p:.12g}"
 
 
-def _atom_line(program: Program, interp, flavor: str = "penalty") -> str:
-    shown = asp_backend.phi_extend(program, interp, flavor)
-    source = sorted(interp, key=atom_sort_key)
-    markers = sorted(shown - frozenset(interp), key=atom_sort_key)
-    return " ".join(str(a) for a in source + markers)
+def _atom_lines(gp, interps):
+    """Per model: its atoms, then the unsat markers of the rules it violates."""
+    for interp, markers in zip(interps, asp_backend.witness_markers(gp, interps, "penalty")):
+        source = sorted(interp, key=atom_sort_key)
+        extra = sorted(markers - interp, key=atom_sort_key)
+        yield " ".join(str(a) for a in source + extra)
 
 
-def _render_map(program: Program, gp, hard_mode: str, cap: int, scale: int) -> str:
+def _render_map(gp, hard_mode: str, cap: int, scale: int) -> str:
     result = inference.map_estimate(gp, hard_mode, cap, scale)
     lines = []
-    for interp, opt in zip(result.models, result.optimizations):
-        lines.append(_atom_line(program, interp))
+    for line, opt in zip(_atom_lines(gp, result.models), result.optimizations):
+        lines.append(line)
         lines.append(f"Optimization: {opt}")
     lines.append("OPTIMUM FOUND")
     return "".join(l + "\n" for l in lines)
 
 
-def _render_all(program: Program, gp, hard_mode: str, cap: int, scale: int) -> str:
+def _render_all(gp, hard_mode: str, cap: int, scale: int) -> str:
     dist = inference.distribution(gp, "penalty", hard_mode, cap)
+    atom_lines = _atom_lines(gp, [e.interpretation for e in dist.entries])
     lines = []
-    for k, e in enumerate(dist.entries, start=1):
+    for k, (e, line) in enumerate(zip(dist.entries, atom_lines), start=1):
         lines.append(f"Answer: {k}")
-        lines.append(_atom_line(program, e.interpretation))
+        lines.append(line)
         lines.append(f"Optimization: {int(round(e.weight.soft * scale))}")
     lines.append("")
     for k, e in enumerate(dist.entries, start=1):
@@ -121,7 +124,15 @@ def run(argv, stdout=None, stderr=None) -> int:
     except SystemExit as e:
         return EXIT_INPUT if e.code else EXIT_OK
 
-    cap = int(os.environ.get("LPMLN_ATOM_CAP", DEFAULT_ATOM_CAP))
+    raw_cap = os.environ.get("LPMLN_ATOM_CAP", str(DEFAULT_ATOM_CAP))
+    try:
+        cap = int(raw_cap)
+    except ValueError:
+        print(f"error: LPMLN_ATOM_CAP must be an integer, got {raw_cap!r}", file=stderr)
+        return EXIT_INPUT
+    if args.scale < 1:
+        print("error: scale must be a positive integer", file=stderr)
+        return EXIT_INPUT
     hard_mode = "relaxed" if args.relax_hard else "strict"
     if clingo_opts is not None:
         print("warning: -clingo options are accepted but ignored", file=stderr)
@@ -151,11 +162,11 @@ def run(argv, stdout=None, stderr=None) -> int:
             merged = merge_programs(program, evidence) if evidence else program
             gp = ground(merged)
             if args.map_mode or not (args.query or args.all_models):
-                text = _render_map(merged, gp, hard_mode, cap, args.scale)
+                text = _render_map(gp, hard_mode, cap, args.scale)
             elif preds is not None:
                 text = _render_marginal(gp, preds, hard_mode, cap, stderr)
             else:
-                text = _render_all(merged, gp, hard_mode, cap, args.scale)
+                text = _render_all(gp, hard_mode, cap, args.scale)
     except (LpmlnSyntaxError, OSError) as e:
         print(f"error: {e}", file=stderr)
         return EXIT_INPUT
@@ -184,3 +195,7 @@ def run(argv, stdout=None, stderr=None) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -77,7 +77,6 @@ class _CompiledRule:
     neg2: int
     is_hard: bool
     weight: float  # 0.0 for hard rules
-    origin: int
     disjunctive: bool
 
 
@@ -92,7 +91,8 @@ class _Compiled:
         self.atoms: list[Atom] = sorted(seen, key=atom_sort_key)
         self.index = {a: i for i, a in enumerate(self.atoms)}
         self.rules: list[_CompiledRule] = []
-        for r in rules:
+        self.hard = 0  # bit k set iff rule k is hard
+        for k, r in enumerate(rules):
             head = pos = neg1 = neg2 = 0
             for a in r.head:
                 head |= 1 << self.index[a]
@@ -106,8 +106,9 @@ class _Compiled:
                     neg2 |= bit
             self.rules.append(_CompiledRule(
                 head, pos, neg1, neg2, r.is_hard,
-                0.0 if r.is_hard else r.weight.value, r.origin_index,
-                head.bit_count() > 1))
+                0.0 if r.is_hard else r.weight.value, head.bit_count() > 1))
+            if r.is_hard:
+                self.hard |= 1 << k
 
     def bits_of(self, interp: Interpretation) -> int:
         bits = 0
@@ -118,20 +119,35 @@ class _Compiled:
         return bits
 
     def interp_of(self, bits: int) -> Interpretation:
-        return frozenset(a for i, a in enumerate(self.atoms) if bits >> i & 1)
+        return frozenset(self.atoms[i] for i in _bit_indices(bits))
 
-    @staticmethod
-    def body_holds(rule: _CompiledRule, bits: int) -> bool:
-        return (bits & rule.pos) == rule.pos and not bits & rule.neg1 \
-            and (bits & rule.neg2) == rule.neg2
+    def check(self, bits: int, stop: int = 0) -> tuple[int, list[tuple[int, int]] | None]:
+        """One pass over the rules for the interpretation ``bits``.
 
-    def satisfied(self, rule: _CompiledRule, bits: int) -> bool:
-        return not self.body_holds(rule, bits) or bool(bits & rule.head)
+        Returns the violated rules as a mask (bit k for rule k) and the
+        reduct of the satisfied rules: ``(head, positive body)`` of each
+        one whose negative and double-negated literals hold.  The pass ends
+        at the first violated rule in the mask ``stop``, with reduct None.
+        """
+        violated = 0
+        reduct = []
+        for k, r in enumerate(self.rules):
+            if bits & r.neg1 or (bits & r.neg2) != r.neg2:
+                continue
+            if (bits & r.pos) == r.pos and not bits & r.head:
+                violated |= 1 << k
+                if stop & violated:
+                    return violated, None
+            else:
+                reduct.append((r.head, r.pos))
+        return violated, reduct
 
-
-def _reduct_bits(comp: _Compiled, rules: Iterable[_CompiledRule], bits: int):
-    return [(r.head, r.pos) for r in rules
-            if not bits & r.neg1 and (bits & r.neg2) == r.neg2]
+    def counted(self, violated: int, reward: bool) -> list[int]:
+        """Indices, in rule order, of the rules a weight or a witness counts:
+        the violated ones in penalty mode, the satisfied ones in reward mode."""
+        if reward:
+            return _bit_indices(((1 << len(self.rules)) - 1) & ~violated)
+        return _bit_indices(violated)
 
 
 def _least_fixpoint(reduct) -> int:
@@ -145,11 +161,6 @@ def _least_fixpoint(reduct) -> int:
                 derived |= head
                 changed = True
     return derived
-
-
-def _minimal_lfp(reduct, bits: int) -> bool:
-    """Minimality for non-disjunctive reducts: I equals the least fixpoint."""
-    return _least_fixpoint(reduct) == bits
 
 
 def _minimal_subsets(reduct, bits: int) -> bool:
@@ -172,28 +183,23 @@ def _models_reduct(reduct, bits: int) -> bool:
     return True
 
 
-def _check_stable(comp: _Compiled, sat_rules, bits: int, minimality: str = "auto") -> bool:
-    reduct = _reduct_bits(comp, sat_rules, bits)
-    if minimality == "subset" or (
-            minimality == "auto" and any(h.bit_count() > 1 for h, _ in reduct)):
-        return _models_reduct(reduct, bits) and _minimal_subsets(reduct, bits)
-    return _minimal_lfp(reduct, bits)
+def _is_minimal(reduct, bits: int) -> bool:
+    """I is a minimal model of the reduct ``_Compiled.check`` returned for it
+    (I models that reduct by construction): the least fixpoint when no
+    reduct rule is disjunctive, subset search otherwise."""
+    if any(h.bit_count() > 1 for h, _ in reduct):
+        return _minimal_subsets(reduct, bits)
+    return _least_fixpoint(reduct) == bits
 
 
-def is_stable_model(rules: Iterable[GroundRule], interp: Interpretation,
-                    minimality: str = "auto") -> bool:
-    """True iff I satisfies every rule and is a minimal model of the reduct.
-
-    ``minimality`` selects the check: "lfp" (least fixpoint, sound for
-    non-disjunctive programs), "subset" (exhaustive), or "auto".
-    """
+def is_stable_model(rules: Iterable[GroundRule], interp: Interpretation) -> bool:
+    """True iff I satisfies every rule and is a minimal model of the reduct."""
     comp = _Compiled(tuple(rules))
     bits = comp.bits_of(interp)
     if len(interp) != bits.bit_count():
         return False  # an atom outside the program's signature cannot be derived
-    if not all(comp.satisfied(r, bits) for r in comp.rules):
-        return False
-    return _check_stable(comp, comp.rules, bits, minimality)
+    violated, reduct = comp.check(bits)
+    return not violated and _is_minimal(reduct, bits)
 
 
 class StableModelEnumerator:
@@ -203,12 +209,12 @@ class StableModelEnumerator:
                  cap: int = DEFAULT_ATOM_CAP):
         if hard_mode not in ("strict", "relaxed"):
             raise ValueError(f"unknown hard mode {hard_mode!r}")
-        self.gp = gp
         self.hard_mode = hard_mode
         self.cap = cap
         self.comp = _Compiled(gp.rules)
         self._analyze()
         self._models: list[int] | None = None
+        self.violations: list[int] = []
 
     # -- candidate-space analysis
 
@@ -248,8 +254,6 @@ class StableModelEnumerator:
                 free |= 1 << i
         free &= head_atoms
 
-        self.head_atoms = head_atoms
-        self.free_bits = free
         self.free_positions = _bit_indices(free)
         det = head_atoms & ~free
 
@@ -264,27 +268,29 @@ class StableModelEnumerator:
     # -- enumeration
 
     def models_bits(self) -> list[int]:
+        """The stable models as bitsets; ``self.violations[k]`` is the mask of
+        the rules model k violates."""
         if self._models is not None:
             return self._models
         k = len(self.free_positions)
         if k > self.cap:
             raise EnumerationCapError(self.cap, k)
         comp = self.comp
-        strict = self.hard_mode == "strict"
-        hard_rules = [r for r in comp.rules if r.is_hard]
+        stop = comp.hard if self.hard_mode == "strict" else 0
         out = []
+        violations = []
         for mask in range(1 << k):
             bits = 0
             for j, p in enumerate(self.free_positions):
                 if mask >> j & 1:
                     bits |= 1 << p
             bits = self._closure(bits)
-            if strict and not all(comp.satisfied(r, bits) for r in hard_rules):
-                continue
-            sat_rules = [r for r in comp.rules if comp.satisfied(r, bits)]
-            if _check_stable(comp, sat_rules, bits):
+            violated, reduct = comp.check(bits, stop)
+            if reduct is not None and _is_minimal(reduct, bits):
                 out.append(bits)
+                violations.append(violated)
         self._models = out
+        self.violations = violations
         return out
 
     def _closure(self, bits: int) -> int:
@@ -293,7 +299,8 @@ class StableModelEnumerator:
             while changed:
                 changed = False
                 for r in stage:
-                    if not bits & r.head and self.comp.body_holds(r, bits):
+                    if not bits & r.head and (bits & r.pos) == r.pos \
+                            and not bits & r.neg1 and (bits & r.neg2) == r.neg2:
                         bits |= r.head
                         changed = True
         return bits
@@ -301,41 +308,13 @@ class StableModelEnumerator:
     def models(self) -> list[Interpretation]:
         return [self.comp.interp_of(b) for b in self.models_bits()]
 
-    # -- weights
-
-    def reward_vector(self, bits: int) -> tuple[int, float]:
-        """(# satisfied hard rules, sum of satisfied soft weights)."""
-        hard = 0
-        softsum = 0.0
-        for r in self.comp.rules:
-            if self.comp.satisfied(r, bits):
-                if r.is_hard:
-                    hard += 1
-                else:
-                    softsum += r.weight
-        return hard, softsum
-
-    def penalty_vector(self, bits: int) -> tuple[int, float]:
-        """(# violated hard rules, sum of violated soft weights)."""
-        hard = 0
-        softsum = 0.0
-        for r in self.comp.rules:
-            if not self.comp.satisfied(r, bits):
-                if r.is_hard:
-                    hard += 1
-                else:
-                    softsum += r.weight
-        return hard, softsum
-
 
 def _bit_indices(bits: int) -> list[int]:
     out = []
-    i = 0
     while bits:
-        if bits & 1:
-            out.append(i)
-        bits >>= 1
-        i += 1
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
     return out
 
 

@@ -17,7 +17,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .engine import DEFAULT_ATOM_CAP, StableModelEnumerator
+from .engine import DEFAULT_ATOM_CAP, StableModelEnumerator, _Compiled
 from .grounder import GroundProgram, ground
 from .model import Atom, Interpretation, Program, atom_sort_key, merge_programs
 
@@ -70,18 +70,36 @@ class Distribution:
         return [e for e in self.entries if e.probability > 0.0]
 
 
+def _vector(comp: _Compiled, violated: int, mode: str) -> WeightVector:
+    # one rule at a time in rule order from 0.0, as the recorded outputs were
+    # computed: sum() compensates on Python 3.12+ and could move the digits
+    hard = 0
+    soft = 0.0
+    for k in comp.counted(violated, mode == "reward"):
+        r = comp.rules[k]
+        if r.is_hard:
+            hard += 1
+        else:
+            soft += r.weight
+    return WeightVector(hard, soft)
+
+
+def _weigh(gp: GroundProgram, interp: Interpretation, mode: str) -> WeightVector:
+    comp = _Compiled(gp.rules)
+    violated, _ = comp.check(comp.bits_of(interp))
+    return _vector(comp, violated, mode)
+
+
 def weight_reward(gp: GroundProgram, interp: Interpretation) -> WeightVector:
     """Hard tier = satisfied hard rules, soft tier = sum of satisfied soft
     weights; the model weight is exp(alpha*hard + soft) symbolically."""
-    enum = StableModelEnumerator(gp, "relaxed", cap=len(gp.atoms) + 1)
-    return WeightVector(*enum.reward_vector(enum.comp.bits_of(interp)))
+    return _weigh(gp, interp, "reward")
 
 
 def weight_penalty(gp: GroundProgram, interp: Interpretation) -> WeightVector:
     """Hard tier = violated hard rules, soft tier = sum of violated soft
     weights; the model weight is exp(-alpha*hard - soft) symbolically."""
-    enum = StableModelEnumerator(gp, "relaxed", cap=len(gp.atoms) + 1)
-    return WeightVector(*enum.penalty_vector(enum.comp.bits_of(interp)))
+    return _weigh(gp, interp, "penalty")
 
 
 def distribution(gp: GroundProgram, mode: str = "penalty",
@@ -99,12 +117,11 @@ def distribution(gp: GroundProgram, mode: str = "penalty",
     if not bits_list:
         raise NoStableModelsError("no probabilistic stable models")
 
+    vectors = [_vector(enum.comp, v, mode) for v in enum.violations]
     if mode == "reward":
-        vectors = [WeightVector(*enum.reward_vector(b)) for b in bits_list]
         best_hard = max(v.hard for v in vectors)
         sign = 1.0
     else:
-        vectors = [WeightVector(*enum.penalty_vector(b)) for b in bits_list]
         best_hard = min(v.hard for v in vectors)
         sign = -1.0
 

@@ -1,7 +1,13 @@
 import io
 import os
+import subprocess
+import sys
+from pathlib import Path
 
-from lpmln import fixture_path
+import pytest
+
+import lpmln
+from lpmln import asp_backend, cli, fixture_path, inference
 from lpmln.cli import run
 
 
@@ -191,3 +197,42 @@ class TestExitCodes:
         code, _, err = invoke("-i", str(bad))
         assert code == 1
         assert "unsafe" in err
+
+
+class TestInputContract:
+    def test_python_dash_m_runs_the_cli(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(lpmln.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "lpmln.cli", "-i", BIRD, "-q", "residentbird"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0
+        assert proc.stdout == "residentbird(jo) 0.665240955775\n"
+
+    def test_non_integer_atom_cap(self):
+        code, out, err = invoke("-i", BIRD, env={"LPMLN_ATOM_CAP": "abc"})
+        assert code == 1 and out == ""
+        assert err == "error: LPMLN_ATOM_CAP must be an integer, got 'abc'\n"
+
+    @pytest.mark.parametrize("scale", ["0", "-3"])
+    @pytest.mark.parametrize("flags", [(), ("-all",), ("-q", "residentbird"),
+                                       ("--mode", "emit-asp-pnt")])
+    def test_scale_below_one(self, scale, flags):
+        code, out, err = invoke("-i", BIRD, "--scale", scale, *flags)
+        assert code == 1 and out == ""
+        assert err == "error: scale must be a positive integer\n"
+
+
+class TestGroundOnce:
+    @pytest.mark.parametrize("flags", [(), ("-all",)])
+    def test_one_ground_call_per_run(self, monkeypatch, flags):
+        calls = []
+        real = cli.ground
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        for module in (cli, asp_backend, inference):
+            monkeypatch.setattr(module, "ground", counting)
+        code, out, _ = invoke("-i", BIRD, *flags)
+        assert code == 0 and 'unsat(5,"1.000000")' in out
+        assert len(calls) == 1

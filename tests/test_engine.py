@@ -3,7 +3,10 @@ import random
 import pytest
 
 from lpmln import enumerate_sm, ground, is_stable_model, reduce_program
-from lpmln.engine import EnumerationCapError, StableModelEnumerator, _check_stable, _Compiled
+from lpmln.engine import (
+    EnumerationCapError, StableModelEnumerator, _Compiled, _least_fixpoint,
+    _minimal_subsets, _models_reduct,
+)
 from lpmln.model import atom
 from helpers import P, naive_sm, random_program_text
 
@@ -58,9 +61,9 @@ class TestIsStableModel:
                                               hard_frac=1.0, allow_disjunction=False)))
             comp = _Compiled(gp.rules)
             for mask in range(1 << len(comp.atoms)):
-                sat = [r for r in comp.rules if comp.satisfied(r, mask)]
-                assert _check_stable(comp, sat, mask, "lfp") == \
-                    _check_stable(comp, sat, mask, "subset")
+                _, reduct = comp.check(mask)
+                assert _models_reduct(reduct, mask)
+                assert (_least_fixpoint(reduct) == mask) == _minimal_subsets(reduct, mask)
 
 
 class TestEnumerateSm:

@@ -4,13 +4,14 @@ import random
 import pytest
 
 from lpmln import fixture_path, ground, parse_evidence, parse_program
+from lpmln.asp_backend import phi_extend
 from lpmln.inference import (
     InconsistentEvidenceError, NoStableModelsError, UnknownPredicateWarning,
-    conditional, distribution, map_estimate, marginal, weight_penalty,
-    weight_reward,
+    WeightVector, conditional, distribution, map_estimate, marginal,
+    weight_penalty, weight_reward,
 )
-from lpmln.model import atom
-from helpers import P, random_program_text
+from lpmln.model import Atom, Term, atom
+from helpers import P, _classically_satisfies, _powerset, random_program_text
 
 
 def bird_gp():
@@ -46,6 +47,55 @@ class TestWeightVectors:
     def test_empty_program(self):
         gp = ground(P(""))
         assert weight_reward(gp, frozenset()) == weight_penalty(gp, frozenset())
+
+
+class TestWeightsAndMarkersAgainstOracle:
+    """Both weight vectors and both witness marker sets, against counts
+    built rule by rule with the oracle's classical satisfaction check."""
+
+    @staticmethod
+    def expected(program, gp, interp):
+        """[hard count, soft sum, marker args] over the satisfied instances
+        and over the violated ones."""
+        variables = {r.index: r.variables() for r in program.rules}
+        sat, unsat = [0, 0.0, set()], [0, 0.0, set()]
+        for g in gp.rules:
+            entry = sat if _classically_satisfies(interp, g) else unsat
+            if g.is_hard:
+                entry[0] += 1
+            else:
+                entry[1] += g.weight.value
+            token = '"alpha"' if g.is_hard else f'"{g.weight.value:.6f}"'
+            args = (Term(str(g.origin_index)), Term(token))
+            entry[2].add(args + g.subst if variables[g.origin_index] else args)
+        return sat, unsat
+
+    def check(self, program, interps):
+        gp = ground(program)
+        for interp in interps:
+            sat, unsat = self.expected(program, gp, interp)
+            assert weight_penalty(gp, interp) == WeightVector(unsat[0], unsat[1])
+            assert weight_reward(gp, interp) == WeightVector(sat[0], sat[1])
+            assert phi_extend(program, interp, "penalty") == \
+                interp | {Atom("unsat", a) for a in unsat[2]}
+            assert phi_extend(program, interp, "reward") == \
+                interp | {Atom("sat", a) for a in sat[2]}
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_programs(self, seed):
+        rng = random.Random(seed)
+        for _ in range(10):
+            program = P(random_program_text(rng, rng.randint(1, 4), rng.randint(1, 7),
+                                            allow_disjunction=True))
+            self.check(program, [frozenset(s) for s in _powerset(ground(program).atoms)])
+
+    @pytest.mark.parametrize("name", ["bird.lpmln", "smoke.lpmln"])
+    def test_nonground_fixtures(self, name):
+        rng = random.Random(name)
+        program = parse_program(fixture_path(name).read_text())
+        atoms = ground(program).atoms
+        self.check(program, [frozenset(a for a in atoms if rng.random() < 0.5)
+                             for _ in range(40)])
 
 
 class TestDistribution:
