@@ -163,15 +163,22 @@ def witness_markers(gp: GroundProgram, interps, flavor: str):
     if flavor not in ("penalty", "reward"):
         raise ValueError(f"unknown flavor {flavor!r}")
     comp = _Compiled(gp.rules)
-    name = UNSAT if flavor == "penalty" else SAT
     for interp in interps:
         violated, _ = comp.check(comp.bits_of(interp))
-        markers = set()
-        for k in comp.counted(violated, flavor == "reward"):
-            g = gp.rules[k]
-            # subst is () exactly when the source rule has no variables
-            markers.add(Atom(name, (Term(str(g.origin_index)), _weight_token(g.weight)) + g.subst))
-        yield markers
+        yield _mask_markers(gp, comp, violated, flavor)
+
+
+def _mask_markers(gp: GroundProgram, comp: _Compiled, violated: int, flavor: str) -> set[Atom]:
+    """The markers of an interpretation that violates exactly the rules in
+    the mask ``violated`` (bit k for ``gp.rules[k]``, as ``comp`` numbers
+    them): ``unsat`` for the violated rules, ``sat`` for the others."""
+    name = UNSAT if flavor == "penalty" else SAT
+    markers = set()
+    for k in comp.counted(violated, flavor == "reward"):
+        g = gp.rules[k]
+        # subst is () exactly when the source rule has no variables
+        markers.add(Atom(name, (Term(str(g.origin_index)), _weight_token(g.weight)) + g.subst))
+    return markers
 
 
 def _ground_weak(tp: TranslatedProgram) -> list[WeakConstraint]:

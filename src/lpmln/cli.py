@@ -65,35 +65,36 @@ def _fmt(p: float) -> str:
     return f"{p:.12g}"
 
 
-def _atom_lines(gp, interps):
-    """Per model: its atoms, then the unsat markers of the rules it violates."""
-    for interp, markers in zip(interps, asp_backend.witness_markers(gp, interps, "penalty")):
-        source = sorted(interp, key=atom_sort_key)
-        extra = sorted(markers - interp, key=atom_sort_key)
-        yield " ".join(str(a) for a in source + extra)
+def _atom_line(interp, markers) -> str:
+    """A model's atoms, then the unsat markers of the rules it violates."""
+    source = sorted(interp, key=atom_sort_key)
+    extra = sorted(markers - interp, key=atom_sort_key)
+    return " ".join(str(a) for a in source + extra)
 
 
 def _render_map(gp, hard_mode: str, cap: int, scale: int) -> str:
     result = inference.map_estimate(gp, hard_mode, cap, scale)
+    markers = asp_backend.witness_markers(gp, result.models, "penalty")
     lines = []
-    for line, opt in zip(_atom_lines(gp, result.models), result.optimizations):
-        lines.append(line)
+    for interp, marks, opt in zip(result.models, markers, result.optimizations):
+        lines.append(_atom_line(interp, marks))
         lines.append(f"Optimization: {opt}")
     lines.append("OPTIMUM FOUND")
     return "".join(l + "\n" for l in lines)
 
 
 def _render_all(gp, hard_mode: str, cap: int, scale: int) -> str:
-    dist = inference.distribution(gp, "penalty", hard_mode, cap)
-    atom_lines = _atom_lines(gp, [e.interpretation for e in dist.entries])
+    # the enumeration's violation masks give the markers; nothing is re-checked
+    w = inference._weigh_models(gp, "penalty", hard_mode, cap)
     lines = []
-    for k, (e, line) in enumerate(zip(dist.entries, atom_lines), start=1):
+    for k, (b, violated, v) in enumerate(zip(w.bits, w.violations, w.vectors), start=1):
         lines.append(f"Answer: {k}")
-        lines.append(line)
-        lines.append(f"Optimization: {int(round(e.weight.soft * scale))}")
+        lines.append(_atom_line(w.comp.interp_of(b),
+                                asp_backend._mask_markers(gp, w.comp, violated, "penalty")))
+        lines.append(f"Optimization: {int(round(v.soft * scale))}")
     lines.append("")
-    for k, e in enumerate(dist.entries, start=1):
-        lines.append(f"Probability of Answer {k} : {_fmt(e.probability)}")
+    for k, p in enumerate(w.probabilities, start=1):
+        lines.append(f"Probability of Answer {k} : {_fmt(p)}")
     return "".join(l + "\n" for l in lines)
 
 

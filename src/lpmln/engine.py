@@ -12,8 +12,19 @@ not forced by hard rules alone: it heads a soft rule (droppable), heads a
 disjunctive rule, or sits in a dependency cycle through negation (which
 covers desugared choice rules).  Everything else is either fixed false (no
 rule can derive it) or computed by a stratified least fixpoint, component
-by component.  Every generated candidate is still verified with the full
-reduct/minimality check, so the pruning is a speedup, not a semantics.
+by component.
+
+Once per program, a three-valued pass over those components bounds every
+candidate from both sides: ``sure`` holds the atoms true in all of them,
+``maybe`` the atoms true in some.  A rule with a body literal fixed false
+or a head atom in ``sure`` holds in every candidate and is dropped; the
+rest keep their index and lose the literals and head atoms whose value is
+fixed.  Per candidate, only these residual rules are closed, checked for
+violation and reduced, and minimality is decided above ``sure``: every
+model of the reduct contains ``sure``, and a dropped rule is satisfied by
+every interpretation between ``sure`` and the candidate.  Violation masks
+therefore still index, and agree with, the full program, and
+``is_stable_model`` still checks the full program.
 
 Interpretations are manipulated as integer bitsets internally; the public
 functions speak frozensets of atoms.
@@ -21,20 +32,28 @@ functions speak frozensets of atoms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from .grounder import GroundProgram, GroundRule
 from .model import Atom, Interpretation, atom_sort_key
 
 DEFAULT_ATOM_CAP = 24
+_CAP_SHOWN = 8  # free atoms an EnumerationCapError message names
 
 
 class EnumerationCapError(RuntimeError):
-    def __init__(self, cap: int, size: int):
-        super().__init__(
-            f"enumeration needs {size} free atoms but the cap is {cap}; "
-            "raise the cap to proceed")
+    """``free`` lists ``(atom, reason)`` pairs for the atoms enumerated; the
+    message names the first few of them."""
+
+    def __init__(self, cap: int, size: int, free: Sequence[tuple[str, str]] = ()):
+        msg = (f"enumeration needs {size} free atoms but the cap is {cap}; "
+               "raise the cap to proceed")
+        if free:
+            shown = ", ".join(f"{a} ({why})" for a, why in free[:_CAP_SHOWN])
+            more = len(free) - _CAP_SHOWN
+            msg += f"; free: {shown}" + (f" and {more} more" if more > 0 else "")
+        super().__init__(msg)
         self.cap = cap
         self.size = size
 
@@ -78,6 +97,7 @@ class _CompiledRule:
     is_hard: bool
     weight: float  # 0.0 for hard rules
     disjunctive: bool
+    index: int  # position in the ground program: bit ``index`` of a violation mask
 
 
 class _Compiled:
@@ -106,7 +126,7 @@ class _Compiled:
                     neg2 |= bit
             self.rules.append(_CompiledRule(
                 head, pos, neg1, neg2, r.is_hard,
-                0.0 if r.is_hard else r.weight.value, head.bit_count() > 1))
+                0.0 if r.is_hard else r.weight.value, head.bit_count() > 1, k))
             if r.is_hard:
                 self.hard |= 1 << k
 
@@ -121,8 +141,11 @@ class _Compiled:
     def interp_of(self, bits: int) -> Interpretation:
         return frozenset(self.atoms[i] for i in _bit_indices(bits))
 
-    def check(self, bits: int, stop: int = 0) -> tuple[int, list[tuple[int, int]] | None]:
-        """One pass over the rules for the interpretation ``bits``.
+    def check(self, bits: int, stop: int = 0,
+              rules: Sequence[_CompiledRule] | None = None,
+              ) -> tuple[int, list[tuple[int, int]] | None]:
+        """One pass over ``rules`` (default: all of them; the enumerator
+        passes its residual rules) for the interpretation ``bits``.
 
         Returns the violated rules as a mask (bit k for rule k) and the
         reduct of the satisfied rules: ``(head, positive body)`` of each
@@ -131,11 +154,11 @@ class _Compiled:
         """
         violated = 0
         reduct = []
-        for k, r in enumerate(self.rules):
+        for r in self.rules if rules is None else rules:
             if bits & r.neg1 or (bits & r.neg2) != r.neg2:
                 continue
             if (bits & r.pos) == r.pos and not bits & r.head:
-                violated |= 1 << k
+                violated |= 1 << r.index
                 if stop & violated:
                     return violated, None
             else:
@@ -150,30 +173,31 @@ class _Compiled:
         return _bit_indices(violated)
 
 
-def _least_fixpoint(reduct) -> int:
+def _least_fixpoint(reduct, derived: int = 0) -> int:
     # sound for non-disjunctive reducts; multi-atom heads never derive here
-    derived = 0
     changed = True
     while changed:
         changed = False
         for head, pos in reduct:
-            if head.bit_count() == 1 and not head & derived and (derived & pos) == pos:
+            if not head & derived and (derived & pos) == pos and head.bit_count() == 1:
                 derived |= head
                 changed = True
     return derived
 
 
-def _minimal_subsets(reduct, bits: int) -> bool:
-    """Minimality by subset search: no proper subset of I models the reduct."""
-    if bits == 0:
+def _minimal_subsets(reduct, bits: int, fixed: int = 0) -> bool:
+    """Minimality by subset search: no proper subset of I that keeps the
+    atoms ``fixed`` models the reduct."""
+    rest = bits & ~fixed
+    if rest == 0:
         return True
-    sub = (bits - 1) & bits
+    sub = (rest - 1) & rest
     while True:
-        if _models_reduct(reduct, sub):
+        if _models_reduct(reduct, sub | fixed):
             return False
         if sub == 0:
             return True
-        sub = (sub - 1) & bits
+        sub = (sub - 1) & rest
 
 
 def _models_reduct(reduct, bits: int) -> bool:
@@ -213,6 +237,7 @@ class StableModelEnumerator:
         self.cap = cap
         self.comp = _Compiled(gp.rules)
         self._analyze()
+        self._specialise()
         self._models: list[int] | None = None
         self.violations: list[int] = []
 
@@ -221,13 +246,15 @@ class StableModelEnumerator:
     def _analyze(self) -> None:
         comp = self.comp
         n = len(comp.atoms)
-        head_atoms = 0
+        head_atoms = soft = disjunctive = relaxed = 0
         for r in comp.rules:
             head_atoms |= r.head
-        free = 0
-        for r in comp.rules:
-            if r.disjunctive or (not r.is_hard) or self.hard_mode == "relaxed":
-                free |= r.head
+            if r.disjunctive:
+                disjunctive |= r.head
+            if not r.is_hard:
+                soft |= r.head
+            elif self.hard_mode == "relaxed":
+                relaxed |= r.head
 
         # Dependency edges head -> body atom, flagged negative when the
         # body literal is under one or two negations.
@@ -249,21 +276,58 @@ class StableModelEnumerator:
         for h, b in neg_pairs:
             if comp_id[h] == comp_id[b]:
                 scc_has_neg[comp_id[h]] = True
+        negative_cycle = 0
         for i in range(n):
             if scc_has_neg[comp_id[i]]:
-                free |= 1 << i
-        free &= head_atoms
+                negative_cycle |= 1 << i
+        free = (soft | disjunctive | relaxed | negative_cycle) & head_atoms
 
         self.free_positions = _bit_indices(free)
+        self._reasons = (("soft head", soft), ("disjunctive head", disjunctive),
+                         ("negative cycle", negative_cycle), ("relaxed hard", relaxed))
         det = head_atoms & ~free
 
         # Deterministic atoms are derived per strongly connected component,
         # in dependency order (Tarjan emits components dependencies-first).
+        # No component holding a deterministic atom has a negative edge
+        # inside it, so a stage's negated atoms are settled before it runs.
         scc_rules: list[list[_CompiledRule]] = [[] for _ in range(n_sccs)]
         for r in comp.rules:
             if r.head and not r.disjunctive and (r.head & det):
                 scc_rules[comp_id[_bit_indices(r.head)[0]]].append(r)
         self.closure_stages = [rs for rs in scc_rules if rs]
+
+    def _specialise(self) -> None:
+        """Bound every candidate by a three-valued pass over the closure
+        stages, then keep only the rules whose truth can vary, stripped of
+        their fixed literals and head atoms."""
+        sure = 0  # true in every candidate
+        maybe = sum(1 << p for p in self.free_positions)  # true in some candidate
+        for stage in self.closure_stages:
+            sure, maybe = _fire(stage, sure, maybe), _fire(stage, maybe, sure)
+        self.sure = sure
+
+        def residual(rules):
+            out = []
+            for r in rules:
+                if r.pos & ~maybe or r.neg1 & sure or r.neg2 & ~maybe or r.head & sure:
+                    continue  # holds in every candidate
+                head = r.head & maybe
+                out.append(replace(r, head=head, pos=r.pos & ~sure, neg1=r.neg1 & maybe,
+                                   neg2=r.neg2 & ~sure, disjunctive=head.bit_count() > 1))
+            return out
+
+        self.residual = residual(self.comp.rules)
+        self.residual_stages = [rs for rs in map(residual, self.closure_stages) if rs]
+        self._disjunctive = any(r.disjunctive for r in self.residual)
+
+    def _free_atoms(self) -> list[tuple[str, str]]:
+        """Each free atom with the first reason that makes it free."""
+        out = []
+        for p in self.free_positions:
+            why = next(name for name, mask in self._reasons if mask >> p & 1)
+            out.append((str(self.comp.atoms[p]), why))
+        return out
 
     # -- enumeration
 
@@ -274,39 +338,52 @@ class StableModelEnumerator:
             return self._models
         k = len(self.free_positions)
         if k > self.cap:
-            raise EnumerationCapError(self.cap, k)
+            raise EnumerationCapError(self.cap, k, self._free_atoms())
         comp = self.comp
         stop = comp.hard if self.hard_mode == "strict" else 0
+        sure = self.sure
+        residual = self.residual
+        stages = self.residual_stages
+        disjunctive = self._disjunctive
         out = []
         violations = []
         for mask in range(1 << k):
-            bits = 0
+            bits = sure
             for j, p in enumerate(self.free_positions):
                 if mask >> j & 1:
                     bits |= 1 << p
-            bits = self._closure(bits)
-            violated, reduct = comp.check(bits, stop)
-            if reduct is not None and _is_minimal(reduct, bits):
+            for stage in stages:
+                bits = _fire(stage, bits, bits)
+            violated, reduct = comp.check(bits, stop, residual)
+            if reduct is None:
+                continue
+            if (_minimal_subsets(reduct, bits, sure) if disjunctive
+                    else _least_fixpoint(reduct, sure) == bits):
                 out.append(bits)
                 violations.append(violated)
         self._models = out
         self.violations = violations
         return out
 
-    def _closure(self, bits: int) -> int:
-        for stage in self.closure_stages:
-            changed = True
-            while changed:
-                changed = False
-                for r in stage:
-                    if not bits & r.head and (bits & r.pos) == r.pos \
-                            and not bits & r.neg1 and (bits & r.neg2) == r.neg2:
-                        bits |= r.head
-                        changed = True
-        return bits
-
     def models(self) -> list[Interpretation]:
         return [self.comp.interp_of(b) for b in self.models_bits()]
+
+
+def _fire(stage: Sequence[_CompiledRule], bits: int, other: int) -> int:
+    """Least fixpoint of one closure stage from ``bits``: a rule adds its
+    head when its positive and double-negated atoms are in ``bits`` and
+    none of its negated atoms is in ``other``.  With ``other = bits`` this
+    closes one candidate; with (lower, upper) and (upper, lower) bounds it
+    gives the atoms derived in every candidate and in some candidate."""
+    changed = True
+    while changed:
+        changed = False
+        for r in stage:
+            if not bits & r.head and (bits & r.pos) == r.pos \
+                    and not other & r.neg1 and (bits & r.neg2) == r.neg2:
+                bits |= r.head
+                changed = True
+    return bits
 
 
 def _bit_indices(bits: int) -> list[int]:

@@ -102,14 +102,20 @@ def weight_penalty(gp: GroundProgram, interp: Interpretation) -> WeightVector:
     return _weigh(gp, interp, "penalty")
 
 
-def distribution(gp: GroundProgram, mode: str = "penalty",
-                 hard_mode: str = "strict",
-                 cap: int = DEFAULT_ATOM_CAP) -> Distribution:
-    """Normalized distribution over SM[P].
+@dataclass(frozen=True)
+class _Weighed:
+    """The stable models of one program as bitsets over ``comp``'s atoms,
+    with each model's violation mask, weight vector and probability at the
+    same position."""
 
-    Models whose hard tier is not extremal (maximal for reward, minimal for
-    penalty) get probability exactly 0 but remain listed.
-    """
+    comp: _Compiled
+    bits: list[int]
+    violations: list[int]
+    vectors: list[WeightVector]
+    probabilities: list[float]
+
+
+def _weigh_models(gp: GroundProgram, mode: str, hard_mode: str, cap: int) -> _Weighed:
     if mode not in ("reward", "penalty"):
         raise ValueError(f"unknown mode {mode!r}")
     enum = StableModelEnumerator(gp, hard_mode, cap)
@@ -125,18 +131,26 @@ def distribution(gp: GroundProgram, mode: str = "penalty",
         best_hard = min(v.hard for v in vectors)
         sign = -1.0
 
-    exponents = [sign * v.soft for v, b in zip(vectors, bits_list) if v.hard == best_hard]
+    exponents = [sign * v.soft for v in vectors if v.hard == best_hard]
     shift = max(exponents)
     total = sum(math.exp(e - shift) for e in exponents)
+    probabilities = [math.exp(sign * v.soft - shift) / total if v.hard == best_hard else 0.0
+                     for v in vectors]
+    return _Weighed(enum.comp, bits_list, enum.violations, vectors, probabilities)
 
-    entries = []
-    for v, b in zip(vectors, bits_list):
-        if v.hard == best_hard:
-            p = math.exp(sign * v.soft - shift) / total
-        else:
-            p = 0.0
-        entries.append(DistEntry(enum.comp.interp_of(b), v, p))
-    return Distribution(mode, tuple(entries))
+
+def distribution(gp: GroundProgram, mode: str = "penalty",
+                 hard_mode: str = "strict",
+                 cap: int = DEFAULT_ATOM_CAP) -> Distribution:
+    """Normalized distribution over SM[P].
+
+    Models whose hard tier is not extremal (maximal for reward, minimal for
+    penalty) get probability exactly 0 but remain listed.
+    """
+    w = _weigh_models(gp, mode, hard_mode, cap)
+    return Distribution(mode, tuple(
+        DistEntry(w.comp.interp_of(b), v, p)
+        for b, v, p in zip(w.bits, w.vectors, w.probabilities)))
 
 
 @dataclass(frozen=True)
@@ -151,14 +165,14 @@ def map_estimate(gp: GroundProgram, hard_mode: str = "strict",
                  scale: int = DEFAULT_SCALE) -> MapResult:
     """All most probable stable models (ties included), with each model's
     scaled integer penalty for display."""
-    dist = distribution(gp, "penalty", hard_mode, cap)
-    best = max(e.probability for e in dist.entries)
+    w = _weigh_models(gp, "penalty", hard_mode, cap)
+    best = max(w.probabilities)
     models = []
     opts = []
-    for e in dist.entries:
-        if e.probability >= best - _TIE_EPS:
-            models.append(e.interpretation)
-            opts.append(int(round(e.weight.soft * scale)))
+    for b, v, p in zip(w.bits, w.vectors, w.probabilities):
+        if p >= best - _TIE_EPS:
+            models.append(w.comp.interp_of(b))
+            opts.append(int(round(v.soft * scale)))
     return MapResult(tuple(models), tuple(opts), scale)
 
 
@@ -173,14 +187,15 @@ def marginal(gp: GroundProgram, query_preds, mode: str = "penalty",
         warnings.warn(f"query predicate {name!r} does not occur in the program",
                       UnknownPredicateWarning, stacklevel=2)
     targets = sorted((a for a in gp.atoms if a.predicate in preds), key=atom_sort_key)
-    dist = distribution(gp, mode, hard_mode, cap)
+    w = _weigh_models(gp, mode, hard_mode, cap)
+    probes = [(a, 1 << w.comp.index[a]) for a in targets]
     result = {a: 0.0 for a in targets}
-    for e in dist.entries:
-        if e.probability == 0.0:
+    for b, p in zip(w.bits, w.probabilities):
+        if p == 0.0:
             continue
-        for a in targets:
-            if a in e.interpretation:
-                result[a] += e.probability
+        for a, bit in probes:
+            if b & bit:
+                result[a] += p
     return result
 
 

@@ -122,6 +122,16 @@ def random_program_text(rng: random.Random, n_atoms: int, n_rules: int,
     return "\n".join(lines) + "\n"
 
 
+def random_text_with_facts(rng: random.Random, n_atoms: int, n_rules: int,
+                           n_facts: int) -> str:
+    """``random_program_text`` with choice, disjunction and ``not not``, plus
+    hard facts over some of its atoms, so that strict mode has atoms that
+    hold in every candidate."""
+    text = random_program_text(rng, n_atoms, n_rules, allow_disjunction=True)
+    facts = rng.sample(range(1, n_atoms + 1), min(n_facts, n_atoms))
+    return text + "".join(f"a{k}.\n" for k in facts)
+
+
 def random_tight_text(rng: random.Random, n_atoms: int, n_rules: int,
                       hard_frac: float = 0.25) -> str:
     """Tight programs: positive body atoms are strictly lower-numbered than

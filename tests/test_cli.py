@@ -180,6 +180,16 @@ class TestExitCodes:
         assert code == 2
         assert "cap" in err
 
+    def test_cap_error_names_the_free_atoms(self):
+        code, _, err = invoke("-i", str(fixture_path("clique10.lpmln")), "-hr",
+                              env={"LPMLN_ATOM_CAP": "24"})
+        assert code == 2
+        assert err.count("\n") == 1
+        assert "enumeration needs 172 free atoms but the cap is 24" in err
+        assert "; free: disconnected(n0,n0) (relaxed hard), " in err
+        assert err.count(" (relaxed hard)") == 8
+        assert err.endswith(" and 164 more\n")
+
     def test_inconsistent_evidence(self, tmp_path):
         ev = tmp_path / "evid.db"
         ev.write_text(":- bird(jo).\n:- not bird(jo).\n")

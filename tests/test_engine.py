@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lpmln import enumerate_sm, ground, is_stable_model, reduce_program
 from lpmln.engine import (
@@ -8,7 +9,7 @@ from lpmln.engine import (
     _minimal_subsets, _models_reduct,
 )
 from lpmln.model import atom
-from helpers import P, naive_sm, random_program_text
+from helpers import P, naive_sm, random_program_text, random_text_with_facts
 
 
 def rules_of(text):
@@ -95,6 +96,14 @@ class TestEnumerateSm:
         assert exc.value.size == 6
         assert "4" in str(exc.value) and "6" in str(exc.value)
 
+    def test_cap_error_gives_each_free_atom_a_reason(self):
+        gp = ground(P("1 s.\na ; b.\n{c}.\nd.\n"))
+        with pytest.raises(EnumerationCapError) as exc:
+            StableModelEnumerator(gp, "relaxed", cap=0).models_bits()
+        assert str(exc.value).endswith(
+            "; free: a (disjunctive head), b (disjunctive head), c (negative cycle), "
+            "d (relaxed hard), s (soft head)")
+
     def test_deterministic_order(self):
         gp = ground(P("{a}. {b}. 1 c :- a, b.\n"))
         assert enumerate_sm(gp) == enumerate_sm(gp)
@@ -153,3 +162,80 @@ class TestLargeDeterminedPrograms:
         # only the ten choice atoms are free; the 200+ others are determined
         assert len(enum.free_positions) == 10
         assert len(enum.models_bits()) == 1024
+        facts = {r.head[0] for r in gp.rules if not r.body}
+        assert {a.predicate for a in facts} == {"node", "edge"}
+        assert all(enum.sure >> enum.comp.index[a] & 1 for a in facts)
+        assert len(enum.residual) < len(gp.rules) / 2
+
+    def test_reach_residual_is_a_small_share(self):
+        # transitive closure over a broken chain plus soft shortcut edges:
+        # thousands of ground rules, of which only those touching a soft
+        # edge can change truth between candidates
+        rng = random.Random(7)
+        n = 14
+        cuts = set(rng.sample(range(n - 1), 5))
+        text = ("path(X, Y) :- edge(X, Y).\npath(X, Y) :- path(X, Z), path(Z, Y).\n"
+                "reach(X) :- path(n0, X).\n")
+        text += "".join(f"node(n{i}).\n" for i in range(n))
+        text += "".join(f"edge(n{i}, n{i + 1}).\n" for i in range(n - 1) if i not in cuts)
+        text += "".join(f"1.5 edge(n{i + 1}, n{i}).\n" for i in sorted(cuts))
+        gp = ground(P(text))
+        enum = StableModelEnumerator(gp, "strict")
+        assert len(enum.free_positions) == 5
+        assert len(enum.residual) < len(gp.rules) / 10
+        assert len(enum.models_bits()) == 32
+
+
+def _assert_matches_full_program(gp, text):
+    """Models equal the oracle's in both hard modes, and each model's
+    violation mask equals the full program's check."""
+    full = _Compiled(gp.rules)
+    for hard_mode in ("relaxed", "strict"):
+        enum = StableModelEnumerator(gp, hard_mode)
+        assert sm_sets(enum.models()) == \
+            sm_sets(naive_sm(gp, require_hard=hard_mode == "strict")), text
+        for bits, violated in zip(enum.models_bits(), enum.violations):
+            assert violated == full.check(bits)[0], text
+
+
+class TestSpecialisedEnumeration:
+    """The enumerator works on the residual rules; what it returns must be
+    what the full program gives."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_generated_programs_with_fixed_atoms(self, seed):
+        rng = random.Random(100 + seed)
+        specialised = 0
+        for _ in range(25):
+            text = random_text_with_facts(rng, rng.randint(2, 6), rng.randint(1, 6),
+                                          rng.randint(1, 2))
+            gp = ground(P(text))
+            _assert_matches_full_program(gp, text)
+            specialised += StableModelEnumerator(gp, "strict").sure != 0
+        assert specialised >= 5  # the fixed-atom path is really exercised
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(st.data())
+    def test_property_generated_programs(self, data):
+        atoms = ("a1", "a2", "a3", "a4", "a5")
+        lines = []
+        for _ in range(data.draw(st.integers(1, 6))):
+            weight = data.draw(st.sampled_from(["", "", "1.5 ", "-2 "]))
+            head = data.draw(st.one_of(
+                st.just(""), st.sampled_from(atoms),
+                st.sampled_from(atoms).map(lambda a: "{" + a + "}"),
+                st.lists(st.sampled_from(atoms), min_size=2, max_size=2,
+                         unique=True).map(" ; ".join)))
+            body = data.draw(st.lists(
+                st.tuples(st.sampled_from(["", "not ", "not not "]),
+                          st.sampled_from(atoms)).map("".join), max_size=3))
+            if not head and not body:
+                body = [data.draw(st.sampled_from(atoms))]
+            rule = weight + head
+            if body:
+                rule += (" :- " if head else ":- ") + ", ".join(body)
+            lines.append(rule + ".")
+        lines += [a + "." for a in data.draw(
+            st.lists(st.sampled_from(atoms), max_size=2, unique=True))]
+        text = "\n".join(lines) + "\n"
+        _assert_matches_full_program(ground(P(text)), text)

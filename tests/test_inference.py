@@ -7,11 +7,13 @@ from lpmln import fixture_path, ground, parse_evidence, parse_program
 from lpmln.asp_backend import phi_extend
 from lpmln.inference import (
     InconsistentEvidenceError, NoStableModelsError, UnknownPredicateWarning,
-    WeightVector, conditional, distribution, map_estimate, marginal,
+    WeightVector, _TIE_EPS, conditional, distribution, map_estimate, marginal,
     weight_penalty, weight_reward,
 )
-from lpmln.model import Atom, Term, atom
-from helpers import P, _classically_satisfies, _powerset, random_program_text
+from lpmln.model import Atom, Term, atom, atom_sort_key
+from helpers import (
+    P, _classically_satisfies, _powerset, random_program_text, random_text_with_facts,
+)
 
 
 def bird_gp():
@@ -197,6 +199,44 @@ class TestMapEstimate:
             except NoStableModelsError:
                 continue
             assert m1 == m2
+
+
+class TestQueriesFromDistribution:
+    """``map_estimate`` and ``marginal`` never build the distribution's
+    entries; their answers must equal, exactly, what those entries give."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_generated_programs(self, seed):
+        rng = random.Random(300 + seed)
+        for _ in range(15):
+            text = random_text_with_facts(rng, rng.randint(2, 6), rng.randint(1, 6),
+                                          rng.randint(1, 2))
+            gp = ground(P(text))
+            names = sorted({a.predicate for a in gp.atoms})
+            preds = rng.sample(names, min(2, len(names)))
+            for hard_mode in ("strict", "relaxed"):
+                try:
+                    dist = distribution(gp, "penalty", hard_mode)
+                except NoStableModelsError:
+                    with pytest.raises(NoStableModelsError):
+                        map_estimate(gp, hard_mode)
+                    continue
+                best = max(e.probability for e in dist.entries)
+                ties = [e for e in dist.entries if e.probability >= best - _TIE_EPS]
+                result = map_estimate(gp, hard_mode, scale=1000)
+                assert result.models == tuple(e.interpretation for e in ties), text
+                assert result.optimizations == tuple(
+                    int(round(e.weight.soft * 1000)) for e in ties), text
+                for mode in ("penalty", "reward"):
+                    want = {a: 0.0 for a in sorted(gp.atoms, key=atom_sort_key)
+                            if a.predicate in preds}
+                    for e in distribution(gp, mode, hard_mode).entries:
+                        if e.probability == 0.0:
+                            continue
+                        for a in want:
+                            if a in e.interpretation:
+                                want[a] += e.probability
+                    assert marginal(gp, preds, mode, hard_mode) == want, text
 
 
 class TestMarginalAndConditional:
