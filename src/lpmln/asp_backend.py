@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .engine import DEFAULT_ATOM_CAP, _Compiled, enumerate_sm
-from .grounder import GroundProgram, UnsafeRuleError, _first_unsafe, ground
+from .grounder import GroundProgram, GroundRule, UnsafeRuleError, _first_unsafe, ground
 from .model import (
     HARD, Atom, Interpretation, Literal, Program, Rule, Term, Weight,
     desugar_choice,
@@ -173,12 +173,13 @@ def _mask_markers(gp: GroundProgram, comp: _Compiled, violated: int, flavor: str
     the mask ``violated`` (bit k for ``gp.rules[k]``, as ``comp`` numbers
     them): ``unsat`` for the violated rules, ``sat`` for the others."""
     name = UNSAT if flavor == "penalty" else SAT
-    markers = set()
-    for k in comp.counted(violated, flavor == "reward"):
-        g = gp.rules[k]
-        # subst is () exactly when the source rule has no variables
-        markers.add(Atom(name, (Term(str(g.origin_index)), _weight_token(g.weight)) + g.subst))
-    return markers
+    return {_marker_of(gp.rules[k], name) for k in comp.counted(violated, flavor == "reward")}
+
+
+def _marker_of(g: GroundRule, name: str) -> Atom:
+    """The ``unsat`` or ``sat`` marker of one ground rule."""
+    # subst is () exactly when the source rule has no variables
+    return Atom(name, (Term(str(g.origin_index)), _weight_token(g.weight)) + g.subst)
 
 
 def _ground_weak(tp: TranslatedProgram) -> list[WeakConstraint]:

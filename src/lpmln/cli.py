@@ -23,7 +23,7 @@ import warnings
 from pathlib import Path
 
 from . import asp_backend, inference, mln_backend
-from .engine import DEFAULT_ATOM_CAP, EnumerationCapError
+from .engine import DEFAULT_ATOM_CAP, EnumerationCapError, _bit_indices
 from .grounder import GroundingCapError, GroundingError, ground, ground_to_program
 from .model import atom_sort_key, merge_programs
 from .parser import LpmlnSyntaxError, parse_evidence, parse_program, parse_query_spec
@@ -86,11 +86,19 @@ def _render_map(gp, hard_mode: str, cap: int, scale: int) -> str:
 def _render_all(gp, hard_mode: str, cap: int, scale: int) -> str:
     # the enumeration's violation masks give the markers; nothing is re-checked
     w = inference._weigh_models(gp, "penalty", hard_mode, cap)
+    # _Compiled numbers atoms in atom_sort_key order, so bit order is print
+    # order; a marker that also occurs in the program is not printed twice
+    names = [str(a) for a in w.comp.atoms]
+    markers = []
+    for g in gp.rules:
+        m = asp_backend._marker_of(g, asp_backend.UNSAT)
+        markers.append((atom_sort_key(m), str(m), w.comp.index.get(m)))
     lines = []
     for k, (b, violated, v) in enumerate(zip(w.bits, w.violations, w.vectors), start=1):
+        extra = sorted({markers[r] for r in _bit_indices(violated)
+                        if markers[r][2] is None or not b >> markers[r][2] & 1})
         lines.append(f"Answer: {k}")
-        lines.append(_atom_line(w.comp.interp_of(b),
-                                asp_backend._mask_markers(gp, w.comp, violated, "penalty")))
+        lines.append(" ".join([names[i] for i in _bit_indices(b)] + [t for _, t, _ in extra]))
         lines.append(f"Optimization: {int(round(v.soft * scale))}")
     lines.append("")
     for k, p in enumerate(w.probabilities, start=1):

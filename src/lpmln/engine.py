@@ -19,11 +19,24 @@ candidate from both sides: ``sure`` holds the atoms true in all of them,
 ``maybe`` the atoms true in some.  A rule with a body literal fixed false
 or a head atom in ``sure`` holds in every candidate and is dropped; the
 rest keep their index and lose the literals and head atoms whose value is
-fixed.  Per candidate, only these residual rules are closed, checked for
-violation and reduced, and minimality is decided above ``sure``: every
-model of the reduct contains ``sure``, and a dropped rule is satisfied by
-every interpretation between ``sure`` and the candidate.  Violation masks
-therefore still index, and agree with, the full program, and
+fixed.  Whether minimality needs subset search (some residual rule is
+still disjunctive) or the least fixpoint suffices is also decided once.
+
+Candidates are decided a slice at a time, bit-sliced: per slice of
+``2 ** _LANE_BITS`` candidates every atom holds one integer whose bit m is
+its value in the slice's candidate m (the low free atoms take fixed lane
+patterns, the others are constant over the slice).  Per slice, one pass
+over the residual closure stages closes every lane; one pass over the
+residual rules gives each rule the lanes that violate it and the lanes
+whose reduct keeps it; strict mode drops the lanes that violate a hard
+rule; and the least fixpoint of all those reducts at once, seeded with
+``sure``, leaves the stable lanes (subset search, when it is needed, runs
+per surviving lane on that lane's reduct).  Minimality is decided above
+``sure`` because every model of the reduct contains ``sure``, and a
+dropped rule is satisfied by every interpretation between ``sure`` and
+the candidate.  Per accepted model, the lanes are read back into one atom
+bitset and one violation mask, in ascending candidate order.  Violation
+masks therefore still index, and agree with, the full program, and
 ``is_stable_model`` still checks the full program.
 
 Interpretations are manipulated as integer bitsets internally; the public
@@ -33,6 +46,7 @@ functions speak frozensets of atoms.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import compress
 from typing import Iterable, Sequence
 
 from .grounder import GroundProgram, GroundRule
@@ -40,6 +54,7 @@ from .model import Atom, Interpretation, atom_sort_key
 
 DEFAULT_ATOM_CAP = 24
 _CAP_SHOWN = 8  # free atoms an EnumerationCapError message names
+_LANE_BITS = 10  # a slice decides 2 ** _LANE_BITS candidates at once
 
 
 class EnumerationCapError(RuntimeError):
@@ -141,26 +156,20 @@ class _Compiled:
     def interp_of(self, bits: int) -> Interpretation:
         return frozenset(self.atoms[i] for i in _bit_indices(bits))
 
-    def check(self, bits: int, stop: int = 0,
-              rules: Sequence[_CompiledRule] | None = None,
-              ) -> tuple[int, list[tuple[int, int]] | None]:
-        """One pass over ``rules`` (default: all of them; the enumerator
-        passes its residual rules) for the interpretation ``bits``.
+    def check(self, bits: int) -> tuple[int, list[tuple[int, int]]]:
+        """One pass over the rules for the interpretation ``bits``.
 
         Returns the violated rules as a mask (bit k for rule k) and the
         reduct of the satisfied rules: ``(head, positive body)`` of each
-        one whose negative and double-negated literals hold.  The pass ends
-        at the first violated rule in the mask ``stop``, with reduct None.
+        one whose negative and double-negated literals hold.
         """
         violated = 0
         reduct = []
-        for r in self.rules if rules is None else rules:
+        for r in self.rules:
             if bits & r.neg1 or (bits & r.neg2) != r.neg2:
                 continue
             if (bits & r.pos) == r.pos and not bits & r.head:
                 violated |= 1 << r.index
-                if stop & violated:
-                    return violated, None
             else:
                 reduct.append((r.head, r.pos))
         return violated, reduct
@@ -227,7 +236,12 @@ def is_stable_model(rules: Iterable[GroundRule], interp: Interpretation) -> bool
 
 
 class StableModelEnumerator:
-    """Shared machinery behind ``enumerate_sm`` and the inference layer."""
+    """Shared machinery behind ``enumerate_sm`` and the inference layer.
+
+    After ``models_bits`` the candidates it tried, ``2 ** len(free_positions)``,
+    split into the models, ``rejected_hard`` (strict mode: a hard rule is
+    violated) and ``rejected_minimality`` (not a minimal model of its reduct).
+    """
 
     def __init__(self, gp: GroundProgram, hard_mode: str = "relaxed",
                  cap: int = DEFAULT_ATOM_CAP):
@@ -240,6 +254,8 @@ class StableModelEnumerator:
         self._specialise()
         self._models: list[int] | None = None
         self.violations: list[int] = []
+        self.rejected_hard = 0
+        self.rejected_minimality = 0
 
     # -- candidate-space analysis
 
@@ -318,8 +334,18 @@ class StableModelEnumerator:
             return out
 
         self.residual = residual(self.comp.rules)
-        self.residual_stages = [rs for rs in map(residual, self.closure_stages) if rs]
         self._disjunctive = any(r.disjunctive for r in self.residual)
+        # The same rules as atom positions, for the lane-parallel kernel.
+        # Every atom they mention can vary: fixed ones were stripped.
+        self._varying = _bit_indices(maybe & ~sure)
+        self._lane_stages = [
+            [(_bit_indices(r.head)[0], _bit_indices(r.pos | r.neg2), _bit_indices(r.neg1))
+             for r in rs]
+            for rs in map(residual, self.closure_stages) if rs]
+        self._lane_rules = [
+            (r, _bit_indices(r.head), _bit_indices(r.pos), _bit_indices(r.neg1),
+             _bit_indices(r.neg2))
+            for r in self.residual]
 
     def _free_atoms(self) -> list[tuple[str, str]]:
         """Each free atom with the first reason that makes it free."""
@@ -332,49 +358,146 @@ class StableModelEnumerator:
     # -- enumeration
 
     def models_bits(self) -> list[int]:
-        """The stable models as bitsets; ``self.violations[k]`` is the mask of
-        the rules model k violates."""
+        """The stable models as bitsets, in ascending candidate order (bit j
+        of a candidate's number is the value of free atom j);
+        ``self.violations[k]`` is the mask of the rules model k violates."""
         if self._models is not None:
             return self._models
         k = len(self.free_positions)
         if k > self.cap:
             raise EnumerationCapError(self.cap, k, self._free_atoms())
-        comp = self.comp
-        stop = comp.hard if self.hard_mode == "strict" else 0
-        sure = self.sure
-        residual = self.residual
-        stages = self.residual_stages
-        disjunctive = self._disjunctive
-        out = []
-        violations = []
-        for mask in range(1 << k):
-            bits = sure
+        lanes = min(k, _LANE_BITS)
+        full = (1 << (1 << lanes)) - 1
+        # lane m of low free atom j holds bit j of m: blocks of 2**j zeros,
+        # then 2**j ones, repeated
+        low = [full // ((1 << 2 * h) - 1) * (((1 << h) - 1) << h)
+               for h in (1 << j for j in range(lanes))]
+        out: list[int] = []
+        violations: list[int] = []
+        for s in range(1 << (k - lanes)):
+            val = [0] * len(self.comp.atoms)
             for j, p in enumerate(self.free_positions):
-                if mask >> j & 1:
-                    bits |= 1 << p
-            for stage in stages:
-                bits = _fire(stage, bits, bits)
-            violated, reduct = comp.check(bits, stop, residual)
-            if reduct is None:
-                continue
-            if (_minimal_subsets(reduct, bits, sure) if disjunctive
-                    else _least_fixpoint(reduct, sure) == bits):
-                out.append(bits)
-                violations.append(violated)
+                val[p] = low[j] if j < lanes else full if s >> (j - lanes) & 1 else 0
+            models, masks = self._decide_slice(val, full)
+            out += models
+            violations += masks
         self._models = out
         self.violations = violations
         return out
+
+    def _decide_slice(self, val: list[int], full: int) -> tuple[list[int], list[int]]:
+        """Decide every candidate of one slice at once.  ``val[p]`` is atom
+        p's lane vector, set for the free atoms; bit m is its value in the
+        slice's candidate m.  Returns the models and their violation masks
+        in lane order."""
+        for stage in self._lane_stages:
+            changed = True
+            while changed:
+                changed = False
+                for head, need, neg1 in stage:
+                    v = full
+                    for a in need:
+                        v &= val[a]
+                    for a in neg1:
+                        v &= ~val[a]
+                    if v & ~val[head]:
+                        val[head] |= v
+                        changed = True
+
+        strict = self.hard_mode == "strict"
+        alive = full
+        violated = []  # (rule index, lanes that violate it)
+        reduct = []  # (rule, head atoms, positive atoms, lanes whose reduct keeps it)
+        for r, head, pos, neg1, neg2 in self._lane_rules:
+            ok = full
+            for a in neg2:
+                ok &= val[a]
+            for a in neg1:
+                ok &= ~val[a]
+            if not ok:
+                continue
+            body = ok
+            for a in pos:
+                body &= val[a]
+            for a in head:
+                body &= ~val[a]
+            if body:
+                violated.append((r.index, body))
+                if strict and r.is_hard:
+                    alive &= ~body
+            keep = ok & ~body
+            if keep:
+                reduct.append((r, head, pos, keep))
+        self.rejected_hard += (full ^ alive).bit_count()
+
+        width = full.bit_length()
+        sure = self.sure
+        atoms = [(p, val[p]) for p in self._varying]
+        if self._disjunctive:
+            stable = 0
+            models = []
+            for m, bits in zip(_bit_indices(alive), _transpose(atoms, width, alive)):
+                bits |= sure
+                lane_reduct = [(r.head, r.pos) for r, _, _, keep in reduct if keep >> m & 1]
+                if _minimal_subsets(lane_reduct, bits, sure):
+                    stable |= 1 << m
+                    models.append(bits)
+        else:
+            # lane-parallel least fixpoint of the reducts, seeded with sure
+            derived = [0] * len(val)
+            changed = True
+            while changed:
+                changed = False
+                for _, head, pos, keep in reduct:
+                    if len(head) != 1:
+                        continue
+                    v = keep
+                    for a in pos:
+                        v &= derived[a]
+                    h = head[0]
+                    if v & ~derived[h]:
+                        derived[h] |= v
+                        changed = True
+            unfounded = 0
+            for p in self._varying:
+                unfounded |= val[p] & ~derived[p]
+            stable = alive & ~unfounded
+            models = [bits | sure for bits in _transpose(atoms, width, stable)]
+        self.rejected_minimality += (alive ^ stable).bit_count()
+        return models, _transpose(violated, width, stable)
 
     def models(self) -> list[Interpretation]:
         return [self.comp.interp_of(b) for b in self.models_bits()]
 
 
+def _transpose(columns: list[tuple[int, int]], width: int, lanes: int) -> list[int]:
+    """Turn lane vectors into bitsets.  ``columns`` pairs bit positions, in
+    ascending order, with vectors over ``width`` lanes; for each lane set in
+    ``lanes``, in ascending order, the result holds the bitset of the
+    positions whose vector has that lane set."""
+    if not columns or not lanes:
+        return [0] * lanes.bit_count()
+    fmt = f"0{width}b"
+    # one row per position, highest first, indexed by lane: the vector's
+    # digits, or one run of zeros for the positions between two vectors;
+    # zip yields each lane's digits in the order int() reads them
+    rows = []
+    above = columns[-1][0] + 1
+    for p, vec in reversed(columns):
+        if above - p > 1:
+            rows.append(["0" * (above - p - 1)] * width)
+        rows.append(format(vec, fmt)[::-1])
+        above = p
+    picked = map("1".__eq__, format(lanes, fmt)[::-1])
+    return [int("".join(digits), 2) << above for digits in compress(zip(*rows), picked)]
+
+
 def _fire(stage: Sequence[_CompiledRule], bits: int, other: int) -> int:
     """Least fixpoint of one closure stage from ``bits``: a rule adds its
     head when its positive and double-negated atoms are in ``bits`` and
-    none of its negated atoms is in ``other``.  With ``other = bits`` this
-    closes one candidate; with (lower, upper) and (upper, lower) bounds it
-    gives the atoms derived in every candidate and in some candidate."""
+    none of its negated atoms is in ``other``.  With (lower, upper) and
+    (upper, lower) bounds it gives the atoms derived in every candidate and
+    in some candidate."""
     changed = True
     while changed:
         changed = False

@@ -76,6 +76,41 @@ class TestAllMode:
         b = invoke("-i", BIRD, "-all")
         assert a == b
 
+    def test_marker_atoms_that_occur_in_the_program(self, tmp_path):
+        # unsat(1,..) is derived, so the model holds it and it is printed
+        # once; unsat(3,..) occurs only in a body and is printed as a marker
+        src = tmp_path / "markers.lpmln"
+        src.write_text('0.5 a.\nunsat(1,"0.500000") :- not a.\n2 b :- a.\n'
+                       'c :- unsat(3,"2.000000").\n')
+        code, out, _ = invoke("-i", str(src), "-all")
+        assert code == 0
+        assert out == ('Answer: 1\nunsat(1,"0.500000")\nOptimization: 500\n'
+                       'Answer: 2\na unsat(3,"2.000000")\nOptimization: 2000\n'
+                       'Answer: 3\na b\nOptimization: 0\n\n'
+                       'Probability of Answer 1 : 0.348207427884\n'
+                       'Probability of Answer 2 : 0.0776955791486\n'
+                       'Probability of Answer 3 : 0.574096992968\n')
+
+    @pytest.mark.parametrize("text", [
+        fixture_path("bird.lpmln").read_text(),
+        fixture_path("smoke.lpmln").read_text(),
+        fixture_path("pcm_firing_squad.lpmln").read_text(),
+        # up to eleven markers per model, whose numbers do not sort as text
+        "".join(f"1.5 a({k}) :- not b.\n" for k in range(10)) + "0.5 b.\n",
+    ], ids=["bird", "smoke", "firing-squad", "many-markers"])
+    def test_lines_match_sorted_atoms_and_markers(self, tmp_path, text):
+        # the listing prints in bit order; the sorted atom sets and the
+        # witness markers of the same models must give the same lines
+        gp = lpmln.ground(lpmln.parse_program(text))
+        models = [e.interpretation for e in inference.distribution(gp).entries]
+        expected = [cli._atom_line(m, marks) for m, marks in
+                    zip(models, asp_backend.witness_markers(gp, models, "penalty"))]
+        src = tmp_path / "program.lpmln"
+        src.write_text(text)
+        code, out, _ = invoke("-i", str(src), "-all")
+        assert code == 0
+        assert out.splitlines()[1:3 * len(models):3] == expected
+
 
 class TestQueryModes:
     def test_marginal(self):

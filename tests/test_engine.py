@@ -1,9 +1,14 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lpmln import enumerate_sm, ground, is_stable_model, reduce_program
+from lpmln import (
+    enumerate_sm, fixture_path, ground, is_stable_model, merge_programs, parse_evidence,
+    reduce_program,
+)
+from lpmln import engine
 from lpmln.engine import (
     EnumerationCapError, StableModelEnumerator, _Compiled, _least_fixpoint,
     _minimal_subsets, _models_reduct,
@@ -187,8 +192,9 @@ class TestLargeDeterminedPrograms:
 
 
 def _assert_matches_full_program(gp, text):
-    """Models equal the oracle's in both hard modes, and each model's
-    violation mask equals the full program's check."""
+    """Models equal the oracle's in both hard modes, each model's violation
+    mask equals the full program's check, and every candidate is counted
+    once: as a model, a hard rejection or a minimality rejection."""
     full = _Compiled(gp.rules)
     for hard_mode in ("relaxed", "strict"):
         enum = StableModelEnumerator(gp, hard_mode)
@@ -196,6 +202,10 @@ def _assert_matches_full_program(gp, text):
             sm_sets(naive_sm(gp, require_hard=hard_mode == "strict")), text
         for bits, violated in zip(enum.models_bits(), enum.violations):
             assert violated == full.check(bits)[0], text
+        assert 2 ** len(enum.free_positions) == len(enum.models_bits()) + \
+            enum.rejected_hard + enum.rejected_minimality, text
+        if hard_mode == "relaxed":
+            assert enum.rejected_hard == 0, text
 
 
 class TestSpecialisedEnumeration:
@@ -239,3 +249,84 @@ class TestSpecialisedEnumeration:
             st.lists(st.sampled_from(atoms), max_size=2, unique=True))]
         text = "\n".join(lines) + "\n"
         _assert_matches_full_program(ground(P(text)), text)
+        with mock.patch.object(engine, "_LANE_BITS", 1):  # several slices
+            _assert_matches_full_program(ground(P(text)), text)
+
+
+def _fixture_gp(name, evidence=None):
+    program = P(fixture_path(name).read_text())
+    if evidence:
+        program = merge_programs(program, parse_evidence(fixture_path(evidence).read_text()))
+    return ground(program)
+
+
+def _counts(enum):
+    models = len(enum.models_bits())  # enumerating sets the counters
+    return (2 ** len(enum.free_positions), enum.rejected_hard,
+            enum.rejected_minimality, models)
+
+
+def _candidate_number(enum, bits):
+    return sum(1 << j for j, p in enumerate(enum.free_positions) if bits >> p & 1)
+
+
+class TestBitSlicedKernel:
+    """Candidates are decided a slice of 2 ** _LANE_BITS at a time; at every
+    lane width the result must be the oracle's, in candidate order."""
+
+    @pytest.fixture(params=[0, 1, 2, engine._LANE_BITS])
+    def lane_bits(self, request, monkeypatch):
+        monkeypatch.setattr(engine, "_LANE_BITS", request.param)
+        return request.param
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_generated_programs(self, lane_bits, seed):
+        rng = random.Random(500 + seed)
+        for _ in range(20):
+            text = random_text_with_facts(rng, rng.randint(2, 6), rng.randint(1, 7),
+                                          rng.randint(0, 2))
+            _assert_matches_full_program(ground(P(text)), text)
+
+    def test_no_free_atoms(self, lane_bits):
+        enum = StableModelEnumerator(ground(P("a.\nb :- a.\nc :- not a.\n")), "strict")
+        assert enum.free_positions == []
+        assert sm_sets(enum.models()) == {frozenset({"a", "b"})}
+        assert _counts(enum) == (1, 0, 0, 1)
+
+    def test_slice_where_every_lane_fails_a_hard_rule(self, monkeypatch):
+        # a is the low free atom, b the high one: the slice with b true is
+        # rejected as a whole
+        monkeypatch.setattr(engine, "_LANE_BITS", 1)
+        enum = StableModelEnumerator(ground(P("{a}.\n{b}.\n:- b.\n")), "strict")
+        assert [str(enum.comp.atoms[p]) for p in enum.free_positions] == ["a", "b"]
+        assert [enum.comp.interp_of(b) for b in enum.models_bits()] == \
+            [frozenset(), frozenset({atom("a")})]
+        assert _counts(enum) == (4, 2, 0, 2)
+
+    def test_disjunctive_residual_uses_subset_search(self, lane_bits):
+        text = "a ; b.\nc :- a.\nc :- b.\n1 d :- c.\n:- a, not c.\n{e} :- d.\n"
+        gp = ground(P(text))
+        assert StableModelEnumerator(gp, "strict")._disjunctive
+        _assert_matches_full_program(gp, text)
+
+    def test_fire_bayes_spans_slices_in_candidate_order(self, lane_bits):
+        enum = StableModelEnumerator(_fixture_gp("fire_bayes.lpmln"), "strict")
+        assert len(enum.free_positions) == 12  # 4 slices at the default width
+        numbers = [_candidate_number(enum, b) for b in enum.models_bits()]
+        assert numbers == list(range(4096))
+        enum = StableModelEnumerator(
+            _fixture_gp("fire_bayes.lpmln", "fire_evid_diagnostic.db"), "strict")
+        numbers = [_candidate_number(enum, b) for b in enum.models_bits()]
+        assert len(numbers) == 2048 and numbers == sorted(set(numbers))
+
+    @pytest.mark.parametrize("name, evidence, hard_mode, counts", [
+        ("clique10.lpmln", None, "strict", (1024, 0, 0, 1024)),
+        ("fire_bayes.lpmln", "fire_evid_diagnostic.db", "strict", (4096, 2048, 0, 2048)),
+        ("bird.lpmln", None, "strict", (4, 1, 0, 3)),
+        ("bird.lpmln", None, "relaxed", (8, 0, 1, 7)),
+        ("smoke.lpmln", None, "strict", (8, 4, 1, 3)),
+    ])
+    def test_counters(self, lane_bits, name, evidence, hard_mode, counts):
+        # (candidates, rejected_hard, rejected_minimality, models)
+        enum = StableModelEnumerator(_fixture_gp(name, evidence), hard_mode)
+        assert _counts(enum) == counts
