@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .engine import DEFAULT_ATOM_CAP, _Compiled, enumerate_sm
+from .engine import DEFAULT_ATOM_CAP, _bit_indices, _Compiled, enumerate_sm
 from .grounder import GroundProgram, GroundRule, UnsafeRuleError, _first_unsafe, ground
 from .model import (
     HARD, Atom, Interpretation, Literal, Program, Rule, Term, Weight,
@@ -153,19 +153,12 @@ def phi_extend(program: Program, interp: Interpretation, flavor: str) -> Interpr
     """The witness map between source stable models and translated ones:
     penalty adds ``unsat(i,w,c)`` for every ground instance the model
     violates, reward adds ``sat(i,w,c)`` for every instance it satisfies."""
-    markers, = witness_markers(ground(program), [interp], flavor)
-    return frozenset(interp) | markers
-
-
-def witness_markers(gp: GroundProgram, interps, flavor: str):
-    """For each interpretation in turn, the set of markers ``phi_extend``
-    adds, computed over the already-ground program ``gp``."""
+    gp = ground(program)
     if flavor not in ("penalty", "reward"):
         raise ValueError(f"unknown flavor {flavor!r}")
     comp = _Compiled(gp.rules)
-    for interp in interps:
-        violated, _ = comp.check(comp.bits_of(interp))
-        yield _mask_markers(gp, comp, violated, flavor)
+    violated, _ = comp.check(comp.bits_of(interp))
+    return frozenset(interp) | _mask_markers(gp, comp, violated, flavor)
 
 
 def _mask_markers(gp: GroundProgram, comp: _Compiled, violated: int, flavor: str) -> set[Atom]:
@@ -206,42 +199,42 @@ def _ground_weak(tp: TranslatedProgram) -> list[WeakConstraint]:
     return out
 
 
+def _compile_weak(weak: list[WeakConstraint]) -> _Compiled:
+    """Weak constraint k as the headless hard rule k, so that ``check``
+    sets violation bit k exactly when the constraint's body holds."""
+    return _Compiled([GroundRule(k, HARD, (), wc.body) for k, wc in enumerate(weak)])
+
+
+def _penalties(weak: list[WeakConstraint], comp: _Compiled, interp: Interpretation,
+               levels) -> tuple[int, ...]:
+    """Per level of ``levels``, in that order, the summed weights of the
+    constraints whose body ``interp`` satisfies; ``comp`` compiles ``weak``."""
+    violated, _ = comp.check(comp.bits_of(interp))
+    totals = dict.fromkeys(levels, 0)
+    for k in _bit_indices(violated):
+        if weak[k].level in totals:
+            totals[weak[k].level] += weak[k].weight
+    return tuple(totals.values())
+
+
 def wc_penalty(tp: TranslatedProgram, interp: Interpretation, level: int) -> int:
     """Total penalty of an interpretation at one level: the summed weights
     of the level's ground weak constraints whose body it satisfies."""
-    return _level_penalty(_ground_weak(tp), interp, level)
-
-
-def _level_penalty(weak: list[WeakConstraint], interp: Interpretation, level: int) -> int:
-    total = 0
-    for wc in weak:
-        if wc.level != level:
-            continue
-        if all((l.atom in interp) if l.negation != 1 else (l.atom not in interp)
-               for l in wc.body):
-            total += wc.weight
-    return total
-
-
-def _dominated(pen_i: dict[int, int], pen_j: dict[int, int], levels) -> bool:
-    # j dominates i: strictly better at some level, equal above it
-    for l in levels:
-        if pen_j[l] < pen_i[l] and all(pen_j[k] == pen_i[k] for k in levels if k > l):
-            return True
-    return False
+    weak = _ground_weak(tp)
+    return _penalties(weak, _compile_weak(weak), interp, (level,))[0]
 
 
 def optimal_models(tp: TranslatedProgram, cap: int = DEFAULT_ATOM_CAP) -> list[Interpretation]:
-    """Stable models of the translated rules that are not dominated under
-    the level-lexicographic weak-constraint order."""
+    """Stable models of the translated rules whose weak-constraint penalties,
+    highest level first, are the lexicographic minimum, in enumeration order."""
     gp = ground(Program(tp.rules), universe=tp.source_universe)
     models = enumerate_sm(gp, hard_mode="strict", cap=cap)
-    levels = sorted({wc.level for wc in tp.weak})
     weak = _ground_weak(tp)
-    penalties = [{l: _level_penalty(weak, m, l) for l in levels} for m in models]
-    return [m for i, m in enumerate(models)
-            if not any(_dominated(penalties[i], penalties[j], levels)
-                       for j in range(len(models)) if j != i)]
+    comp = _compile_weak(weak)
+    levels = sorted({wc.level for wc in weak}, reverse=True)
+    penalties = [_penalties(weak, comp, m, levels) for m in models]
+    best = min(penalties, default=None)
+    return [m for m, p in zip(models, penalties) if p == best]
 
 
 def emit_asp_text(tp: TranslatedProgram) -> str:

@@ -65,41 +65,43 @@ def _fmt(p: float) -> str:
     return f"{p:.12g}"
 
 
-def _atom_line(interp, markers) -> str:
-    """A model's atoms, then the unsat markers of the rules it violates."""
-    source = sorted(interp, key=atom_sort_key)
-    extra = sorted(markers - interp, key=atom_sort_key)
-    return " ".join(str(a) for a in source + extra)
+def _model_printer(gp, w, scale: int):
+    """The lines of model k of ``w``: its atoms, then the unsat markers of
+    the rules it violates that it does not hold, each once, sorted; then
+    its scaled penalty.  The violation masks give the markers, so nothing
+    is re-checked."""
+    # _Compiled numbers atoms in atom_sort_key order, so bit order is print order
+    names = [str(a) for a in w.comp.atoms]
+    markers = {}  # rule index -> (sort key, text, bit or None), made on first use
+
+    def marker(r):
+        if r not in markers:
+            m = asp_backend._marker_of(gp.rules[r], asp_backend.UNSAT)
+            markers[r] = (atom_sort_key(m), str(m), w.comp.index.get(m))
+        return markers[r]
+
+    def lines(k):
+        b = w.bits[k]
+        extra = sorted({m for m in map(marker, _bit_indices(w.violations[k]))
+                        if m[2] is None or not b >> m[2] & 1})
+        return [" ".join([names[i] for i in _bit_indices(b)] + [t for _, t, _ in extra]),
+                f"Optimization: {int(round(w.vectors[k].soft * scale))}"]
+    return lines
 
 
 def _render_map(gp, hard_mode: str, cap: int, scale: int) -> str:
-    result = inference.map_estimate(gp, hard_mode, cap, scale)
-    markers = asp_backend.witness_markers(gp, result.models, "penalty")
-    lines = []
-    for interp, marks, opt in zip(result.models, markers, result.optimizations):
-        lines.append(_atom_line(interp, marks))
-        lines.append(f"Optimization: {opt}")
-    lines.append("OPTIMUM FOUND")
-    return "".join(l + "\n" for l in lines)
+    w = inference._weigh_models(gp, "penalty", hard_mode, cap)
+    show = _model_printer(gp, w, scale)
+    lines = [line for k in inference._most_probable(w) for line in show(k)]
+    return "".join(l + "\n" for l in lines + ["OPTIMUM FOUND"])
 
 
 def _render_all(gp, hard_mode: str, cap: int, scale: int) -> str:
-    # the enumeration's violation masks give the markers; nothing is re-checked
     w = inference._weigh_models(gp, "penalty", hard_mode, cap)
-    # _Compiled numbers atoms in atom_sort_key order, so bit order is print
-    # order; a marker that also occurs in the program is not printed twice
-    names = [str(a) for a in w.comp.atoms]
-    markers = []
-    for g in gp.rules:
-        m = asp_backend._marker_of(g, asp_backend.UNSAT)
-        markers.append((atom_sort_key(m), str(m), w.comp.index.get(m)))
+    show = _model_printer(gp, w, scale)
     lines = []
-    for k, (b, violated, v) in enumerate(zip(w.bits, w.violations, w.vectors), start=1):
-        extra = sorted({markers[r] for r in _bit_indices(violated)
-                        if markers[r][2] is None or not b >> markers[r][2] & 1})
-        lines.append(f"Answer: {k}")
-        lines.append(" ".join([names[i] for i in _bit_indices(b)] + [t for _, t, _ in extra]))
-        lines.append(f"Optimization: {int(round(v.soft * scale))}")
+    for k in range(len(w.bits)):
+        lines += [f"Answer: {k + 1}"] + show(k)
     lines.append("")
     for k, p in enumerate(w.probabilities, start=1):
         lines.append(f"Probability of Answer {k} : {_fmt(p)}")

@@ -166,14 +166,15 @@ def map_estimate(gp: GroundProgram, hard_mode: str = "strict",
     """All most probable stable models (ties included), with each model's
     scaled integer penalty for display."""
     w = _weigh_models(gp, "penalty", hard_mode, cap)
+    tied = _most_probable(w)
+    return MapResult(tuple(w.comp.interp_of(w.bits[k]) for k in tied),
+                     tuple(int(round(w.vectors[k].soft * scale)) for k in tied), scale)
+
+
+def _most_probable(w: _Weighed) -> list[int]:
+    """Positions of the most probable models, ties within ``_TIE_EPS``."""
     best = max(w.probabilities)
-    models = []
-    opts = []
-    for b, v, p in zip(w.bits, w.vectors, w.probabilities):
-        if p >= best - _TIE_EPS:
-            models.append(w.comp.interp_of(b))
-            opts.append(int(round(v.soft * scale)))
-    return MapResult(tuple(models), tuple(opts), scale)
+    return [k for k, p in enumerate(w.probabilities) if p >= best - _TIE_EPS]
 
 
 def marginal(gp: GroundProgram, query_preds, mode: str = "penalty",

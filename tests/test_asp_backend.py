@@ -4,13 +4,13 @@ import pytest
 
 from lpmln import fixture_path, ground, parse_program
 from lpmln.asp_backend import (
-    NonGroundProgramError, emit_asp_text, optimal_models, phi_extend,
-    translate_penalty, translate_reward, wc_penalty,
+    NonGroundProgramError, TranslatedProgram, WeakConstraint, emit_asp_text,
+    optimal_models, phi_extend, translate_penalty, translate_reward, wc_penalty,
 )
 from lpmln.engine import enumerate_sm
 from lpmln.grounder import UnsafeRuleError
 from lpmln.inference import map_estimate, weight_penalty, weight_reward
-from lpmln.model import Program, atom
+from lpmln.model import Literal, Program, Term, atom
 from helpers import P, random_program_text
 
 BIRD = parse_program(fixture_path("bird.lpmln").read_text())
@@ -135,6 +135,30 @@ class TestPhiAndPenalties:
             atom("influence", "alice", "bob"), atom("influence", "bob", "carol")]),
             "penalty")
         assert wc_penalty(tp, everyone, 0) == 0
+
+    def test_wc_penalty_hand_built_constraints(self):
+        # constraints no translation produces: not / not not bodies, body
+        # atoms the interpretations lack, two levels, one non-ground
+        a, b, c, d, e = (atom(x) for x in "abcde")
+        weak = (
+            WeakConstraint((Literal(a), Literal(b, 1)), 3, 0, (Term("1"),)),
+            WeakConstraint((Literal(c, 2),), 5, 0, (Term("2"),)),
+            WeakConstraint((Literal(d, 1),), 7, 1, (Term("3"),)),
+            WeakConstraint((Literal(e),), 11, 1, (Term("4"),)),
+            WeakConstraint((Literal(atom("p", "X")), Literal(atom("q", "X"), 1)), 2, 1,
+                           (Term("5"), Term("X"))),
+        )
+        tp = TranslatedProgram((), weak, 1, "penalty", (Term("u"), Term("v")))
+        cases = [
+            (frozenset([a, c, atom("p", "u"), atom("z")]), 8, 9),
+            (frozenset([a, b, c, d, atom("p", "u"), atom("p", "v"), atom("q", "u")]), 5, 2),
+            (frozenset(), 0, 7),
+            (frozenset([e, atom("p", "u"), atom("p", "v")]), 0, 22),
+        ]
+        for interp, level0, level1 in cases:
+            assert wc_penalty(tp, interp, 0) == level0
+            assert wc_penalty(tp, interp, 1) == level1
+            assert wc_penalty(tp, interp, 2) == 0
 
     def test_wc_penalty_bird_answers(self):
         tp = translate_penalty(BIRD, 1000)
@@ -262,12 +286,28 @@ class TestTheoremCorrespondences:
         self._check_penalty_case(BIRD)
         self._check_penalty_case(parse_program(fixture_path("smoke.lpmln").read_text()))
 
-    def test_domination_is_irreflexive_and_antisymmetric(self):
-        from lpmln.asp_backend import _dominated
-        rng = random.Random(9)
-        for _ in range(200):
-            levels = [0, 1]
-            a = {l: rng.randint(-3, 3) for l in levels}
-            b = {l: rng.randint(-3, 3) for l in levels}
-            assert not _dominated(a, a, levels)
-            assert not (_dominated(a, b, levels) and _dominated(b, a, levels))
+    def test_optimal_models_are_the_undominated_models(self):
+        # j dominates i: strictly lower penalty at some level, equal at
+        # every higher one; optimal_models keeps exactly the undominated
+        # translated models, in enumeration order
+        def dominates(pj, pi, levels):
+            return any(pj[l] < pi[l] and all(pj[h] == pi[h] for h in levels if h > l)
+                       for l in levels)
+
+        rng = random.Random(2468)
+        seen = {"penalty": set(), "hard": set(), "reward": set()}
+        for _ in range(40):
+            prog = P(random_program_text(rng, rng.randint(1, 4), rng.randint(1, 5),
+                                         allow_disjunction=True))
+            for kind, tp in (("penalty", translate_penalty(prog, 1000)),
+                             ("hard", translate_penalty(prog, 1000, translate_hard=True)),
+                             ("reward", translate_reward(prog, 1000))):
+                levels = sorted({wc.level for wc in tp.weak})
+                seen[kind].add(tuple(levels))
+                models = translated_models(tp)
+                pen = [{l: wc_penalty(tp, m, l) for l in levels} for m in models]
+                expected = [m for i, m in enumerate(models)
+                            if not any(dominates(pen[j], pen[i], levels)
+                                       for j in range(len(models)))]
+                assert optimal_models(tp) == expected
+        assert (0,) in seen["penalty"] and (0, 1) in seen["hard"] and (0, 1) in seen["reward"]

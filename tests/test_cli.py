@@ -7,8 +7,9 @@ from pathlib import Path
 import pytest
 
 import lpmln
-from lpmln import asp_backend, cli, fixture_path, inference
+from lpmln import asp_backend, cli, engine, fixture_path, inference
 from lpmln.cli import run
+from lpmln.model import atom_sort_key
 
 
 def invoke(*argv, env=None):
@@ -99,17 +100,27 @@ class TestAllMode:
         "".join(f"1.5 a({k}) :- not b.\n" for k in range(10)) + "0.5 b.\n",
     ], ids=["bird", "smoke", "firing-squad", "many-markers"])
     def test_lines_match_sorted_atoms_and_markers(self, tmp_path, text):
-        # the listing prints in bit order; the sorted atom sets and the
-        # witness markers of the same models must give the same lines
-        gp = lpmln.ground(lpmln.parse_program(text))
-        models = [e.interpretation for e in inference.distribution(gp).entries]
-        expected = [cli._atom_line(m, marks) for m, marks in
-                    zip(models, asp_backend.witness_markers(gp, models, "penalty"))]
+        # the listings print in bit order; each model's sorted atoms, then
+        # its sorted witness markers, must give the same lines, for every
+        # model under -all and for the tied models under -map
+        program = lpmln.parse_program(text)
+        gp = lpmln.ground(program)
+
+        def reference(m):
+            extra = asp_backend.phi_extend(program, m, "penalty") - m
+            return " ".join(str(a) for a in sorted(m, key=atom_sort_key)
+                            + sorted(extra, key=atom_sort_key))
+
         src = tmp_path / "program.lpmln"
         src.write_text(text)
+        models = [e.interpretation for e in inference.distribution(gp).entries]
         code, out, _ = invoke("-i", str(src), "-all")
         assert code == 0
-        assert out.splitlines()[1:3 * len(models):3] == expected
+        assert out.splitlines()[1:3 * len(models):3] == [reference(m) for m in models]
+        tied = inference.map_estimate(gp).models
+        code, out, _ = invoke("-i", str(src), "-map")
+        assert code == 0
+        assert out.splitlines()[0:2 * len(tied):2] == [reference(m) for m in tied]
 
 
 class TestQueryModes:
@@ -252,6 +263,17 @@ class TestInputContract:
         assert proc.returncode == 0
         assert proc.stdout == "residentbird(jo) 0.665240955775\n"
 
+    def test_python_dash_m_package_runs_the_cli(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(lpmln.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "lpmln", "-i", BIRD, "-q", "residentbird"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0
+        assert proc.stdout == "residentbird(jo) 0.665240955775\n"
+        proc = subprocess.run([sys.executable, "-m", "lpmln"], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert "-i" in proc.stderr
+
     def test_non_integer_atom_cap(self):
         code, out, err = invoke("-i", BIRD, env={"LPMLN_ATOM_CAP": "abc"})
         assert code == 1 and out == ""
@@ -281,3 +303,19 @@ class TestGroundOnce:
         code, out, _ = invoke("-i", BIRD, *flags)
         assert code == 0 and 'unsat(5,"1.000000")' in out
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("flags", [(), ("-all",)])
+    def test_one_compiled_program_per_run(self, monkeypatch, flags):
+        # the MAP and -all printers read the enumeration's compiled program
+        # and violation masks; nothing compiles the ground program again
+        built = []
+        real = engine._Compiled.__init__
+
+        def counting(self, rules):
+            built.append(len(rules))
+            real(self, rules)
+
+        monkeypatch.setattr(engine._Compiled, "__init__", counting)
+        code, out, _ = invoke("-i", BIRD, *flags)
+        assert code == 0 and 'unsat(5,"1.000000")' in out
+        assert len(built) == 1
