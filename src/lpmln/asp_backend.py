@@ -13,10 +13,9 @@ end without an external solver.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .engine import DEFAULT_ATOM_CAP, _bit_indices, _Compiled, enumerate_sm
-from .grounder import GroundProgram, GroundRule, UnsafeRuleError, _first_unsafe, ground
+from .grounder import GroundProgram, GroundRule, UnsafeRuleError, _desugar_safe, ground
 from .model import (
     HARD, Atom, Interpretation, Literal, Program, Rule, Term, Weight,
     desugar_choice,
@@ -72,10 +71,7 @@ def translate_penalty(program: Program, scale: int = 1000,
     ``translate_hard`` is set."""
     if scale < 1:
         raise ValueError("scale must be a positive integer")
-    for rule in program.rules:
-        bad = _first_unsafe(desugar_choice(rule))
-        if bad is not None:
-            raise UnsafeRuleError(rule.index, bad)
+    _desugar_safe(program)
 
     rules: list[Rule] = []
     weak: list[WeakConstraint] = []
@@ -156,7 +152,7 @@ def phi_extend(program: Program, interp: Interpretation, flavor: str) -> Interpr
     gp = ground(program)
     if flavor not in ("penalty", "reward"):
         raise ValueError(f"unknown flavor {flavor!r}")
-    comp = _Compiled(gp.rules)
+    comp = _Compiled(gp)
     violated, _ = comp.check(comp.bits_of(interp))
     return frozenset(interp) | _mask_markers(gp, comp, violated, flavor)
 
@@ -175,53 +171,49 @@ def _marker_of(g: GroundRule, name: str) -> Atom:
     return Atom(name, (Term(str(g.origin_index)), _weight_token(g.weight)) + g.subst)
 
 
-def _ground_weak(tp: TranslatedProgram) -> list[WeakConstraint]:
-    out = []
-    for wc in tp.weak:
-        variables: dict[str, None] = {}
-        for lit in wc.body:
-            for t in lit.atom.args:
-                if t.is_variable:
-                    variables.setdefault(t.name, None)
+def _ground_weak(tp: TranslatedProgram) -> tuple[_Compiled, list[tuple[int, int, tuple]]]:
+    """Weak constraint k as the headless hard rule k + 1, ground by ``ground``
+    over the source universe and compiled, so that ``check`` sets violation
+    bit j exactly when the body of ground instance j holds; with instance
+    j's ``(weight, level, terms)`` tuple.  As in ASP-Core-2, a term
+    variable must occur in the body."""
+    rules, names = [], []
+    for k, wc in enumerate(tp.weak, start=1):
+        rules.append(Rule(k, HARD, (), wc.body))
+        names.append(rules[-1].variables())
         for t in wc.terms:
-            if t.is_variable:
-                variables.setdefault(t.name, None)
-        names = tuple(variables)
-        if not names:
-            out.append(wc)
-            continue
-        for combo in product(tp.source_universe, repeat=len(names)):
-            binding = dict(zip(names, combo))
-            out.append(WeakConstraint(
-                tuple(l.substitute(binding) for l in wc.body),
-                wc.weight, wc.level,
-                tuple(binding.get(t.name, t) if t.is_variable else t for t in wc.terms)))
-    return out
+            if t.is_variable and t.name not in names[-1]:
+                raise UnsafeRuleError(k, t.name)
+    gp = ground(Program(tuple(rules)), universe=tp.source_universe)
+    tuples = []
+    for g in gp.rules:
+        wc = tp.weak[g.origin_index - 1]
+        binding = dict(zip(names[g.origin_index - 1], g.subst))
+        tuples.append((wc.weight, wc.level,
+                       tuple(binding[t.name] if t.is_variable else t for t in wc.terms)))
+    return _Compiled(gp), tuples
 
 
-def _compile_weak(weak: list[WeakConstraint]) -> _Compiled:
-    """Weak constraint k as the headless hard rule k, so that ``check``
-    sets violation bit k exactly when the constraint's body holds."""
-    return _Compiled([GroundRule(k, HARD, (), wc.body) for k, wc in enumerate(weak)])
-
-
-def _penalties(weak: list[WeakConstraint], comp: _Compiled, interp: Interpretation,
-               levels) -> tuple[int, ...]:
+def _penalties(comp: _Compiled, tuples: list[tuple[int, int, tuple]],
+               interp: Interpretation, levels) -> tuple[int, ...]:
     """Per level of ``levels``, in that order, the summed weights of the
-    constraints whose body ``interp`` satisfies; ``comp`` compiles ``weak``."""
+    distinct ``(weight, level, terms)`` tuples of the ground weak
+    constraints (``_ground_weak``'s two results) whose body ``interp``
+    satisfies."""
     violated, _ = comp.check(comp.bits_of(interp))
     totals = dict.fromkeys(levels, 0)
-    for k in _bit_indices(violated):
-        if weak[k].level in totals:
-            totals[weak[k].level] += weak[k].weight
+    for weight, level, _ in {tuples[j] for j in _bit_indices(violated)}:
+        if level in totals:
+            totals[level] += weight
     return tuple(totals.values())
 
 
 def wc_penalty(tp: TranslatedProgram, interp: Interpretation, level: int) -> int:
     """Total penalty of an interpretation at one level: the summed weights
-    of the level's ground weak constraints whose body it satisfies."""
-    weak = _ground_weak(tp)
-    return _penalties(weak, _compile_weak(weak), interp, (level,))[0]
+    of the level's distinct ground weak-constraint tuples whose body it
+    satisfies."""
+    comp, tuples = _ground_weak(tp)
+    return _penalties(comp, tuples, interp, (level,))[0]
 
 
 def optimal_models(tp: TranslatedProgram, cap: int = DEFAULT_ATOM_CAP) -> list[Interpretation]:
@@ -229,10 +221,9 @@ def optimal_models(tp: TranslatedProgram, cap: int = DEFAULT_ATOM_CAP) -> list[I
     highest level first, are the lexicographic minimum, in enumeration order."""
     gp = ground(Program(tp.rules), universe=tp.source_universe)
     models = enumerate_sm(gp, hard_mode="strict", cap=cap)
-    weak = _ground_weak(tp)
-    comp = _compile_weak(weak)
-    levels = sorted({wc.level for wc in weak}, reverse=True)
-    penalties = [_penalties(weak, comp, m, levels) for m in models]
+    comp, tuples = _ground_weak(tp)
+    levels = sorted({level for _, level, _ in tuples}, reverse=True)
+    penalties = [_penalties(comp, tuples, m, levels) for m in models]
     best = min(penalties, default=None)
     return [m for m, p in zip(models, penalties) if p == best]
 

@@ -50,7 +50,7 @@ from itertools import compress
 from typing import Iterable, Sequence
 
 from .grounder import GroundProgram, GroundRule
-from .model import Atom, Interpretation, atom_sort_key
+from .model import Atom, Interpretation
 
 DEFAULT_ATOM_CAP = 24
 _CAP_SHOWN = 8  # free atoms an EnumerationCapError message names
@@ -83,24 +83,9 @@ class Reduct:
 def reduce_program(rules: Iterable[GroundRule], interp: Interpretation) -> Reduct:
     """Keep a rule iff every 'not A' has A outside I and every 'not not A'
     has A inside I; strip the negative literals from what remains."""
-    out = []
-    for r in rules:
-        keep = True
-        pos = set()
-        for lit in r.body:
-            if lit.negation == 0:
-                pos.add(lit.atom)
-            elif lit.negation == 1:
-                if lit.atom in interp:
-                    keep = False
-                    break
-            else:
-                if lit.atom not in interp:
-                    keep = False
-                    break
-        if keep:
-            out.append((frozenset(r.head), frozenset(pos)))
-    return Reduct(tuple(out))
+    comp = _Compiled(GroundProgram(tuple(rules)))
+    return Reduct(tuple((comp.interp_of(r.head), comp.interp_of(r.pos))
+                        for r in comp.kept(comp.bits_of(interp))))
 
 
 @dataclass(frozen=True)
@@ -118,16 +103,12 @@ class _CompiledRule:
 class _Compiled:
     """Bitset view of a ground rule set over a fixed atom ordering."""
 
-    def __init__(self, rules: Sequence[GroundRule]):
-        seen = set()
-        for r in rules:
-            seen.update(r.head)
-            seen.update(l.atom for l in r.body)
-        self.atoms: list[Atom] = sorted(seen, key=atom_sort_key)
+    def __init__(self, gp: GroundProgram):
+        self.atoms: tuple[Atom, ...] = gp.atoms
         self.index = {a: i for i, a in enumerate(self.atoms)}
         self.rules: list[_CompiledRule] = []
         self.hard = 0  # bit k set iff rule k is hard
-        for k, r in enumerate(rules):
+        for k, r in enumerate(gp.rules):
             head = pos = neg1 = neg2 = 0
             for a in r.head:
                 head |= 1 << self.index[a]
@@ -156,18 +137,21 @@ class _Compiled:
     def interp_of(self, bits: int) -> Interpretation:
         return frozenset(self.atoms[i] for i in _bit_indices(bits))
 
+    def kept(self, bits: int) -> list[_CompiledRule]:
+        """The rules whose negative and double-negated literals hold in
+        ``bits``, violated or not: the rules the reduct keeps."""
+        return [r for r in self.rules if not bits & r.neg1 and (bits & r.neg2) == r.neg2]
+
     def check(self, bits: int) -> tuple[int, list[tuple[int, int]]]:
         """One pass over the rules for the interpretation ``bits``.
 
         Returns the violated rules as a mask (bit k for rule k) and the
         reduct of the satisfied rules: ``(head, positive body)`` of each
-        one whose negative and double-negated literals hold.
+        one the reduct keeps.
         """
         violated = 0
         reduct = []
-        for r in self.rules:
-            if bits & r.neg1 or (bits & r.neg2) != r.neg2:
-                continue
+        for r in self.kept(bits):
             if (bits & r.pos) == r.pos and not bits & r.head:
                 violated |= 1 << r.index
             else:
@@ -227,7 +211,7 @@ def _is_minimal(reduct, bits: int) -> bool:
 
 def is_stable_model(rules: Iterable[GroundRule], interp: Interpretation) -> bool:
     """True iff I satisfies every rule and is a minimal model of the reduct."""
-    comp = _Compiled(tuple(rules))
+    comp = _Compiled(GroundProgram(tuple(rules)))
     bits = comp.bits_of(interp)
     if len(interp) != bits.bit_count():
         return False  # an atom outside the program's signature cannot be derived
@@ -249,7 +233,7 @@ class StableModelEnumerator:
             raise ValueError(f"unknown hard mode {hard_mode!r}")
         self.hard_mode = hard_mode
         self.cap = cap
-        self.comp = _Compiled(gp.rules)
+        self.comp = _Compiled(gp)
         self._analyze()
         self._specialise()
         self._models: list[int] | None = None

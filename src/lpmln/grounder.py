@@ -101,7 +101,7 @@ def _safe_variables(rule: Rule) -> set[str]:
 def check_safety(rule: Rule) -> bool:
     """True iff every variable occurs in a positive non-builtin body literal
     (choice-rule head variables implicitly range over the universe)."""
-    return not (set(rule.variables()) - _safe_variables(rule))
+    return _first_unsafe(rule) is None
 
 
 def _first_unsafe(rule: Rule) -> str | None:
@@ -110,6 +110,17 @@ def _first_unsafe(rule: Rule) -> str | None:
         if v not in safe:
             return v
     return None
+
+
+def _desugar_safe(program: Program) -> Program:
+    """The program with choice rules desugared; raises ``UnsafeRuleError``
+    for the first rule with an unsafe variable."""
+    program = desugar_program(program)
+    for rule in program.rules:
+        bad = _first_unsafe(rule)
+        if bad is not None:
+            raise UnsafeRuleError(rule.index, bad)
+    return program
 
 
 def ground(program: Program, cap: int = DEFAULT_GROUND_CAP,
@@ -121,12 +132,7 @@ def ground(program: Program, cap: int = DEFAULT_GROUND_CAP,
     program's own constant set (used when grounding generated programs whose
     bookkeeping terms must not enter the substitution domain).
     """
-    program = desugar_program(program)
-    for rule in program.rules:
-        bad = _first_unsafe(rule)
-        if bad is not None:
-            raise UnsafeRuleError(rule.index, bad)
-
+    program = _desugar_safe(program)
     if universe is None:
         universe = program.universe
     out: list[GroundRule] = []

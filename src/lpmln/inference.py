@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .engine import DEFAULT_ATOM_CAP, StableModelEnumerator, _Compiled
 from .grounder import GroundProgram, ground
-from .model import Atom, Interpretation, Program, atom_sort_key, merge_programs
+from .model import Atom, Interpretation, Program, merge_programs
 
 DEFAULT_SCALE = 1000
 _TIE_EPS = 1e-9
@@ -85,7 +85,7 @@ def _vector(comp: _Compiled, violated: int, mode: str) -> WeightVector:
 
 
 def _weigh(gp: GroundProgram, interp: Interpretation, mode: str) -> WeightVector:
-    comp = _Compiled(gp.rules)
+    comp = _Compiled(gp)
     violated, _ = comp.check(comp.bits_of(interp))
     return _vector(comp, violated, mode)
 
@@ -124,6 +124,15 @@ def _weigh_models(gp: GroundProgram, mode: str, hard_mode: str, cap: int) -> _We
         raise NoStableModelsError("no probabilistic stable models")
 
     vectors = [_vector(enum.comp, v, mode) for v in enum.violations]
+    _, probabilities = _normalise(vectors, mode)
+    return _Weighed(enum.comp, bits_list, enum.violations, vectors, probabilities)
+
+
+def _normalise(vectors: list[WeightVector], mode: str) -> tuple[int, list[float]]:
+    """The extremal hard tier of a non-empty list of weight vectors
+    (maximal for reward, minimal for penalty) and each vector's
+    probability: 0.0 off that tier; on it, the exponentiated signed soft
+    tier, shifted by the tier's largest exponent, over the tier's total."""
     if mode == "reward":
         best_hard = max(v.hard for v in vectors)
         sign = 1.0
@@ -134,9 +143,8 @@ def _weigh_models(gp: GroundProgram, mode: str, hard_mode: str, cap: int) -> _We
     exponents = [sign * v.soft for v in vectors if v.hard == best_hard]
     shift = max(exponents)
     total = sum(math.exp(e - shift) for e in exponents)
-    probabilities = [math.exp(sign * v.soft - shift) / total if v.hard == best_hard else 0.0
-                     for v in vectors]
-    return _Weighed(enum.comp, bits_list, enum.violations, vectors, probabilities)
+    return best_hard, [math.exp(sign * v.soft - shift) / total if v.hard == best_hard else 0.0
+                       for v in vectors]
 
 
 def distribution(gp: GroundProgram, mode: str = "penalty",
@@ -187,7 +195,7 @@ def marginal(gp: GroundProgram, query_preds, mode: str = "penalty",
     for name in sorted(preds - known):
         warnings.warn(f"query predicate {name!r} does not occur in the program",
                       UnknownPredicateWarning, stacklevel=2)
-    targets = sorted((a for a in gp.atoms if a.predicate in preds), key=atom_sort_key)
+    targets = [a for a in gp.atoms if a.predicate in preds]
     w = _weigh_models(gp, mode, hard_mode, cap)
     probes = [(a, 1 << w.comp.index[a]) for a in targets]
     result = {a: 0.0 for a in targets}

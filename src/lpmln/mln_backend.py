@@ -12,12 +12,12 @@ soft weights.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .engine import DEFAULT_ATOM_CAP, EnumerationCapError
+from .engine import DEFAULT_ATOM_CAP, EnumerationCapError, _bit_indices, _Compiled, _tarjan_scc
 from .grounder import GroundProgram
+from .inference import WeightVector, _normalise
 from .model import HARD, Atom, Interpretation, Weight, atom_sort_key
 
 
@@ -183,43 +183,20 @@ def _choice_marker(rule) -> int | None:
 
 def is_tight(gp: GroundProgram) -> bool:
     """True iff the positive dependency graph (head -> positive body atom)
-    is acyclic."""
+    is acyclic: no rule has its head in its positive body and every
+    strongly connected component is a single atom."""
     for r in gp.rules:
         if len(r.head) > 1:
             raise DisjunctiveProgramError(
                 f"rule {r.origin_index} has a disjunctive head")
-    index = {a: i for i, a in enumerate(gp.atoms)}
-    succ: dict[int, set[int]] = {}
-    for r in gp.rules:
-        if not r.head:
-            continue
-        h = index[r.head[0]]
-        for lit in r.body:
-            if lit.negation == 0:
-                succ.setdefault(h, set()).add(index[lit.atom])
-    # iterative DFS cycle detection
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = [WHITE] * len(gp.atoms)
-    for start in range(len(gp.atoms)):
-        if color[start] != WHITE:
-            continue
-        stack = [(start, iter(sorted(succ.get(start, ()))))]
-        color[start] = GREY
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if color[nxt] == GREY:
-                    return False
-                if color[nxt] == WHITE:
-                    color[nxt] = GREY
-                    stack.append((nxt, iter(sorted(succ.get(nxt, ())))))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = BLACK
-                stack.pop()
-    return True
+    comp = _Compiled(gp)
+    succ: list[list[int]] = [[] for _ in comp.atoms]
+    for r in comp.rules:
+        if r.head & r.pos:
+            return False
+        if r.head:
+            succ[r.head.bit_length() - 1] += _bit_indices(r.pos)
+    return len(set(_tarjan_scc(len(succ), succ))) == len(succ)
 
 
 def _body_formula(body) -> Formula:
@@ -355,24 +332,22 @@ def mln_distribution(mln: MlnProgram, cap: int = DEFAULT_ATOM_CAP) -> MlnDistrib
     atoms = mln.atoms
     n = len(atoms)
     if n > cap:
-        raise EnumerationCapError(cap, n)
+        raise EnumerationCapError(cap, n, [
+            (str(a), "aux atom" if a in mln.aux_atoms else "world atom") for a in atoms])
     hard = [mf.formula for mf in mln.formulas if mf.weight.is_hard]
     softs = [(mf.formula, mf.weight.value) for mf in mln.formulas if mf.weight.is_soft]
 
     worlds = []
-    best_hard = -1
+    vectors = []  # reward-style: satisfied hard formulas, satisfied soft weights
     for mask in range(1 << n):
         interp = frozenset(a for i, a in enumerate(atoms) if mask >> i & 1)
-        n_hard = sum(1 for f in hard if evaluate(f, interp))
-        soft_sum = sum(w for f, w in softs if evaluate(f, interp))
-        worlds.append((interp, n_hard, soft_sum))
-        best_hard = max(best_hard, n_hard)
+        worlds.append(interp)
+        vectors.append(WeightVector(sum(1 for f in hard if evaluate(f, interp)),
+                                    sum(w for f, w in softs if evaluate(f, interp))))
 
-    exponents = [s for _, h, s in worlds if h == best_hard]
-    shift = max(exponents)
-    total = sum(math.exp(s - shift) for s in exponents)
-    entries = tuple((w, math.exp(s - shift) / total)
-                    for w, h, s in worlds if h == best_hard)
+    best_hard, probabilities = _normalise(vectors, "reward")
+    entries = tuple((w, p) for w, v, p in zip(worlds, vectors, probabilities)
+                    if v.hard == best_hard)
     return MlnDistribution(atoms, entries)
 
 

@@ -297,12 +297,14 @@ def parse_query_spec(text: str) -> tuple[str, ...]:
     """Parse a comma-separated predicate-name list; matching downstream is
     by name only, at any arity."""
     names = []
-    for k, piece in enumerate(text.split(",")):
+    column = 1  # where the current piece starts
+    for piece in text.split(","):
         name = piece.strip()
         if not name:
-            raise LpmlnSyntaxError("empty predicate name", SourceSpan(1, k + 1, 1))
+            raise LpmlnSyntaxError("empty predicate name", SourceSpan(1, column, 1))
         if name not in names:
             names.append(name)
+        column += len(piece) + 1
     return tuple(names)
 
 

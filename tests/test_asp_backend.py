@@ -8,9 +8,9 @@ from lpmln.asp_backend import (
     optimal_models, phi_extend, translate_penalty, translate_reward, wc_penalty,
 )
 from lpmln.engine import enumerate_sm
-from lpmln.grounder import UnsafeRuleError
+from lpmln.grounder import EmptyUniverseError, UnsafeRuleError
 from lpmln.inference import map_estimate, weight_penalty, weight_reward
-from lpmln.model import Literal, Program, Term, atom
+from lpmln.model import HARD, Literal, Program, Rule, Term, atom
 from helpers import P, random_program_text
 
 BIRD = parse_program(fixture_path("bird.lpmln").read_text())
@@ -65,6 +65,20 @@ class TestTranslatePenalty:
             translate_penalty(P("p(a).\n1 q(X) :- not p(X).\n"))
         with pytest.raises(ValueError):
             translate_penalty(BIRD, scale=0)
+
+    @pytest.mark.parametrize("text", [
+        "p(a).\n1 q(X) :- not p(X).\n",
+        "p(a).\nq(Y) :- p(X), not r(Y).\n2 {s(X)} :- not p(Z).\n",
+        "p(a).\n{q(X)} :- not not p(Y).\n",
+    ])
+    def test_unsafe_error_is_grounds(self, text):
+        # the same rule, variable and message as grounding the source
+        with pytest.raises(UnsafeRuleError) as translated:
+            translate_penalty(P(text))
+        with pytest.raises(UnsafeRuleError) as grounded:
+            ground(P(text))
+        assert (translated.value.rule_index, translated.value.variable, str(translated.value)) \
+            == (grounded.value.rule_index, grounded.value.variable, str(grounded.value))
 
 
 class TestTranslateReward:
@@ -159,6 +173,38 @@ class TestPhiAndPenalties:
             assert wc_penalty(tp, interp, 0) == level0
             assert wc_penalty(tp, interp, 1) == level1
             assert wc_penalty(tp, interp, 2) == 0
+
+    def test_weak_constraints_follow_asp_core_2(self):
+        # a term variable must occur in the body, and each distinct
+        # weight@level,terms tuple whose body holds is charged once
+        a = atom("a")
+        universe = (Term("u"), Term("v"), Term("w"))
+        twice = WeakConstraint((Literal(a),), 1, 0, (Term("2"),))
+        tp = TranslatedProgram((), (twice, twice), 1, "penalty", universe)
+        assert wc_penalty(tp, frozenset([a]), 0) == 1
+        assert wc_penalty(tp, frozenset(), 0) == 0
+        loose = WeakConstraint((Literal(a),), 1, 0, (Term("1"), Term("Y")))
+        tp = TranslatedProgram((), (loose, twice, twice), 1, "penalty", universe)
+        with pytest.raises(UnsafeRuleError) as exc:
+            wc_penalty(tp, frozenset([a]), 0)
+        assert (exc.value.rule_index, exc.value.variable) == (1, "Y")
+        with pytest.raises(UnsafeRuleError):
+            optimal_models(tp)
+        # the same tuple from two instances, a distinct one from a third
+        p = lambda x: Literal(atom("p", x))
+        same = WeakConstraint((p("X"),), 4, 0, (Term("7"),))
+        own = WeakConstraint((p("X"),), 4, 0, (Term("7"), Term("X")))
+        tp = TranslatedProgram((), (same, own), 1, "penalty", universe)
+        assert wc_penalty(tp, frozenset([atom("p", "u"), atom("p", "v")]), 0) == 4 + 8
+
+    def test_nonground_weak_constraint_needs_a_universe(self):
+        body = (Literal(atom("p", "X")),)
+        tp = TranslatedProgram((), (WeakConstraint(body, 1, 0, (Term("1"), Term("X"))),),
+                               1, "penalty", ())
+        with pytest.raises(EmptyUniverseError):
+            wc_penalty(tp, frozenset(), 0)
+        with pytest.raises(EmptyUniverseError):
+            ground(Program((Rule(1, HARD, (), body),)), universe=())
 
     def test_wc_penalty_bird_answers(self):
         tp = translate_penalty(BIRD, 1000)

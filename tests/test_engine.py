@@ -38,6 +38,14 @@ class TestReduce:
         red = reduce_program(rules_of("a :- not not a.\n"), frozenset([atom("a")]))
         assert red.rules == ((frozenset([atom("a")]), frozenset()),)
 
+    def test_violated_rules_are_kept(self):
+        # the reduct filters on the negative literals only: the first two
+        # rules are violated by the empty set and stay, the third goes
+        red = reduce_program(rules_of("a :- not b.\nc ; d :- e, not b.\nb :- not not c.\n"),
+                             frozenset([atom("x")]))
+        assert red.rules == ((frozenset([atom("a")]), frozenset()),
+                             (frozenset([atom("c"), atom("d")]), frozenset([atom("e")])))
+
 
 class TestIsStableModel:
     def test_default_negation(self):
@@ -65,7 +73,7 @@ class TestIsStableModel:
         for _ in range(60):
             gp = ground(P(random_program_text(rng, rng.randint(1, 5), rng.randint(1, 6),
                                               hard_frac=1.0, allow_disjunction=False)))
-            comp = _Compiled(gp.rules)
+            comp = _Compiled(gp)
             for mask in range(1 << len(comp.atoms)):
                 _, reduct = comp.check(mask)
                 assert _models_reduct(reduct, mask)
@@ -195,7 +203,7 @@ def _assert_matches_full_program(gp, text):
     """Models equal the oracle's in both hard modes, each model's violation
     mask equals the full program's check, and every candidate is counted
     once: as a model, a hard rejection or a minimality rejection."""
-    full = _Compiled(gp.rules)
+    full = _Compiled(gp)
     for hard_mode in ("relaxed", "strict"):
         enum = StableModelEnumerator(gp, hard_mode)
         assert sm_sets(enum.models()) == \

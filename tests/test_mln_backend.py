@@ -4,6 +4,7 @@ import random
 import pytest
 
 from lpmln import fixture_path, ground, parse_program
+from lpmln.engine import EnumerationCapError
 from lpmln.inference import NoStableModelsError, distribution
 from lpmln.mln_backend import (
     FAnd, FAtom, FIff, FImpl, FNot, FOr, HARD, MlnFormula, MlnProgram,
@@ -56,6 +57,22 @@ class TestIsTight:
     def test_disjunctive_rejected(self):
         with pytest.raises(DisjunctiveProgramError):
             is_tight(ground(P("a ; b.\n")))
+
+    def test_choice_rule_on_its_own_head_not_tight(self):
+        # {a} :- a. desugars to a :- a, not not a: a positive self-loop
+        assert not is_tight(ground(P("{a} :- a.\n")))
+
+    def test_double_negated_self_reference_is_tight(self):
+        assert is_tight(ground(P("a :- not not a.\n")))
+
+    def test_three_atom_positive_cycle_not_tight(self):
+        tight = "d. e :- d, not f. {f} :- d.\ng :- e, not not f.\n"
+        assert is_tight(ground(P(tight)))
+        assert not is_tight(ground(P(tight + "a :- b, d.\nb :- c.\nc :- a, not e.\n")))
+
+    def test_disjunction_reported_before_a_cycle(self):
+        with pytest.raises(DisjunctiveProgramError):
+            is_tight(ground(P("a :- a.\nb ; c.\n")))
 
     def test_reorder_invariant(self):
         rng = random.Random(15)
@@ -178,6 +195,15 @@ class TestMlnDistribution:
     def test_single_hard_formula(self):
         d = mln_distribution(MlnProgram((MlnFormula(HARD, fa("a")),)))
         assert d.probability(frozenset([atom("a")])) == 1.0
+
+    def test_cap_error_names_world_and_aux_atoms(self):
+        mln = tseytin(complete(ground(P("b. c.\na :- b, c.\n"))))
+        assert [str(a) for a, _ in mln.aux_defs] == ["aux_1"]
+        with pytest.raises(EnumerationCapError) as exc:
+            mln_distribution(mln, cap=2)
+        assert (exc.value.cap, exc.value.size) == (2, 4)
+        assert str(exc.value).endswith(
+            "; free: a (world atom), aux_1 (aux atom), b (world atom), c (world atom)")
 
     def test_lexicographic_fallback_when_hard_unsatisfiable(self):
         d = mln_distribution(MlnProgram((

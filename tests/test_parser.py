@@ -128,6 +128,15 @@ class TestParseQuerySpec:
         with pytest.raises(LpmlnSyntaxError):
             parse_query_spec("a,,b")
 
+    @pytest.mark.parametrize("text, column", [
+        ("a,,b", 3), (",a", 1), ("a,", 3), ("ab, ,c", 4), ("abc,de,", 8),
+    ])
+    def test_empty_name_span_is_its_column(self, text, column):
+        with pytest.raises(LpmlnSyntaxError) as exc:
+            parse_query_spec(text)
+        assert (exc.value.span.line, exc.value.span.column) == (1, column)
+        assert str(exc.value) == f"1:{column}: empty predicate name"
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("name", [

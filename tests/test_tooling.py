@@ -1,0 +1,32 @@
+"""Guards on the test tooling itself."""
+
+import ast
+from pathlib import Path
+
+import lpmln
+
+ENGINE_SIDE = {"lpmln.engine", "lpmln.inference", "lpmln.asp_backend", "lpmln.mln_backend"}
+
+
+def _imported_modules(path: Path) -> list[str]:
+    """Every module ``path`` imports from, with each name it takes from the
+    package root resolved to the module that defines it."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            out += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            out.append(node.module)
+            if node.module == "lpmln":
+                for alias in node.names:
+                    value = getattr(lpmln, alias.name)
+                    out.append(getattr(value, "__module__", None) or value.__name__)
+    return out
+
+
+def test_oracle_shares_no_code_with_the_engine():
+    # the set-based oracle is the referee; it must not run what it judges
+    helpers = Path(__file__).with_name("helpers.py")
+    modules = _imported_modules(helpers)
+    assert "lpmln" in modules
+    assert not ENGINE_SIDE & set(modules), modules
