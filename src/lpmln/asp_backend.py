@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .engine import DEFAULT_ATOM_CAP, _bit_indices, _Compiled, enumerate_sm
+from .engine import DEFAULT_ATOM_CAP, StableModelEnumerator, _bit_indices, _Compiled
 from .grounder import GroundProgram, GroundRule, UnsafeRuleError, _desugar_safe, ground
 from .model import (
     HARD, Atom, Interpretation, Literal, Program, Rule, Term, Weight,
@@ -195,12 +195,12 @@ def _ground_weak(tp: TranslatedProgram) -> tuple[_Compiled, list[tuple[int, int,
 
 
 def _penalties(comp: _Compiled, tuples: list[tuple[int, int, tuple]],
-               interp: Interpretation, levels) -> tuple[int, ...]:
+               bits: int, levels) -> tuple[int, ...]:
     """Per level of ``levels``, in that order, the summed weights of the
     distinct ``(weight, level, terms)`` tuples of the ground weak
-    constraints (``_ground_weak``'s two results) whose body ``interp``
-    satisfies."""
-    violated, _ = comp.check(comp.bits_of(interp))
+    constraints (``_ground_weak``'s two results) whose body the
+    interpretation ``bits``, over ``comp``'s atoms, satisfies."""
+    violated, _ = comp.check(bits)
     totals = dict.fromkeys(levels, 0)
     for weight, level, _ in {tuples[j] for j in _bit_indices(violated)}:
         if level in totals:
@@ -213,19 +213,25 @@ def wc_penalty(tp: TranslatedProgram, interp: Interpretation, level: int) -> int
     of the level's distinct ground weak-constraint tuples whose body it
     satisfies."""
     comp, tuples = _ground_weak(tp)
-    return _penalties(comp, tuples, interp, (level,))[0]
+    return _penalties(comp, tuples, comp.bits_of(interp), (level,))[0]
 
 
 def optimal_models(tp: TranslatedProgram, cap: int = DEFAULT_ATOM_CAP) -> list[Interpretation]:
     """Stable models of the translated rules whose weak-constraint penalties,
     highest level first, are the lexicographic minimum, in enumeration order."""
     gp = ground(Program(tp.rules), universe=tp.source_universe)
-    models = enumerate_sm(gp, hard_mode="strict", cap=cap)
+    enum = StableModelEnumerator(gp, hard_mode="strict", cap=cap)
+    models = enum.models_bits()
     comp, tuples = _ground_weak(tp)
     levels = sorted({level for _, level, _ in tuples}, reverse=True)
-    penalties = [_penalties(comp, tuples, m, levels) for m in models]
+    # (bit in the models, bit in comp) of each weak-constraint atom the
+    # translated program has; the others hold in no model
+    bit_map = [(1 << enum.comp.index[a], 1 << i) for i, a in enumerate(comp.atoms)
+               if a in enum.comp.index]
+    penalties = [_penalties(comp, tuples, sum(w for m, w in bit_map if b & m), levels)
+                 for b in models]
     best = min(penalties, default=None)
-    return [m for m, p in zip(models, penalties) if p == best]
+    return [enum.comp.interp_of(b) for b, p in zip(models, penalties) if p == best]
 
 
 def emit_asp_text(tp: TranslatedProgram) -> str:

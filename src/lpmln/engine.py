@@ -7,12 +7,16 @@ from candidacy outright (mirroring solvers that pass hard rules through
 verbatim); under ``hard_mode="relaxed"`` the full set SM[P] is produced.
 
 Candidate generation is exhaustive over a *free* subset of the atoms
-rather than the whole Herbrand base.  An atom is free when its value is
-not forced by hard rules alone: it heads a soft rule (droppable), heads a
-disjunctive rule, or sits in a dependency cycle through negation (which
-covers desugared choice rules).  Everything else is either fixed false (no
-rule can derive it) or computed by a stratified least fixpoint, component
-by component.
+rather than the whole Herbrand base.  First, a least fixpoint that ignores
+negation over-approximates the atoms a stable model can hold (every atom
+of a stable model is in the least model of its reduct); a rule with a
+positive or double-negated body atom outside that set holds in every
+candidate and is left out of the analysis.  Among the rules that remain,
+an atom is free when its value is not forced by hard rules alone: it heads
+a soft rule (droppable), heads a disjunctive rule, or sits in a dependency
+cycle through negation (which covers desugared choice rules).  Everything
+else is either fixed false (no remaining rule can derive it) or computed
+by a stratified least fixpoint, component by component.
 
 Once per program, a three-valued pass over those components bounds every
 candidate from both sides: ``sure`` holds the atoms true in all of them,
@@ -88,7 +92,7 @@ def reduce_program(rules: Iterable[GroundRule], interp: Interpretation) -> Reduc
                         for r in comp.kept(comp.bits_of(interp))))
 
 
-@dataclass(frozen=True)
+@dataclass
 class _CompiledRule:
     head: int
     pos: int
@@ -105,25 +109,26 @@ class _Compiled:
 
     def __init__(self, gp: GroundProgram):
         self.atoms: tuple[Atom, ...] = gp.atoms
-        self.index = {a: i for i, a in enumerate(self.atoms)}
+        self.index = index = {a: i for i, a in enumerate(self.atoms)}
         self.rules: list[_CompiledRule] = []
         self.hard = 0  # bit k set iff rule k is hard
         for k, r in enumerate(gp.rules):
             head = pos = neg1 = neg2 = 0
             for a in r.head:
-                head |= 1 << self.index[a]
+                head |= 1 << index[a]
             for lit in r.body:
-                bit = 1 << self.index[lit.atom]
                 if lit.negation == 0:
-                    pos |= bit
+                    pos |= 1 << index[lit.atom]
                 elif lit.negation == 1:
-                    neg1 |= bit
+                    neg1 |= 1 << index[lit.atom]
                 else:
-                    neg2 |= bit
-            self.rules.append(_CompiledRule(
-                head, pos, neg1, neg2, r.is_hard,
-                0.0 if r.is_hard else r.weight.value, head.bit_count() > 1, k))
-            if r.is_hard:
+                    neg2 |= 1 << index[lit.atom]
+            weight = r.weight.value
+            hard = weight is None
+            self.rules.append(_CompiledRule(head, pos, neg1, neg2, hard,
+                                            0.0 if hard else weight,
+                                            head & (head - 1) != 0, k))
+            if hard:
                 self.hard |= 1 << k
 
     def bits_of(self, interp: Interpretation) -> int:
@@ -234,6 +239,11 @@ class StableModelEnumerator:
         self.hard_mode = hard_mode
         self.cap = cap
         self.comp = _Compiled(gp)
+        # A rule with a positive or double-negated body atom that no stable
+        # model holds is satisfied by every model and never fires in its
+        # reduct: the analysis and the specialisation skip it.
+        derivable = _derivable(self.comp.rules)
+        self._live = [r for r in self.comp.rules if not (r.pos | r.neg2) & ~derivable]
         self._analyze()
         self._specialise()
         self._models: list[int] | None = None
@@ -247,7 +257,7 @@ class StableModelEnumerator:
         comp = self.comp
         n = len(comp.atoms)
         head_atoms = soft = disjunctive = relaxed = 0
-        for r in comp.rules:
+        for r in self._live:
             head_atoms |= r.head
             if r.disjunctive:
                 disjunctive |= r.head
@@ -260,7 +270,7 @@ class StableModelEnumerator:
         # body literal is under one or two negations.
         succ: list[list[int]] = [[] for _ in range(n)]
         neg_pairs = set()
-        for r in comp.rules:
+        for r in self._live:
             heads = _bit_indices(r.head)
             body_pos = _bit_indices(r.pos)
             body_neg = _bit_indices(r.neg1 | r.neg2)
@@ -292,7 +302,7 @@ class StableModelEnumerator:
         # No component holding a deterministic atom has a negative edge
         # inside it, so a stage's negated atoms are settled before it runs.
         scc_rules: list[list[_CompiledRule]] = [[] for _ in range(n_sccs)]
-        for r in comp.rules:
+        for r in self._live:
             if r.head and not r.disjunctive and (r.head & det):
                 scc_rules[comp_id[_bit_indices(r.head)[0]]].append(r)
         self.closure_stages = [rs for rs in scc_rules if rs]
@@ -317,7 +327,7 @@ class StableModelEnumerator:
                                    neg2=r.neg2 & ~sure, disjunctive=head.bit_count() > 1))
             return out
 
-        self.residual = residual(self.comp.rules)
+        self.residual = residual(self._live)
         self._disjunctive = any(r.disjunctive for r in self.residual)
         # The same rules as atom positions, for the lane-parallel kernel.
         # Every atom they mention can vary: fixed ones were stripped.
@@ -474,6 +484,26 @@ def _transpose(columns: list[tuple[int, int]], width: int, lanes: int) -> list[i
         above = p
     picked = map("1".__eq__, format(lanes, fmt)[::-1])
     return [int("".join(digits), 2) << above for digits in compress(zip(*rows), picked)]
+
+
+def _derivable(rules: Sequence[_CompiledRule]) -> int:
+    """The atoms some stable model may hold: the least fixpoint in which a
+    rule derives its head atoms once its positive body atoms are derived,
+    whatever its negated and double-negated ones (a choice ``a :- B, not
+    not a`` must still derive ``a``).  Every atom of a stable model is in
+    the least model of its reduct, hence in this set."""
+    derived = 0
+    pending = [r for r in rules if r.head]
+    while True:
+        waiting = []
+        for r in pending:
+            if (derived & r.pos) == r.pos:
+                derived |= r.head
+            else:
+                waiting.append(r)
+        if len(waiting) == len(pending):
+            return derived
+        pending = waiting
 
 
 def _fire(stage: Sequence[_CompiledRule], bits: int, other: int) -> int:

@@ -74,11 +74,18 @@ class Atom:
     def is_ground(self) -> bool:
         return all(not t.is_variable for t in self.args)
 
-    def substitute(self, binding: dict[str, Term]) -> "Atom":
-        if not binding or self.is_ground:
-            return self
-        return Atom(self.predicate,
-                    tuple(binding.get(t.name, t) if t.is_variable else t for t in self.args))
+    def __hash__(self) -> int:
+        # the value the dataclass would compute, so set and dict order stay
+        # put; computed once, since atoms key every bitset index
+        try:
+            return self._hash
+        except AttributeError:
+            h = self.__dict__["_hash"] = hash((self.predicate, self.args))
+            return h
+
+    def __getstate__(self) -> dict:
+        # string hashes are salted per process: the cache must not travel
+        return {"predicate": self.predicate, "args": self.args}
 
     def __str__(self) -> str:
         if not self.args:
@@ -102,9 +109,6 @@ class Literal:
         if self.negation not in (0, 1, 2):
             raise ValueError(f"negation depth must be 0, 1, or 2: {self.negation}")
 
-    def substitute(self, binding: dict[str, Term]) -> "Literal":
-        return Literal(self.atom.substitute(binding), self.negation)
-
     def __str__(self) -> str:
         return "not " * self.negation + str(self.atom)
 
@@ -115,10 +119,6 @@ class Inequality:
 
     lhs: Term
     rhs: Term
-
-    def substitute(self, binding: dict[str, Term]) -> "Inequality":
-        sub = lambda t: binding.get(t.name, t) if t.is_variable else t
-        return Inequality(sub(self.lhs), sub(self.rhs))
 
     def __str__(self) -> str:
         return f"{self.lhs} != {self.rhs}"

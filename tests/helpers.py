@@ -10,15 +10,61 @@ shares none of its code paths.
 from __future__ import annotations
 
 import random
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 
 from lpmln import parse_program
-from lpmln.grounder import GroundProgram
-from lpmln.model import Program
+from lpmln.grounder import GroundProgram, GroundRule
+from lpmln.model import Atom, Literal, Program
 
 
 def P(text: str) -> Program:
     return parse_program(text)
+
+
+# --- independent universe-product grounder ---------------------------------
+
+def naive_ground(program: Program, universe=None) -> GroundProgram:
+    """Every instance of every rule by substituting each tuple of universe
+    constants for the rule's variables, one plain dict per substitution:
+    choice heads become ``not not`` body literals, true inequalities are
+    deleted and false ones delete the instance."""
+    if universe is None:
+        universe = program.universe
+    out = []
+    for rule in program.rules:
+        body = list(rule.body)
+        if rule.is_choice:
+            body.append(Literal(rule.head[0], 2))
+        names = []
+        for a in list(rule.head) + [el.atom if isinstance(el, Literal) else el for el in body]:
+            terms = a.args if isinstance(a, Atom) else (a.lhs, a.rhs)
+            for t in terms:
+                if t.name[:1].isupper() and t.name not in names:
+                    names.append(t.name)
+        for combo in product(universe, repeat=len(names)):
+            binding = dict(zip(names, combo))
+
+            def sub(t):
+                return binding.get(t.name, t)
+
+            lits = []
+            for el in body:
+                if isinstance(el, Literal):
+                    lits.append(Literal(Atom(el.atom.predicate,
+                                             tuple(map(sub, el.atom.args))), el.negation))
+                elif sub(el.lhs) == sub(el.rhs):
+                    break
+            else:
+                head = tuple(Atom(a.predicate, tuple(map(sub, a.args))) for a in rule.head)
+                out.append(GroundRule(rule.index, rule.weight, head, tuple(lits), combo))
+    return GroundProgram(tuple(out))
+
+
+def naive_atoms(gp: GroundProgram) -> tuple:
+    """The atoms of the ground rules, sorted by predicate, arity, argument names."""
+    seen = {a for r in gp.rules for a in r.head} | {l.atom for r in gp.rules for l in r.body}
+    return tuple(sorted(seen, key=lambda a: (a.predicate, len(a.args),
+                                             [t.name for t in a.args])))
 
 
 # --- independent stable-model oracle ---------------------------------------

@@ -7,7 +7,7 @@ from lpmln.asp_backend import (
     NonGroundProgramError, TranslatedProgram, WeakConstraint, emit_asp_text,
     optimal_models, phi_extend, translate_penalty, translate_reward, wc_penalty,
 )
-from lpmln.engine import enumerate_sm
+from lpmln.engine import StableModelEnumerator, enumerate_sm
 from lpmln.grounder import EmptyUniverseError, UnsafeRuleError
 from lpmln.inference import map_estimate, weight_penalty, weight_reward
 from lpmln.model import HARD, Literal, Program, Rule, Term, atom
@@ -331,6 +331,19 @@ class TestTheoremCorrespondences:
     def test_penalty_nonground_programs(self):
         self._check_penalty_case(BIRD)
         self._check_penalty_case(parse_program(fixture_path("smoke.lpmln").read_text()))
+
+    def test_smoke_hard_round_trip_enumerates_derivable_atoms_only(self):
+        # unsat markers of instances whose bodies nothing derives are not
+        # free: 10 free atoms where all 17 used to be
+        smoke = parse_program(fixture_path("smoke.lpmln").read_text())
+        tp = translate_penalty(smoke, 1000, translate_hard=True)
+        gp = ground(Program(tp.rules), universe=tp.source_universe)
+        enum = StableModelEnumerator(gp, "strict")
+        assert len(enum.free_positions) == 10
+        assert len(enum.models_bits()) == 11
+        assert optimal_models(tp) == [frozenset({
+            atom("smoke", "alice"), atom("smoke", "bob"), atom("smoke", "carol"),
+            atom("influence", "alice", "bob"), atom("influence", "bob", "carol")})]
 
     def test_optimal_models_are_the_undominated_models(self):
         # j dominates i: strictly lower penalty at some level, equal at

@@ -236,6 +236,16 @@ class TestExitCodes:
         assert err.count(" (relaxed hard)") == 8
         assert err.endswith(" and 164 more\n")
 
+    def test_underivable_soft_heads_stay_under_the_cap(self, tmp_path):
+        # nothing derives r, so no p(ci) can hold: none of the six soft
+        # heads is free, and a cap of 4 gives what a cap of 6 gave before
+        prog = tmp_path / "underivable.lpmln"
+        prog.write_text("1 p(X) :- q(X), r(X).\n"
+                        + "".join(f"q(c{k}).\n" for k in range(1, 7)))
+        code, out, err = invoke("-i", str(prog), env={"LPMLN_ATOM_CAP": "4"})
+        assert (code, err) == (0, "")
+        assert out == "q(c1) q(c2) q(c3) q(c4) q(c5) q(c6)\nOptimization: 0\nOPTIMUM FOUND\n"
+
     def test_inconsistent_evidence(self, tmp_path):
         ev = tmp_path / "evid.db"
         ev.write_text(":- bird(jo).\n:- not bird(jo).\n")

@@ -2,13 +2,15 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lpmln import check_safety, ground
 from lpmln.grounder import (
     EmptyUniverseError, GroundingCapError, UnsafeRuleError,
 )
 from lpmln.inference import distribution
-from helpers import P
+from lpmln.model import Term
+from helpers import P, naive_atoms, naive_ground
 
 
 class TestCheckSafety:
@@ -93,7 +95,7 @@ class TestGroundingProperties:
                 for combo in product(prog.universe, repeat=len(variables)):
                     binding = dict(zip(variables, combo))
                     if all(not isinstance(el, Inequality)
-                           or el.substitute(binding).lhs != el.substitute(binding).rhs
+                           or binding.get(el.lhs.name, el.lhs) != binding.get(el.rhs.name, el.rhs)
                            for el in rule.body):
                         expected += 1
             assert len(gp.rules) == expected
@@ -107,3 +109,81 @@ class TestGroundingProperties:
         probs1 = sorted(e.probability for e in d1.entries)
         probs2 = sorted(e.probability for e in d2.entries)
         assert probs1 == pytest.approx(probs2, abs=1e-12)
+
+
+_TERMS = ("X", "Y", "Z", "a", "b", "c")
+
+
+def _draw_atom(data, variables: set) -> str:
+    pred, arity = data.draw(st.sampled_from([("z", 0), ("q", 1), ("r", 2)]))
+    args = data.draw(st.lists(st.sampled_from(_TERMS), min_size=arity, max_size=arity))
+    variables.update(t for t in args if t[:1].isupper())
+    return pred + (f"({','.join(args)})" if args else "")
+
+
+def _draw_rule(data) -> str:
+    """A rule over z/0, q/1 and r/2: a constraint, a plain, choice or
+    disjunctive head, body literals under 0-2 negations and inequalities
+    between variables and constants; every variable is made safe by a
+    positive dom/1 literal unless a positive literal or a choice head binds
+    it already."""
+    kind = data.draw(st.sampled_from(["constraint", "plain", "choice", "disjunction"]))
+    safe: set = set()
+    variables: set = set()
+    heads = [] if kind == "constraint" else \
+        [_draw_atom(data, safe if kind == "choice" else variables)
+         for _ in range(2 if kind == "disjunction" else 1)]
+    body = []
+    for _ in range(data.draw(st.integers(0 if heads else 1, 3))):
+        negation = data.draw(st.sampled_from(["", "", "not ", "not not "]))
+        body.append(negation + _draw_atom(data, variables if negation else safe))
+    for _ in range(data.draw(st.integers(0, 2))):
+        lhs, rhs = data.draw(st.lists(st.sampled_from(_TERMS), min_size=2, max_size=2))
+        variables.update(t for t in (lhs, rhs) if t[:1].isupper())
+        body.append(f"{lhs} != {rhs}")
+    body += [f"dom({v})" for v in sorted(variables - safe)]
+    weight = data.draw(st.sampled_from(["", "1.5 ", "-2 "]))
+    head = "{" + heads[0] + "}" if kind == "choice" else " ; ".join(heads)
+    if not body:
+        return f"{weight}{head}."
+    return f"{weight}{head}{' :- ' if head else ':- '}{', '.join(body)}."
+
+
+class TestAgainstNaiveGrounder:
+    """The compiled grounder must give exactly the universe product: the
+    same instances, in the same order, with the same substitutions."""
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(st.data())
+    def test_property_same_instances_and_atoms(self, data):
+        lines = ["dom(a).", "dom(b)."]
+        lines += [_draw_rule(data) for _ in range(data.draw(st.integers(1, 4)))]
+        program = P("\n".join(lines) + "\n")
+        universe = data.draw(st.one_of(st.none(), st.lists(
+            st.sampled_from(["a", "b", "c", "d"]), min_size=1, unique=True)))
+        if universe is not None:
+            universe = tuple(map(Term, universe))
+        gp = ground(program, universe=universe)
+        expected = naive_ground(program, universe=universe)
+        assert gp == expected
+        assert gp.atoms == naive_atoms(expected)
+
+    def test_inequalities_between_variables_and_constants(self):
+        text = ("dom(a). dom(b). dom(c).\n"
+                "p(X, Y) :- dom(X), dom(Y), X != Y, X != b, c != Y, a != c.\n"
+                "q(X) :- dom(X), X != X.\nr :- a != a.\ns(X) :- dom(X), X != d.\n")
+        universe = tuple(map(Term, "abc"))  # d differs from every value
+        gp = ground(P(text), universe=universe)
+        assert gp == naive_ground(P(text), universe=universe)
+        assert [str(r.head[0]) for r in gp.rules if r.origin_index in (4, 7)] == \
+            ["p(a,b)", "p(c,a)", "p(c,b)", "s(a)", "s(b)", "s(c)"]
+        assert {r.origin_index for r in gp.rules} == {1, 2, 3, 4, 7}
+
+    def test_one_object_per_ground_atom_and_literal(self):
+        gp = ground(P("{q(X)} :- dom(X).\nr :- q(X), not q(X), not not q(X).\n"
+                      "dom(a). dom(b). dom(a).\n"))
+        atoms = [a for r in gp.rules for a in r.head + tuple(l.atom for l in r.body)]
+        literals = [l for r in gp.rules for l in r.body]
+        assert len({id(a) for a in atoms}) == len(set(atoms)) == len(gp.atoms)
+        assert len({id(l) for l in literals}) == len(set(literals))
+        assert all(any(a is b for b in gp.atoms) for a in atoms)

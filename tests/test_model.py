@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -94,3 +96,17 @@ class TestProgramInvariants:
     def test_universe_is_sorted_constants(self):
         prog = P("p(zeta, alpha). q(9).\n")
         assert [t.name for t in prog.universe] == ["9", "alpha", "zeta"]
+
+
+class TestAtomHash:
+    def test_hash_is_the_field_tuple_hash(self):
+        a = atom("edge", "n0", "n1")
+        assert hash(a) == hash(("edge", a.args)) == hash(a)
+        assert hash(atom("p")) == hash(("p", ()))
+
+    def test_cached_hash_does_not_survive_pickling(self):
+        a = atom("smoke", "alice")
+        hash(a)
+        for b in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a), copy.copy(a)):
+            assert vars(b) == {"predicate": "smoke", "args": a.args}
+            assert b == a and hash(b) == hash(a)

@@ -30,3 +30,18 @@ def test_oracle_shares_no_code_with_the_engine():
     modules = _imported_modules(helpers)
     assert "lpmln" in modules
     assert not ENGINE_SIDE & set(modules), modules
+
+
+def test_reference_grounder_does_not_call_ground():
+    # naive_ground referees the compiled grounder: it must not be it
+    from lpmln import grounder
+
+    helpers = Path(__file__).with_name("helpers.py")
+    tree = ast.parse(helpers.read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module in ("lpmln", "lpmln.grounder"):
+            module = lpmln if node.module == "lpmln" else grounder
+            assert all(getattr(module, a.name) is not grounder.ground for a in node.names)
+        if isinstance(node, ast.Attribute):
+            assert node.attr != "ground", ast.unparse(node)
+    assert "def naive_ground(" in helpers.read_text(encoding="utf-8")
