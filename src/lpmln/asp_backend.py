@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from .engine import DEFAULT_ATOM_CAP, StableModelEnumerator, _bit_indices, _Compiled
 from .grounder import GroundProgram, GroundRule, UnsafeRuleError, _desugar_safe, ground
 from .model import (
-    HARD, Atom, Interpretation, Literal, Program, Rule, Term, Weight,
-    desugar_choice,
+    HARD, Atom, BodyElement, Inequality, Interpretation, Literal, Program, Rule,
+    Term, Weight, desugar_choice, format_rule,
 )
 
 UNSAT = "unsat"
@@ -104,43 +104,82 @@ def _negate(lit: Literal) -> Literal:
     return Literal(lit.atom, 1 if lit.negation != 1 else 2)
 
 
+def _non_ground(rule: Rule) -> NonGroundProgramError:
+    return NonGroundProgramError(
+        f"rule {rule.index} has variables; the reward translation "
+        "needs a ground program")
+
+
 def translate_reward(program: Program, scale: int = 1000) -> TranslatedProgram:
     """Per rule i: ``sat(i,w) :- h`` for each head disjunct, ``sat(i,w) :- L``
     for the negation of each body literal, ``Head :- Body, not not sat(i,w)``,
     and ``:~ sat(i,w). [-w'@l, i]``.  Only defined for ground programs; a
     fact contributes no negated-body rule, so its sat atom is derivable
-    exactly when the fact's head holds."""
+    exactly when the fact's head holds.  A ground inequality is decided as
+    ``ground`` decides it: a true one leaves the body, a false one drops
+    the rule."""
     if scale < 1:
         raise ValueError("scale must be a positive integer")
-    for rule in program.rules:
-        if rule.variables():
-            raise NonGroundProgramError(
-                f"rule {rule.index} has variables; the reward translation "
-                "needs a ground program")
 
     rules: list[Rule] = []
     weak: list[WeakConstraint] = []
-    nxt = 1
-
-    def push(head, body):
-        nonlocal nxt
-        rules.append(Rule(nxt, HARD, head, body))
-        nxt += 1
+    # built and checked ground once per distinct object: the sat-rule body
+    # ``(h,)`` of a head atom; the sat-rule body ``(negation,)`` of a body
+    # literal, or whether a ground inequality holds; a weight's token
+    holds: dict[Atom, tuple[Literal]] = {}
+    negated: dict[BodyElement, tuple[Literal] | bool] = {}
+    tokens: dict[float | None, Term] = {}
 
     for rule in program.rules:
         r = desugar_choice(rule)
-        marker = _marker_atom(SAT, r)
+        sat_bodies = []
         for h in r.head:
-            push((marker,), (Literal(h, 0),))
-        for lit in r.body:
-            push((marker,), (_negate(lit),))
-        push(r.head, r.body + (Literal(marker, 2),))
-        if r.weight.is_hard:
+            b = holds.get(h)
+            if b is None:
+                if not h.is_ground:
+                    raise _non_ground(rule)
+                b = holds[h] = (Literal(h, 0),)
+            sat_bodies.append(b)
+        body = []
+        dropped = False
+        for el in r.body:
+            b = negated.get(el)
+            if b is None:
+                if isinstance(el, Inequality):
+                    if el.lhs.is_variable or el.rhs.is_variable:
+                        raise _non_ground(rule)
+                    b = el.lhs != el.rhs
+                elif not el.atom.is_ground:
+                    raise _non_ground(rule)
+                else:
+                    b = (_negate(el),)
+                negated[el] = b
+            if b is False:
+                dropped = True
+            elif b is not True:
+                body.append(el)
+                sat_bodies.append(b)
+        if dropped:
+            continue
+
+        w = r.weight
+        token = tokens.get(w.value)
+        if token is None:
+            token = _weight_token(w)
+            if w.value != 0:  # 0.0 and -0.0 are one key but two tokens
+                tokens[w.value] = token
+        index = Term(str(r.index))
+        marker = Atom(SAT, (index, token))
+        head = (marker,)
+        for b in sat_bodies:
+            rules.append(Rule(len(rules) + 1, HARD, head, b))
+        body.append(Literal(marker, 2))
+        rules.append(Rule(len(rules) + 1, HARD, r.head, tuple(body)))
+        if w.is_hard:
             weight, level = -scale, 1
         else:
-            weight, level = -_scaled(r.weight, scale), 0
-        weak.append(WeakConstraint((Literal(marker, 0),), weight, level,
-                                   (Term(str(r.index)),)))
+            weight, level = -_scaled(w, scale), 0
+        weak.append(WeakConstraint((Literal(marker, 0),), weight, level, (index,)))
     return TranslatedProgram(tuple(rules), tuple(weak), scale, "reward",
                              program.universe)
 
@@ -237,9 +276,10 @@ def optimal_models(tp: TranslatedProgram, cap: int = DEFAULT_ATOM_CAP) -> list[I
 def emit_asp_text(tp: TranslatedProgram) -> str:
     """Deterministic solver-dialect text: rules first, then weak constraints
     rendered ``:~ body. [w@l,i,X1,...]``."""
-    lines = [str(r) for r in tp.rules]
+    lines = list(map(format_rule, tp.rules))
     for wc in tp.weak:
-        body = ", ".join(str(l) for l in wc.body)
-        terms = ",".join(str(t) for t in wc.terms)
+        body = ", ".join(map(str, wc.body))
+        terms = ",".join(map(str, wc.terms))
         lines.append(f":~ {body}. [{wc.weight}@{wc.level},{terms}]")
-    return "".join(line + "\n" for line in lines)
+    lines.append("")  # every line ends in a newline
+    return "\n".join(lines)

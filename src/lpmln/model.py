@@ -84,13 +84,17 @@ class Atom:
             return h
 
     def __getstate__(self) -> dict:
-        # string hashes are salted per process: the cache must not travel
+        # string hashes are salted per process: no cache may travel
         return {"predicate": self.predicate, "args": self.args}
 
     def __str__(self) -> str:
-        if not self.args:
-            return self.predicate
-        return f"{self.predicate}({','.join(t.name for t in self.args)})"
+        # rendered once: an emitted translation repeats each ground atom
+        text = getattr(self, "_text", None)
+        if text is None:
+            text = self.__dict__["_text"] = (
+                f"{self.predicate}({','.join([t.name for t in self.args])})"
+                if self.args else self.predicate)
+        return text
 
 
 def atom(predicate: str, *args: Union[Term, str, int]) -> Atom:
@@ -109,8 +113,16 @@ class Literal:
         if self.negation not in (0, 1, 2):
             raise ValueError(f"negation depth must be 0, 1, or 2: {self.negation}")
 
+    def __getstate__(self) -> dict:
+        # as for Atom: the cached text stays out of pickles and copies
+        return {"atom": self.atom, "negation": self.negation}
+
     def __str__(self) -> str:
-        return "not " * self.negation + str(self.atom)
+        # rendered once, like Atom
+        text = getattr(self, "_text", None)
+        if text is None:
+            text = self.__dict__["_text"] = "not " * self.negation + str(self.atom)
+        return text
 
 
 @dataclass(frozen=True, order=True)
@@ -228,14 +240,27 @@ class Program:
     @cached_property
     def universe(self) -> tuple[Term, ...]:
         """All constants occurring in the rules, in sorted order."""
-        consts = set()
+        # each object once, by identity: a ground program shares one object
+        # per ground atom and literal, and hashing would cost a parsed
+        # program more than it saves
+        atoms: dict[int, Atom] = {}
+        elements: dict[int, BodyElement] = {}
         for r in self.rules:
             for a in r.head:
-                consts.update(t for t in a.args if t.is_constant)
+                atoms[id(a)] = a
             for el in r.body:
-                terms = el.atom.args if isinstance(el, Literal) else (el.lhs, el.rhs)
-                consts.update(t for t in terms if t.is_constant)
-        return tuple(sorted(consts))
+                elements[id(el)] = el
+        terms: dict[str, Term] = {}
+        for el in elements.values():
+            if isinstance(el, Literal):
+                atoms[id(el.atom)] = el.atom
+            else:
+                terms[el.lhs.name] = el.lhs
+                terms[el.rhs.name] = el.rhs
+        for a in atoms.values():
+            for t in a.args:
+                terms[t.name] = t
+        return tuple(sorted(t for t in terms.values() if t.is_constant))
 
     def __str__(self) -> str:
         return "".join(format_rule(r) + "\n" for r in self.rules)
@@ -300,15 +325,12 @@ def format_weight(w: Weight) -> str:
 
 
 def format_rule(rule: Rule) -> str:
-    parts = []
-    if rule.weight.is_soft:
-        parts.append(format_weight(rule.weight) + " ")
     if rule.is_choice:
-        parts.append("{" + str(rule.head[0]) + "}")
-    elif rule.head:
-        parts.append(" ; ".join(str(a) for a in rule.head))
+        text = "{" + str(rule.head[0]) + "}"
+    else:
+        text = " ; ".join(map(str, rule.head))
+    if rule.weight.is_soft:
+        text = format_weight(rule.weight) + " " + text
     if rule.body:
-        parts.append(" :- " if rule.head else ":- ")
-        parts.append(", ".join(str(el) for el in rule.body))
-    parts.append(".")
-    return "".join(parts)
+        text += (" :- " if rule.head else ":- ") + ", ".join(map(str, rule.body))
+    return text + "."

@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -8,13 +9,14 @@ from lpmln.asp_backend import (
     optimal_models, phi_extend, translate_penalty, translate_reward, wc_penalty,
 )
 from lpmln.engine import StableModelEnumerator, enumerate_sm
-from lpmln.grounder import EmptyUniverseError, UnsafeRuleError
+from lpmln.grounder import EmptyUniverseError, UnsafeRuleError, ground_to_program
 from lpmln.inference import map_estimate, weight_penalty, weight_reward
 from lpmln.model import HARD, Literal, Program, Rule, Term, atom
 from helpers import P, random_program_text
 
 BIRD = parse_program(fixture_path("bird.lpmln").read_text())
 BIRD_RB = frozenset([atom("bird", "jo"), atom("residentbird", "jo")])
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def translated_models(tp, cap=24):
@@ -91,6 +93,12 @@ class TestTranslateReward:
         ]
         assert tp.weak[0].weight == -2000 and tp.weak[0].level == 0
 
+    def test_weight_tokens_keep_the_sign_of_zero(self):
+        tp = translate_reward(P("0.0 a.\n-0.0 b.\n0 c.\n2 d.\n2 e.\n"), 1000)
+        assert [str(wc.body[0]) for wc in tp.weak] == [
+            'sat(1,"0.000000")', 'sat(2,"-0.000000")', 'sat(3,"0.000000")',
+            'sat(4,"2.000000")', 'sat(5,"2.000000")']
+
     def test_fact_has_two_stable_models(self):
         # the translated program must preserve both models of a soft fact
         tp = translate_reward(P("2 a.\n"), 1000)
@@ -117,6 +125,30 @@ class TestTranslateReward:
     def test_rejects_non_ground(self):
         with pytest.raises(NonGroundProgramError):
             translate_reward(P("p(a).\n1 q(X) :- p(X).\n"))
+        with pytest.raises(NonGroundProgramError):
+            translate_reward(P("q.\np :- q, X != a.\n"))
+
+    def test_ground_inequalities_decided_as_ground_decides_them(self):
+        # a true inequality leaves the body, a false one drops the rule
+        tp = translate_reward(P("p :- q, a != b.\nq.\n"))
+        assert [str(r) for r in tp.rules] == [
+            'sat(1,"alpha") :- p.',
+            'sat(1,"alpha") :- not q.',
+            'p :- q, not not sat(1,"alpha").',
+            'sat(2,"alpha") :- q.',
+            'q :- not not sat(2,"alpha").',
+        ]
+        assert [wc.terms for wc in tp.weak] == [(Term("1"),), (Term("2"),)]
+        assert [sorted(map(str, m)) for m in optimal_models(tp)] == \
+            [["p", "q", 'sat(1,"alpha")', 'sat(2,"alpha")']]
+        tp = translate_reward(P("p :- q, a != a.\nq.\n"))
+        assert [str(r) for r in tp.rules] == [
+            'sat(2,"alpha") :- q.',
+            'q :- not not sat(2,"alpha").',
+        ]
+        assert [wc.terms for wc in tp.weak] == [(Term("2"),)]
+        assert [sorted(map(str, m)) for m in optimal_models(tp)] == [["q", 'sat(2,"alpha")']]
+        assert tp.source_universe == (Term("a"),)
 
 
 class TestPhiAndPenalties:
@@ -236,8 +268,15 @@ class TestEmission:
         tp = translate_penalty(BIRD, 1000)
         assert emit_asp_text(tp) == fixture_path("bird_pnt.golden.lp").read_text()
 
+    @pytest.mark.parametrize("name", ["bird", "smoke"])
+    def test_reward_golden(self, name):
+        prog = parse_program(fixture_path(f"{name}.lpmln").read_text())
+        tp = translate_reward(ground_to_program(ground(prog)), 1000)
+        assert emit_asp_text(tp) == (GOLDEN / f"{name}_rwd.golden.lp").read_text()
+
     def test_empty_program(self):
         assert emit_asp_text(translate_penalty(P(""), 1000)) == ""
+        assert emit_asp_text(translate_reward(P(""), 1000)) == ""
 
     def test_hard_only_verbatim(self):
         prog = P("a :- b.\n{c} :- a.\n:- c, b.\n")

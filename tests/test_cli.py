@@ -33,6 +33,7 @@ def invoke(*argv, env=None):
 BIRD = str(fixture_path("bird.lpmln"))
 BIRD_HARD = str(fixture_path("bird.lp"))
 EVID = str(fixture_path("bird_evid.db"))
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 class TestMapMode:
@@ -194,6 +195,15 @@ class TestEmitModes:
         code, out, _ = invoke("-i", BIRD, "--mode", "emit-asp-rwd")
         assert code == 0
         assert ':~ sat(4,"2.000000"). [-2000@0,4]' in out
+        assert out == (GOLDEN / "bird_rwd.golden.lp").read_text()
+
+    @pytest.mark.parametrize("name", ["bird", "smoke"])
+    def test_emit_reward_matches_golden(self, tmp_path, name):
+        target = tmp_path / "out.lp"
+        code, out, _ = invoke("-i", str(fixture_path(f"{name}.lpmln")),
+                              "--mode", "emit-asp-rwd", "-r", str(target))
+        assert code == 0 and out == ""
+        assert target.read_text() == (GOLDEN / f"{name}_rwd.golden.lp").read_text()
 
     def test_emit_mln_matches_golden(self, tmp_path):
         target = tmp_path / "out.mln"

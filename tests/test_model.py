@@ -3,12 +3,27 @@ import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from lpmln import (
-    HARD, Program, Rule, atom, desugar_choice, herbrand_base, merge_programs,
-    soft,
+    HARD, Program, Rule, atom, desugar_choice, fixture_path, ground,
+    herbrand_base, merge_programs, soft,
 )
+from lpmln.grounder import ground_to_program
+from lpmln.model import Literal
 from helpers import P
+from strategies import programs
+
+
+def reference_universe(program: Program) -> tuple:
+    """The constants of every term occurrence, sorted by name."""
+    consts = {}
+    for r in program.rules:
+        terms = [t for a in r.head for t in a.args]
+        for el in r.body:
+            terms += el.atom.args if isinstance(el, Literal) else (el.lhs, el.rhs)
+        consts.update((t.name, t) for t in terms if not t.name[:1].isupper())
+    return tuple(consts[name] for name in sorted(consts))
 
 
 class TestHerbrandBase:
@@ -97,6 +112,17 @@ class TestProgramInvariants:
         prog = P("p(zeta, alpha). q(9).\n")
         assert [t.name for t in prog.universe] == ["9", "alpha", "zeta"]
 
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(programs(max_rules=6))
+    def test_property_universe_is_every_occurring_constant(self, prog):
+        assert prog.universe == reference_universe(prog)
+
+    @pytest.mark.parametrize("name", ["bird.lpmln", "smoke.lpmln", "clique10.lpmln"])
+    def test_universe_of_a_ground_program(self, name):
+        # pooled atoms, each occurring in many rules
+        prog = ground_to_program(ground(P(fixture_path(name).read_text())))
+        assert prog.universe == reference_universe(prog)
+
 
 class TestAtomHash:
     def test_hash_is_the_field_tuple_hash(self):
@@ -110,3 +136,19 @@ class TestAtomHash:
         for b in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a), copy.copy(a)):
             assert vars(b) == {"predicate": "smoke", "args": a.args}
             assert b == a and hash(b) == hash(a)
+
+    @pytest.mark.parametrize("make", [
+        lambda: atom("smoke", "alice"),
+        lambda: Literal(atom("influence", "alice", "bob"), 2),
+    ], ids=["atom", "literal"])
+    def test_cached_text_does_not_survive_pickling(self, make):
+        obj, other = make(), atom("a")
+        other = other if hasattr(obj, "args") else Literal(other, 1)
+        fields = dict(vars(obj))
+        text, h = str(obj), hash(obj)
+        assert vars(obj)["_text"] == text
+        for b in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj), copy.copy(obj)):
+            assert vars(b) == fields
+            assert b == obj and hash(b) == h and str(b) == text
+            assert (b < other, other < b) == (obj < other, other < obj)
+            assert sorted([other, b]) == sorted([obj, other])

@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from lpmln import (
     LpmlnSyntaxError, fixture_path, parse_evidence, parse_program,
@@ -9,6 +10,7 @@ from lpmln import (
 )
 from lpmln.model import Inequality
 from helpers import random_program_text
+from strategies import programs
 
 
 BIRD = fixture_path("bird.lpmln").read_text()
@@ -161,3 +163,10 @@ class TestRoundTrip:
                                        allow_disjunction=True)
             prog = parse_program(text)
             assert parse_program(pretty_program(prog)) == prog
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(programs())
+    def test_property_round_trip(self, prog):
+        # every shape format_rule prints: choice, disjunction, constraints,
+        # "not" and "not not", inequalities, negative and non-integer weights
+        assert parse_program(pretty_program(prog)) == prog
