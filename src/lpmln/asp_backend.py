@@ -192,7 +192,7 @@ def phi_extend(program: Program, interp: Interpretation, flavor: str) -> Interpr
     if flavor not in ("penalty", "reward"):
         raise ValueError(f"unknown flavor {flavor!r}")
     comp = _Compiled(gp)
-    violated, _ = comp.check(comp.bits_of(interp))
+    violated = comp.violated(comp.bits_of(interp))
     return frozenset(interp) | _mask_markers(gp, comp, violated, flavor)
 
 
@@ -210,15 +210,16 @@ def _marker_of(g: GroundRule, name: str) -> Atom:
     return Atom(name, (Term(str(g.origin_index)), _weight_token(g.weight)) + g.subst)
 
 
-def _ground_weak(tp: TranslatedProgram) -> tuple[_Compiled, list[tuple[int, int, tuple]]]:
-    """Weak constraint k as the headless hard rule k + 1, ground by ``ground``
-    over the source universe and compiled, so that ``check`` sets violation
-    bit j exactly when the body of ground instance j holds; with instance
-    j's ``(weight, level, terms)`` tuple.  As in ASP-Core-2, a term
-    variable must occur in the body."""
+def _ground_weak(tp: TranslatedProgram) -> tuple[GroundProgram, list[tuple[int, int, tuple]]]:
+    """Weak constraint k as the headless soft rule k + 1 of weight 0.0,
+    ground by ``ground`` over the source universe, so that ground instance
+    j is violated exactly when its body holds; with instance j's ``(weight,
+    level, terms)`` tuple.  Being soft and headless, the rules change
+    neither which interpretations are stable nor which atoms are free.  As
+    in ASP-Core-2, a term variable must occur in the body."""
     rules, names = [], []
     for k, wc in enumerate(tp.weak, start=1):
-        rules.append(Rule(k, HARD, (), wc.body))
+        rules.append(Rule(k, Weight(0.0), (), wc.body))
         names.append(rules[-1].variables())
         for t in wc.terms:
             if t.is_variable and t.name not in names[-1]:
@@ -230,16 +231,13 @@ def _ground_weak(tp: TranslatedProgram) -> tuple[_Compiled, list[tuple[int, int,
         binding = dict(zip(names[g.origin_index - 1], g.subst))
         tuples.append((wc.weight, wc.level,
                        tuple(binding[t.name] if t.is_variable else t for t in wc.terms)))
-    return _Compiled(gp), tuples
+    return gp, tuples
 
 
-def _penalties(comp: _Compiled, tuples: list[tuple[int, int, tuple]],
-               bits: int, levels) -> tuple[int, ...]:
+def _penalties(tuples: list[tuple[int, int, tuple]], violated: int, levels) -> tuple[int, ...]:
     """Per level of ``levels``, in that order, the summed weights of the
-    distinct ``(weight, level, terms)`` tuples of the ground weak
-    constraints (``_ground_weak``'s two results) whose body the
-    interpretation ``bits``, over ``comp``'s atoms, satisfies."""
-    violated, _ = comp.check(bits)
+    distinct ``(weight, level, terms)`` tuples (``_ground_weak``'s second
+    result) of the ground weak constraints in the mask ``violated``."""
     totals = dict.fromkeys(levels, 0)
     for weight, level, _ in {tuples[j] for j in _bit_indices(violated)}:
         if level in totals:
@@ -251,24 +249,23 @@ def wc_penalty(tp: TranslatedProgram, interp: Interpretation, level: int) -> int
     """Total penalty of an interpretation at one level: the summed weights
     of the level's distinct ground weak-constraint tuples whose body it
     satisfies."""
-    comp, tuples = _ground_weak(tp)
-    return _penalties(comp, tuples, comp.bits_of(interp), (level,))[0]
+    weak, tuples = _ground_weak(tp)
+    comp = _Compiled(weak)
+    return _penalties(tuples, comp.violated(comp.bits_of(interp)), (level,))[0]
 
 
 def optimal_models(tp: TranslatedProgram, cap: int = DEFAULT_ATOM_CAP) -> list[Interpretation]:
     """Stable models of the translated rules whose weak-constraint penalties,
-    highest level first, are the lexicographic minimum, in enumeration order."""
+    highest level first, are the lexicographic minimum, in enumeration order.
+    The weak constraints are enumerated with the rules, after them, so the
+    high bits of each violation mask are the model's weak violations."""
     gp = ground(Program(tp.rules), universe=tp.source_universe)
-    enum = StableModelEnumerator(gp, hard_mode="strict", cap=cap)
+    weak, tuples = _ground_weak(tp)
+    enum = StableModelEnumerator(GroundProgram(gp.rules + weak.rules), hard_mode="strict",
+                                 cap=cap)
     models = enum.models_bits()
-    comp, tuples = _ground_weak(tp)
     levels = sorted({level for _, level, _ in tuples}, reverse=True)
-    # (bit in the models, bit in comp) of each weak-constraint atom the
-    # translated program has; the others hold in no model
-    bit_map = [(1 << enum.comp.index[a], 1 << i) for i, a in enumerate(comp.atoms)
-               if a in enum.comp.index]
-    penalties = [_penalties(comp, tuples, sum(w for m, w in bit_map if b & m), levels)
-                 for b in models]
+    penalties = [_penalties(tuples, v >> len(gp), levels) for v in enum.violations]
     best = min(penalties, default=None)
     return [enum.comp.interp_of(b) for b, p in zip(models, penalties) if p == best]
 

@@ -178,6 +178,9 @@ def run(argv, stdout=None, stderr=None) -> int:
                 text = _render_marginal(gp, preds, hard_mode, cap, stderr)
             else:
                 text = _render_all(gp, hard_mode, cap, args.scale)
+        if args.output:
+            Path(args.output).write_text(text, encoding="utf-8")
+            return EXIT_OK
     except (LpmlnSyntaxError, OSError) as e:
         print(f"error: {e}", file=stderr)
         return EXIT_INPUT
@@ -196,11 +199,7 @@ def run(argv, stdout=None, stderr=None) -> int:
     except ValueError as e:
         print(f"error: {e}", file=stderr)
         return EXIT_INPUT
-
-    if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
-    else:
-        stdout.write(text)
+    stdout.write(text)
     return EXIT_OK
 
 

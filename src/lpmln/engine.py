@@ -40,8 +40,12 @@ per surviving lane on that lane's reduct).  Minimality is decided above
 dropped rule is satisfied by every interpretation between ``sure`` and
 the candidate.  Per accepted model, the lanes are read back into one atom
 bitset and one violation mask, in ascending candidate order.  Violation
-masks therefore still index, and agree with, the full program, and
-``is_stable_model`` still checks the full program.
+masks therefore still index, and agree with, the full program.
+
+The rule pass (``_rule_pass``) and the lane-parallel least fixpoint
+(``_derive``) are the only code that decides violation and minimality: a
+single interpretation, as in ``is_stable_model`` and ``_Compiled.violated``,
+is one lane over the full program.
 
 Interpretations are manipulated as integer bitsets internally; the public
 functions speak frozensets of atoms.
@@ -88,8 +92,9 @@ def reduce_program(rules: Iterable[GroundRule], interp: Interpretation) -> Reduc
     """Keep a rule iff every 'not A' has A outside I and every 'not not A'
     has A inside I; strip the negative literals from what remains."""
     comp = _Compiled(GroundProgram(tuple(rules)))
-    return Reduct(tuple((comp.interp_of(r.head), comp.interp_of(r.pos))
-                        for r in comp.kept(comp.bits_of(interp))))
+    bits = comp.bits_of(interp)
+    return Reduct(tuple((comp.interp_of(r.head), comp.interp_of(r.pos)) for r in comp.rules
+                        if not bits & r.neg1 and (bits & r.neg2) == r.neg2))
 
 
 @dataclass
@@ -142,26 +147,16 @@ class _Compiled:
     def interp_of(self, bits: int) -> Interpretation:
         return frozenset(self.atoms[i] for i in _bit_indices(bits))
 
-    def kept(self, bits: int) -> list[_CompiledRule]:
-        """The rules whose negative and double-negated literals hold in
-        ``bits``, violated or not: the rules the reduct keeps."""
-        return [r for r in self.rules if not bits & r.neg1 and (bits & r.neg2) == r.neg2]
+    def one_lane(self, bits: int) -> tuple[list, list]:
+        """``_rule_pass`` over every rule with the interpretation ``bits`` as
+        the only lane."""
+        val = [bits >> p & 1 for p in range(len(self.atoms))]
+        return _rule_pass(_lane_form(self.rules), val, 1)
 
-    def check(self, bits: int) -> tuple[int, list[tuple[int, int]]]:
-        """One pass over the rules for the interpretation ``bits``.
-
-        Returns the violated rules as a mask (bit k for rule k) and the
-        reduct of the satisfied rules: ``(head, positive body)`` of each
-        one the reduct keeps.
-        """
-        violated = 0
-        reduct = []
-        for r in self.kept(bits):
-            if (bits & r.pos) == r.pos and not bits & r.head:
-                violated |= 1 << r.index
-            else:
-                reduct.append((r.head, r.pos))
-        return violated, reduct
+    def violated(self, bits: int) -> int:
+        """The rules the interpretation ``bits`` violates, as a mask (bit k
+        for rule k)."""
+        return sum(1 << k for k, _ in self.one_lane(bits)[0])
 
     def counted(self, violated: int, reward: bool) -> list[int]:
         """Indices, in rule order, of the rules a weight or a witness counts:
@@ -169,18 +164,6 @@ class _Compiled:
         if reward:
             return _bit_indices(((1 << len(self.rules)) - 1) & ~violated)
         return _bit_indices(violated)
-
-
-def _least_fixpoint(reduct, derived: int = 0) -> int:
-    # sound for non-disjunctive reducts; multi-atom heads never derive here
-    changed = True
-    while changed:
-        changed = False
-        for head, pos in reduct:
-            if not head & derived and (derived & pos) == pos and head.bit_count() == 1:
-                derived |= head
-                changed = True
-    return derived
 
 
 def _minimal_subsets(reduct, bits: int, fixed: int = 0) -> bool:
@@ -205,23 +188,20 @@ def _models_reduct(reduct, bits: int) -> bool:
     return True
 
 
-def _is_minimal(reduct, bits: int) -> bool:
-    """I is a minimal model of the reduct ``_Compiled.check`` returned for it
-    (I models that reduct by construction): the least fixpoint when no
-    reduct rule is disjunctive, subset search otherwise."""
-    if any(h.bit_count() > 1 for h, _ in reduct):
-        return _minimal_subsets(reduct, bits)
-    return _least_fixpoint(reduct) == bits
-
-
 def is_stable_model(rules: Iterable[GroundRule], interp: Interpretation) -> bool:
-    """True iff I satisfies every rule and is a minimal model of the reduct."""
+    """True iff I satisfies every rule and is a minimal model of the reduct:
+    the slice kernel with I as its only lane."""
     comp = _Compiled(GroundProgram(tuple(rules)))
     bits = comp.bits_of(interp)
     if len(interp) != bits.bit_count():
         return False  # an atom outside the program's signature cannot be derived
-    violated, reduct = comp.check(bits)
-    return not violated and _is_minimal(reduct, bits)
+    violated, reduct = comp.one_lane(bits)
+    if violated:
+        return False
+    if any(r.disjunctive for r, _, _, _ in reduct):
+        return _minimal_subsets([(r.head, r.pos) for r, _, _, _ in reduct], bits)
+    derived = _derive(reduct, len(comp.atoms))
+    return all(derived[p] for p in _bit_indices(bits))
 
 
 class StableModelEnumerator:
@@ -336,10 +316,7 @@ class StableModelEnumerator:
             [(_bit_indices(r.head)[0], _bit_indices(r.pos | r.neg2), _bit_indices(r.neg1))
              for r in rs]
             for rs in map(residual, self.closure_stages) if rs]
-        self._lane_rules = [
-            (r, _bit_indices(r.head), _bit_indices(r.pos), _bit_indices(r.neg1),
-             _bit_indices(r.neg2))
-            for r in self.residual]
+        self._lane_rules = _lane_form(self.residual)
 
     def _free_atoms(self) -> list[tuple[str, str]]:
         """Each free atom with the first reason that makes it free."""
@@ -398,30 +375,13 @@ class StableModelEnumerator:
                         val[head] |= v
                         changed = True
 
-        strict = self.hard_mode == "strict"
+        violated, reduct = _rule_pass(self._lane_rules, val, full)
         alive = full
-        violated = []  # (rule index, lanes that violate it)
-        reduct = []  # (rule, head atoms, positive atoms, lanes whose reduct keeps it)
-        for r, head, pos, neg1, neg2 in self._lane_rules:
-            ok = full
-            for a in neg2:
-                ok &= val[a]
-            for a in neg1:
-                ok &= ~val[a]
-            if not ok:
-                continue
-            body = ok
-            for a in pos:
-                body &= val[a]
-            for a in head:
-                body &= ~val[a]
-            if body:
-                violated.append((r.index, body))
-                if strict and r.is_hard:
-                    alive &= ~body
-            keep = ok & ~body
-            if keep:
-                reduct.append((r, head, pos, keep))
+        if self.hard_mode == "strict":
+            hard = self.comp.hard
+            for k, lanes in violated:
+                if hard >> k & 1:
+                    alive &= ~lanes
         self.rejected_hard += (full ^ alive).bit_count()
 
         width = full.bit_length()
@@ -437,21 +397,7 @@ class StableModelEnumerator:
                     stable |= 1 << m
                     models.append(bits)
         else:
-            # lane-parallel least fixpoint of the reducts, seeded with sure
-            derived = [0] * len(val)
-            changed = True
-            while changed:
-                changed = False
-                for _, head, pos, keep in reduct:
-                    if len(head) != 1:
-                        continue
-                    v = keep
-                    for a in pos:
-                        v &= derived[a]
-                    h = head[0]
-                    if v & ~derived[h]:
-                        derived[h] |= v
-                        changed = True
+            derived = _derive(reduct, len(val))
             unfounded = 0
             for p in self._varying:
                 unfounded |= val[p] & ~derived[p]
@@ -462,6 +408,63 @@ class StableModelEnumerator:
 
     def models(self) -> list[Interpretation]:
         return [self.comp.interp_of(b) for b in self.models_bits()]
+
+
+def _lane_form(rules: Iterable[_CompiledRule]) -> list[tuple]:
+    """Each rule with its head, positive, negated and double-negated atoms
+    as position lists, the form ``_rule_pass`` reads."""
+    return [(r, _bit_indices(r.head), _bit_indices(r.pos), _bit_indices(r.neg1),
+             _bit_indices(r.neg2)) for r in rules]
+
+
+def _rule_pass(rules: Sequence[tuple], val: list[int], full: int) -> tuple[list, list]:
+    """One pass over rules in ``_lane_form`` under the lane vectors ``val``
+    (bit m of ``val[p]`` is atom p's value in lane m; ``full`` has every
+    lane set).  Returns the ``(rule index, lanes that violate it)`` pairs
+    and the reduct: ``(rule, head atoms, positive atoms, lanes whose reduct
+    keeps it)`` for each rule some lane keeps and satisfies."""
+    violated = []
+    reduct = []
+    for r, head, pos, neg1, neg2 in rules:
+        ok = full
+        for a in neg2:
+            ok &= val[a]
+        for a in neg1:
+            ok &= ~val[a]
+        if not ok:
+            continue
+        body = ok
+        for a in pos:
+            body &= val[a]
+        for a in head:
+            body &= ~val[a]
+        if body:
+            violated.append((r.index, body))
+        keep = ok & ~body
+        if keep:
+            reduct.append((r, head, pos, keep))
+    return violated, reduct
+
+
+def _derive(reduct: Sequence[tuple], n: int) -> list[int]:
+    """Lane-parallel least fixpoint of ``_rule_pass``'s reduct over ``n``
+    atoms: entry p holds the lanes that derive atom p.  Sound for
+    non-disjunctive reducts; multi-atom heads never derive here."""
+    derived = [0] * n
+    changed = True
+    while changed:
+        changed = False
+        for _, head, pos, keep in reduct:
+            if len(head) != 1:
+                continue
+            v = keep
+            for a in pos:
+                v &= derived[a]
+            h = head[0]
+            if v & ~derived[h]:
+                derived[h] |= v
+                changed = True
+    return derived
 
 
 def _transpose(columns: list[tuple[int, int]], width: int, lanes: int) -> list[int]:

@@ -86,8 +86,7 @@ def _vector(comp: _Compiled, violated: int, mode: str) -> WeightVector:
 
 def _weigh(gp: GroundProgram, interp: Interpretation, mode: str) -> WeightVector:
     comp = _Compiled(gp)
-    violated, _ = comp.check(comp.bits_of(interp))
-    return _vector(comp, violated, mode)
+    return _vector(comp, comp.violated(comp.bits_of(interp)), mode)
 
 
 def weight_reward(gp: GroundProgram, interp: Interpretation) -> WeightVector:

@@ -7,12 +7,9 @@ and backends all consume these values and never mutate them.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
-
-_INT_RE = re.compile(r"-?\d+\Z")
 
 
 @dataclass(frozen=True, order=True)
@@ -29,10 +26,6 @@ class Term:
     @property
     def is_variable(self) -> bool:
         return self.name[:1].isupper()
-
-    @property
-    def is_integer(self) -> bool:
-        return bool(_INT_RE.match(self.name))
 
     @property
     def is_constant(self) -> bool:
@@ -192,10 +185,6 @@ class Rule:
     def is_constraint(self) -> bool:
         return not self.head
 
-    @property
-    def is_fact(self) -> bool:
-        return bool(self.head) and not self.body and not self.is_choice
-
     def variables(self) -> tuple[str, ...]:
         """Global variables in first-occurrence order (head, then body)."""
         seen: dict[str, None] = {}
@@ -321,7 +310,12 @@ def merge_programs(main: Program, extra: Program) -> Program:
 
 def format_weight(w: Weight) -> str:
     assert w.is_soft
-    return repr(w.value)
+    text = repr(w.value)
+    if "e" not in text:
+        return text
+    # the grammar has no exponent: write the same decimal out positionally
+    from decimal import Decimal
+    return format(Decimal(text), "f")
 
 
 def format_rule(rule: Rule) -> str:

@@ -79,6 +79,11 @@ def _classically_satisfies(interp, rule) -> bool:
     return (not body) or any(h in interp for h in rule.head)
 
 
+def violation_mask(rules, interp) -> int:
+    """Bit k set iff ``rules[k]`` is classically violated by ``interp``."""
+    return sum(1 << k for k, r in enumerate(rules) if not _classically_satisfies(interp, r))
+
+
 def _reduct(rules, interp):
     out = []
     for r in rules:

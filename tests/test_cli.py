@@ -61,6 +61,13 @@ class TestMapMode:
         assert code == 0 and out == ""
         assert target.read_text() == "residentbird(jo) 0.665240955775\n"
 
+    def test_output_file_in_missing_directory(self, tmp_path):
+        target = tmp_path / "missing" / "result.txt"
+        code, out, err = invoke("-i", BIRD, "-r", str(target))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(target) in err
+
 
 class TestAllMode:
     def test_three_answers_with_probabilities(self):

@@ -10,11 +10,14 @@ from lpmln import (
 )
 from lpmln import engine
 from lpmln.engine import (
-    EnumerationCapError, StableModelEnumerator, _Compiled, _least_fixpoint,
-    _minimal_subsets, _models_reduct,
+    EnumerationCapError, StableModelEnumerator, _Compiled, _derive, _lane_form,
+    _minimal_subsets, _models_reduct, _rule_pass,
 )
 from lpmln.model import atom
-from helpers import P, naive_sm, random_program_text, random_text_with_facts
+from helpers import (
+    P, _powerset, naive_is_stable, naive_sm, random_program_text, random_text_with_facts,
+    violation_mask,
+)
 
 
 def rules_of(text):
@@ -74,10 +77,28 @@ class TestIsStableModel:
             gp = ground(P(random_program_text(rng, rng.randint(1, 5), rng.randint(1, 6),
                                               hard_frac=1.0, allow_disjunction=False)))
             comp = _Compiled(gp)
-            for mask in range(1 << len(comp.atoms)):
-                _, reduct = comp.check(mask)
-                assert _models_reduct(reduct, mask)
-                assert (_least_fixpoint(reduct) == mask) == _minimal_subsets(reduct, mask)
+            n = len(comp.atoms)
+            for mask in range(1 << n):
+                _, reduct = _rule_pass(_lane_form(comp.rules),
+                                       [mask >> p & 1 for p in range(n)], 1)
+                pairs = [(r.head, r.pos) for r, _, _, _ in reduct]
+                assert _models_reduct(pairs, mask)
+                derived = sum(d << p for p, d in enumerate(_derive(reduct, n)))
+                assert (derived == mask) == _minimal_subsets(pairs, mask)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_every_interpretation_against_oracle(self, seed):
+        # non-models too: every subset of the atoms of small programs with
+        # disjunction, choice and "not not"
+        rng = random.Random(700 + seed)
+        for _ in range(25):
+            text = random_program_text(rng, rng.randint(1, 5), rng.randint(1, 6),
+                                       allow_disjunction=True)
+            gp = ground(P(text))
+            for sub in _powerset(gp.atoms):
+                interp = frozenset(sub)
+                assert is_stable_model(gp.rules, interp) == \
+                    naive_is_stable(gp.rules, interp), (text, sorted(map(str, interp)))
 
 
 class TestEnumerateSm:
@@ -201,15 +222,15 @@ class TestLargeDeterminedPrograms:
 
 def _assert_matches_full_program(gp, text):
     """Models equal the oracle's in both hard modes, each model's violation
-    mask equals the full program's check, and every candidate is counted
-    once: as a model, a hard rejection or a minimality rejection."""
-    full = _Compiled(gp)
+    mask is the oracle's classical one over the full program, and every
+    candidate is counted once: as a model, a hard rejection or a minimality
+    rejection."""
     for hard_mode in ("relaxed", "strict"):
         enum = StableModelEnumerator(gp, hard_mode)
         assert sm_sets(enum.models()) == \
             sm_sets(naive_sm(gp, require_hard=hard_mode == "strict")), text
-        for bits, violated in zip(enum.models_bits(), enum.violations):
-            assert violated == full.check(bits)[0], text
+        for interp, violated in zip(enum.models(), enum.violations):
+            assert violated == violation_mask(gp.rules, interp), text
         assert 2 ** len(enum.free_positions) == len(enum.models_bits()) + \
             enum.rejected_hard + enum.rejected_minimality, text
         if hard_mode == "relaxed":

@@ -8,7 +8,7 @@ from lpmln import (
     LpmlnSyntaxError, fixture_path, parse_evidence, parse_program,
     parse_query_spec, pretty_program,
 )
-from lpmln.model import Inequality
+from lpmln.model import Atom, Inequality, Literal, Program, Rule, Weight
 from helpers import random_program_text
 from strategies import programs
 
@@ -163,6 +163,20 @@ class TestRoundTrip:
                                        allow_disjunction=True)
             prog = parse_program(text)
             assert parse_program(pretty_program(prog)) == prog
+
+    @pytest.mark.parametrize("weight, text", [
+        (0.00001, "0.00001 a."),
+        (1e16, "10000000000000000 :- a."),
+        (-2.5e-300, "-0." + "0" * 299 + "25 a."),
+    ])
+    def test_exponent_weights_print_positionally(self, weight, text):
+        # repr would print 1e-05, 1e+16 and -2.5e-300; the grammar reads no
+        # exponent, so the weight is written out digit by digit
+        a = Atom("a", ())
+        head, body = ((), (Literal(a, 0),)) if ":-" in text else ((a,), ())
+        prog = Program((Rule(1, Weight(weight), head, body),))
+        assert pretty_program(prog) == text + "\n"
+        assert parse_program(pretty_program(prog)) == prog
 
     @settings(derandomize=True, database=None, max_examples=300, deadline=None)
     @given(programs())
