@@ -56,10 +56,9 @@ def _scaled(w: Weight, scale: int) -> int:
     return 1 if w.is_hard else int(round(w.value * scale))
 
 
-def _marker_atom(name: str, rule: Rule) -> Atom:
-    args = (Term(str(rule.index)), _weight_token(rule.weight))
-    args += tuple(Term(v) for v in rule.variables())
-    return Atom(name, args)
+def _marker(name: str, index: int, weight: Weight, terms: tuple[Term, ...]) -> Atom:
+    """The marker ``name(index, w, terms...)``, ``w`` the token of ``weight``."""
+    return Atom(name, (Term(str(index)), _weight_token(weight)) + terms)
 
 
 def translate_penalty(program: Program, scale: int = 1000,
@@ -87,14 +86,13 @@ def translate_penalty(program: Program, scale: int = 1000,
             push(HARD, rule.head, rule.body, rule.is_choice)
             continue
         r = desugar_choice(rule)
-        marker = _marker_atom(UNSAT, r)
+        variables = tuple(Term(v) for v in r.variables())
+        marker = _marker(UNSAT, r.index, r.weight, variables)
         not_head = tuple(Literal(h, 1) for h in r.head)
         push(HARD, (marker,), r.body + not_head)
         push(HARD, r.head, r.body + (Literal(marker, 1),))
-        level = 1 if r.weight.is_hard else 0
-        terms = (Term(str(r.index)),) + tuple(Term(v) for v in r.variables())
-        weak.append(WeakConstraint((Literal(marker, 0),),
-                                   _scaled(r.weight, scale), level, terms))
+        weak.append(WeakConstraint((Literal(marker, 0),), _scaled(r.weight, scale),
+                                   int(r.weight.is_hard), (Term(str(r.index)),) + variables))
     return TranslatedProgram(tuple(rules), tuple(weak), scale, "penalty",
                              program.universe)
 
@@ -201,13 +199,14 @@ def _mask_markers(gp: GroundProgram, comp: _Compiled, violated: int, flavor: str
     the mask ``violated`` (bit k for ``gp.rules[k]``, as ``comp`` numbers
     them): ``unsat`` for the violated rules, ``sat`` for the others."""
     name = UNSAT if flavor == "penalty" else SAT
-    return {_marker_of(gp.rules[k], name) for k in comp.counted(violated, flavor == "reward")}
+    counted = comp.counted(violated, flavor == "reward")
+    return {_marker_of(gp.rules[k], name) for k in _bit_indices(counted)}
 
 
 def _marker_of(g: GroundRule, name: str) -> Atom:
     """The ``unsat`` or ``sat`` marker of one ground rule."""
     # subst is () exactly when the source rule has no variables
-    return Atom(name, (Term(str(g.origin_index)), _weight_token(g.weight)) + g.subst)
+    return _marker(name, g.origin_index, g.weight, g.subst)
 
 
 def _ground_weak(tp: TranslatedProgram) -> tuple[GroundProgram, list[tuple[int, int, tuple]]]:

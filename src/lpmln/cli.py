@@ -153,7 +153,7 @@ def run(argv, stdout=None, stderr=None) -> int:
         evidence = None
         if args.evidence:
             evidence = parse_evidence(Path(args.evidence).read_text(encoding="utf-8"))
-        preds = parse_query_spec(args.query) if args.query else None
+        preds = parse_query_spec(args.query) if args.query is not None else None
 
         if args.mode == "emit-asp-pnt":
             tp = asp_backend.translate_penalty(program, args.scale,
@@ -172,7 +172,7 @@ def run(argv, stdout=None, stderr=None) -> int:
         else:
             merged = merge_programs(program, evidence) if evidence else program
             gp = ground(merged)
-            if args.map_mode or not (args.query or args.all_models):
+            if args.map_mode or not (preds is not None or args.all_models):
                 text = _render_map(gp, hard_mode, cap, args.scale)
             elif preds is not None:
                 text = _render_marginal(gp, preds, hard_mode, cap, stderr)

@@ -22,30 +22,26 @@ Once per program, a three-valued pass over those components bounds every
 candidate from both sides: ``sure`` holds the atoms true in all of them,
 ``maybe`` the atoms true in some.  A rule with a body literal fixed false
 or a head atom in ``sure`` holds in every candidate and is dropped; the
-rest keep their index and lose the literals and head atoms whose value is
-fixed.  Whether minimality needs subset search (some residual rule is
-still disjunctive) or the least fixpoint suffices is also decided once.
+rest keep their index and lose their fixed literals and head atoms.
 
 Candidates are decided a slice at a time, bit-sliced: per slice of
 ``2 ** _LANE_BITS`` candidates every atom holds one integer whose bit m is
 its value in the slice's candidate m (the low free atoms take fixed lane
 patterns, the others are constant over the slice).  Per slice, one pass
-over the residual closure stages closes every lane; one pass over the
-residual rules gives each rule the lanes that violate it and the lanes
-whose reduct keeps it; strict mode drops the lanes that violate a hard
-rule; and the least fixpoint of all those reducts at once, seeded with
-``sure``, leaves the stable lanes (subset search, when it is needed, runs
-per surviving lane on that lane's reduct).  Minimality is decided above
-``sure`` because every model of the reduct contains ``sure``, and a
+over the residual closure stages closes every lane; ``_rule_pass`` gives
+each residual rule the lanes that violate it and the lanes whose reduct
+keeps it; strict mode drops the lanes that violate a hard rule; and
+``_stable_lanes`` keeps the lanes that are minimal models of their
+reducts, by one least fixpoint of them all or, when a rule the slice
+keeps is disjunctive, by subset search per lane.  Minimality is decided
+above ``sure`` because every model of the reduct contains ``sure``, and a
 dropped rule is satisfied by every interpretation between ``sure`` and
 the candidate.  Per accepted model, the lanes are read back into one atom
-bitset and one violation mask, in ascending candidate order.  Violation
-masks therefore still index, and agree with, the full program.
-
-The rule pass (``_rule_pass``) and the lane-parallel least fixpoint
-(``_derive``) are the only code that decides violation and minimality: a
-single interpretation, as in ``is_stable_model`` and ``_Compiled.violated``,
-is one lane over the full program.
+bitset and one violation mask, in ascending candidate order, so violation
+masks still index, and agree with, the full program.  These two functions
+are the only code that decides violation and minimality: a single
+interpretation, as in ``is_stable_model`` and ``_Compiled.violated``, is
+one lane over the full program.
 
 Interpretations are manipulated as integer bitsets internally; the public
 functions speak frozensets of atoms.
@@ -53,7 +49,7 @@ functions speak frozensets of atoms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable, Sequence
 
@@ -103,10 +99,11 @@ class _CompiledRule:
     pos: int
     neg1: int
     neg2: int
-    is_hard: bool
-    weight: float  # 0.0 for hard rules
-    disjunctive: bool
     index: int  # position in the ground program: bit ``index`` of a violation mask
+
+    @property
+    def disjunctive(self) -> bool:
+        return self.head & (self.head - 1) != 0
 
 
 class _Compiled:
@@ -117,6 +114,7 @@ class _Compiled:
         self.index = index = {a: i for i, a in enumerate(self.atoms)}
         self.rules: list[_CompiledRule] = []
         self.hard = 0  # bit k set iff rule k is hard
+        self.weights: list[float] = []  # rule k's soft weight, 0.0 for a hard rule
         for k, r in enumerate(gp.rules):
             head = pos = neg1 = neg2 = 0
             for a in r.head:
@@ -128,13 +126,11 @@ class _Compiled:
                     neg1 |= 1 << index[lit.atom]
                 else:
                     neg2 |= 1 << index[lit.atom]
+            self.rules.append(_CompiledRule(head, pos, neg1, neg2, k))
             weight = r.weight.value
-            hard = weight is None
-            self.rules.append(_CompiledRule(head, pos, neg1, neg2, hard,
-                                            0.0 if hard else weight,
-                                            head & (head - 1) != 0, k))
-            if hard:
+            if weight is None:
                 self.hard |= 1 << k
+            self.weights.append(0.0 if weight is None else weight)
 
     def bits_of(self, interp: Interpretation) -> int:
         bits = 0
@@ -147,23 +143,21 @@ class _Compiled:
     def interp_of(self, bits: int) -> Interpretation:
         return frozenset(self.atoms[i] for i in _bit_indices(bits))
 
-    def one_lane(self, bits: int) -> tuple[list, list]:
-        """``_rule_pass`` over every rule with the interpretation ``bits`` as
-        the only lane."""
+    def one_lane(self, bits: int) -> tuple[list[int], list, list]:
+        """The lane vectors of the interpretation ``bits`` as the only lane,
+        and ``_rule_pass`` over every rule under them."""
         val = [bits >> p & 1 for p in range(len(self.atoms))]
-        return _rule_pass(_lane_form(self.rules), val, 1)
+        return (val, *_rule_pass(_lane_form(self.rules), val, 1))
 
     def violated(self, bits: int) -> int:
         """The rules the interpretation ``bits`` violates, as a mask (bit k
         for rule k)."""
-        return sum(1 << k for k, _ in self.one_lane(bits)[0])
+        return sum(1 << k for k, _ in self.one_lane(bits)[1])
 
-    def counted(self, violated: int, reward: bool) -> list[int]:
-        """Indices, in rule order, of the rules a weight or a witness counts:
-        the violated ones in penalty mode, the satisfied ones in reward mode."""
-        if reward:
-            return _bit_indices(((1 << len(self.rules)) - 1) & ~violated)
-        return _bit_indices(violated)
+    def counted(self, violated: int, reward: bool) -> int:
+        """The mask of the rules a weight or a witness counts: the violated
+        ones in penalty mode, the satisfied ones in reward mode."""
+        return ((1 << len(self.rules)) - 1) & ~violated if reward else violated
 
 
 def _minimal_subsets(reduct, bits: int, fixed: int = 0) -> bool:
@@ -195,13 +189,10 @@ def is_stable_model(rules: Iterable[GroundRule], interp: Interpretation) -> bool
     bits = comp.bits_of(interp)
     if len(interp) != bits.bit_count():
         return False  # an atom outside the program's signature cannot be derived
-    violated, reduct = comp.one_lane(bits)
+    val, violated, reduct = comp.one_lane(bits)
     if violated:
         return False
-    if any(r.disjunctive for r, _, _, _ in reduct):
-        return _minimal_subsets([(r.head, r.pos) for r, _, _, _ in reduct], bits)
-    derived = _derive(reduct, len(comp.atoms))
-    return all(derived[p] for p in _bit_indices(bits))
+    return _stable_lanes(reduct, val, _bit_indices(bits), 1, 0)[0] == 1
 
 
 class StableModelEnumerator:
@@ -241,7 +232,7 @@ class StableModelEnumerator:
             head_atoms |= r.head
             if r.disjunctive:
                 disjunctive |= r.head
-            if not r.is_hard:
+            if not comp.hard >> r.index & 1:
                 soft |= r.head
             elif self.hard_mode == "relaxed":
                 relaxed |= r.head
@@ -302,13 +293,11 @@ class StableModelEnumerator:
             for r in rules:
                 if r.pos & ~maybe or r.neg1 & sure or r.neg2 & ~maybe or r.head & sure:
                     continue  # holds in every candidate
-                head = r.head & maybe
-                out.append(replace(r, head=head, pos=r.pos & ~sure, neg1=r.neg1 & maybe,
-                                   neg2=r.neg2 & ~sure, disjunctive=head.bit_count() > 1))
+                out.append(_CompiledRule(r.head & maybe, r.pos & ~sure, r.neg1 & maybe,
+                                         r.neg2 & ~sure, r.index))
             return out
 
         self.residual = residual(self._live)
-        self._disjunctive = any(r.disjunctive for r in self.residual)
         # The same rules as atom positions, for the lane-parallel kernel.
         # Every atom they mention can vary: fixed ones were stripped.
         self._varying = _bit_indices(maybe & ~sure)
@@ -383,28 +372,9 @@ class StableModelEnumerator:
                 if hard >> k & 1:
                     alive &= ~lanes
         self.rejected_hard += (full ^ alive).bit_count()
-
-        width = full.bit_length()
-        sure = self.sure
-        atoms = [(p, val[p]) for p in self._varying]
-        if self._disjunctive:
-            stable = 0
-            models = []
-            for m, bits in zip(_bit_indices(alive), _transpose(atoms, width, alive)):
-                bits |= sure
-                lane_reduct = [(r.head, r.pos) for r, _, _, keep in reduct if keep >> m & 1]
-                if _minimal_subsets(lane_reduct, bits, sure):
-                    stable |= 1 << m
-                    models.append(bits)
-        else:
-            derived = _derive(reduct, len(val))
-            unfounded = 0
-            for p in self._varying:
-                unfounded |= val[p] & ~derived[p]
-            stable = alive & ~unfounded
-            models = [bits | sure for bits in _transpose(atoms, width, stable)]
+        stable, models = _stable_lanes(reduct, val, self._varying, alive, self.sure)
         self.rejected_minimality += (alive ^ stable).bit_count()
-        return models, _transpose(violated, width, stable)
+        return models, _transpose(violated, full.bit_length(), stable)
 
     def models(self) -> list[Interpretation]:
         return [self.comp.interp_of(b) for b in self.models_bits()]
@@ -465,6 +435,32 @@ def _derive(reduct: Sequence[tuple], n: int) -> list[int]:
                 derived[h] |= v
                 changed = True
     return derived
+
+
+def _stable_lanes(reduct: Sequence[tuple], val: list[int], varying: list[int],
+                  alive: int, sure: int) -> tuple[int, list[int]]:
+    """The lanes of ``alive`` whose candidate (``val`` over the positions
+    ``varying``, plus ``sure``) is a minimal model of its reduct above
+    ``sure``, and those candidates in lane order.  ``_derive`` decides every
+    lane at once unless a rule of ``_rule_pass``'s ``reduct`` is
+    disjunctive; then subset search runs per lane on that lane's reduct."""
+    width = alive.bit_length()
+    atoms = [(p, val[p]) for p in varying]
+    if any(len(head) > 1 for _, head, _, _ in reduct):
+        stable, models = 0, []
+        for m, bits in zip(_bit_indices(alive), _transpose(atoms, width, alive)):
+            bits |= sure
+            lane_reduct = [(r.head, r.pos) for r, _, _, keep in reduct if keep >> m & 1]
+            if _minimal_subsets(lane_reduct, bits, sure):
+                stable |= 1 << m
+                models.append(bits)
+        return stable, models
+    derived = _derive(reduct, len(val))
+    unfounded = 0
+    for p in varying:
+        unfounded |= val[p] & ~derived[p]
+    stable = alive & ~unfounded
+    return stable, [bits | sure for bits in _transpose(atoms, width, stable)]
 
 
 def _transpose(columns: list[tuple[int, int]], width: int, lanes: int) -> list[int]:

@@ -21,7 +21,7 @@ from operator import itemgetter
 
 from .model import (
     Atom, Literal, Program, Rule, Term, Weight,
-    atom_sort_key, desugar_program,
+    _choice_marker, atom_sort_key, desugar_program,
 )
 
 DEFAULT_GROUND_CAP = 2 ** 22
@@ -93,15 +93,9 @@ def _safe_variables(rule: Rule) -> set[str]:
     for el in rule.body:
         if isinstance(el, Literal) and el.negation == 0:
             safe.update(t.name for t in el.atom.args if t.is_variable)
-    if rule.is_choice:
+    # a choice head's variables range over the universe, desugared or not
+    if rule.is_choice or _choice_marker(rule) is not None:
         safe.update(t.name for t in rule.head[0].args if t.is_variable)
-    else:
-        # A desugared choice rule carries its head atom double-negated in the
-        # body; its variables range over the universe just like a choice head.
-        for el in rule.body:
-            if (isinstance(el, Literal) and el.negation == 2
-                    and len(rule.head) == 1 and el.atom == rule.head[0]):
-                safe.update(t.name for t in el.atom.args if t.is_variable)
     return safe
 
 

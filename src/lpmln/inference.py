@@ -17,7 +17,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .engine import DEFAULT_ATOM_CAP, StableModelEnumerator, _Compiled
+from .engine import DEFAULT_ATOM_CAP, StableModelEnumerator, _bit_indices, _Compiled
 from .grounder import GroundProgram, ground
 from .model import Atom, Interpretation, Program, merge_programs
 
@@ -71,17 +71,14 @@ class Distribution:
 
 
 def _vector(comp: _Compiled, violated: int, mode: str) -> WeightVector:
+    counted = comp.counted(violated, mode == "reward")
     # one rule at a time in rule order from 0.0, as the recorded outputs were
     # computed: sum() compensates on Python 3.12+ and could move the digits
-    hard = 0
     soft = 0.0
-    for k in comp.counted(violated, mode == "reward"):
-        r = comp.rules[k]
-        if r.is_hard:
-            hard += 1
-        else:
-            soft += r.weight
-    return WeightVector(hard, soft)
+    weights = comp.weights
+    for k in _bit_indices(counted & ~comp.hard):
+        soft += weights[k]
+    return WeightVector((counted & comp.hard).bit_count(), soft)
 
 
 def _weigh(gp: GroundProgram, interp: Interpretation, mode: str) -> WeightVector:

@@ -18,7 +18,7 @@ from functools import cached_property
 from .engine import DEFAULT_ATOM_CAP, EnumerationCapError, _bit_indices, _Compiled, _tarjan_scc
 from .grounder import GroundProgram
 from .inference import WeightVector, _normalise
-from .model import HARD, Atom, Interpretation, Weight, atom_sort_key
+from .model import HARD, Atom, Interpretation, Weight, _choice_marker, atom_sort_key
 
 
 class NotTightError(ValueError):
@@ -120,10 +120,6 @@ def formula_atoms(f: Formula) -> set[Atom]:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _is_literal(f: Formula) -> bool:
-    return isinstance(f, FAtom) or (isinstance(f, FNot) and isinstance(f.sub, FAtom))
-
-
 def _replace(f: Formula, target: Formula, repl: Formula) -> Formula:
     if f == target:
         return repl
@@ -169,17 +165,6 @@ class MlnProgram:
 
 
 # --- tightness and completion ----------------------------------------------
-
-def _choice_marker(rule) -> int | None:
-    """Index of the desugared-choice marker literal (head atom under double
-    negation), or None."""
-    if len(rule.head) != 1:
-        return None
-    for k, lit in enumerate(rule.body):
-        if lit.negation == 2 and lit.atom == rule.head[0]:
-            return k
-    return None
-
 
 def is_tight(gp: GroundProgram) -> bool:
     """True iff the positive dependency graph (head -> positive body atom)
@@ -264,7 +249,7 @@ def tseytin(mln: MlnProgram) -> MlnProgram:
     out: list[MlnFormula] = []
 
     def aux_for(f: Formula) -> Formula:
-        if not isinstance(f, FAnd) or _is_literal(f):
+        if not isinstance(f, FAnd):
             return f
         if f not in memo:
             a = _fresh_aux(mln, len(defs) + 1)

@@ -291,6 +291,17 @@ def desugar_choice(rule: Rule) -> Rule:
     return Rule(rule.index, rule.weight, rule.head, rule.body + (marker,), is_choice=False)
 
 
+def _choice_marker(rule) -> int | None:
+    """Position of the literal ``desugar_choice`` adds (the one head atom
+    under double negation) in the body of a rule or ground rule, or None."""
+    if len(rule.head) != 1:
+        return None
+    for k, el in enumerate(rule.body):
+        if isinstance(el, Literal) and el.negation == 2 and el.atom == rule.head[0]:
+            return k
+    return None
+
+
 def desugar_program(program: Program) -> Program:
     return Program(tuple(desugar_choice(r) for r in program.rules))
 

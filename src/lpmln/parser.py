@@ -12,8 +12,9 @@ Grammar (also reproduced in the README):
     atom     := ident ["(" term {"," term} ")"]
     term     := ident | variable | integer | quoted
 
-Identifiers are ASCII lowercase-first; variables uppercase-first; comments
-run from '%' to end of line.  Input is UTF-8 text.
+Identifiers are ASCII lowercase-first; variables uppercase-first; a
+numeral must be followed by a space or punctuation (there is no exponent
+notation); comments run from '%' to end of line.  Input is UTF-8 text.
 """
 
 from __future__ import annotations
@@ -99,6 +100,9 @@ def _tokenize(text: str) -> list[_Token]:
                 j += 1
                 while j < n and text[j].isdigit():
                     j += 1
+            if j < n and text[j] in _ASCII_WORD:  # a letter or "_": "1e16", "2a"
+                col += j - i
+                err(f"a numeral must be followed by a space or punctuation, found {text[j]!r}")
             tok = text[i:j]
             toks.append(_Token("NUM", tok, SourceSpan(line, col, len(tok))))
             col += len(tok)

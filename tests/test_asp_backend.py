@@ -2,17 +2,21 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
 
 from lpmln import fixture_path, ground, parse_program
 from lpmln.asp_backend import (
     NonGroundProgramError, TranslatedProgram, WeakConstraint, emit_asp_text,
     optimal_models, phi_extend, translate_penalty, translate_reward, wc_penalty,
 )
-from lpmln.engine import StableModelEnumerator, enumerate_sm
-from lpmln.grounder import EmptyUniverseError, UnsafeRuleError, ground_to_program
+from lpmln.engine import EnumerationCapError, StableModelEnumerator, enumerate_sm
+from lpmln.grounder import (
+    EmptyUniverseError, GroundingError, UnsafeRuleError, ground_to_program,
+)
 from lpmln.inference import map_estimate, weight_penalty, weight_reward
 from lpmln.model import HARD, Literal, Program, Rule, Term, atom
 from helpers import P, random_program_text
+from strategies import programs
 
 BIRD = parse_program(fixture_path("bird.lpmln").read_text())
 BIRD_RB = frozenset([atom("bird", "jo"), atom("residentbird", "jo")])
@@ -366,6 +370,21 @@ class TestTheoremCorrespondences:
             prog = P(random_program_text(rng, rng.randint(1, 5), rng.randint(1, 5),
                                          allow_disjunction=True))
             self._check_reward_case(prog)
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(programs(max_rules=3))
+    def test_property_penalty_witness_bijection(self, prog):
+        # the translated stable models are exactly the phi_extend images of
+        # the source ones, one for one
+        try:
+            source = enumerate_sm(ground(prog), "relaxed", cap=12)
+            tp = translate_penalty(prog, 1000, translate_hard=True)
+            translated = translated_models(tp, cap=12)
+        except (GroundingError, EnumerationCapError):
+            assume(False)
+        image = {phi_extend(prog, i, "penalty") for i in source}
+        assert set(translated) == image
+        assert len(translated) == len(source)
 
     def test_penalty_nonground_programs(self):
         self._check_penalty_case(BIRD)

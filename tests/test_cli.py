@@ -238,6 +238,20 @@ class TestExitCodes:
         assert code == 1
         assert "error" in err
 
+    def test_numeral_glued_to_a_name(self, tmp_path):
+        bad = tmp_path / "exponent.lpmln"
+        bad.write_text("1e16 :- a.\n")
+        code, out, err = invoke("-i", str(bad))
+        assert (code, out) == (1, "")
+        assert err == "error: 1:2: a numeral must be followed by a space or punctuation, " \
+                      "found 'e'\n"
+
+    @pytest.mark.parametrize("spec", ["", ","])
+    def test_empty_query_spec(self, spec):
+        code, out, err = invoke("-i", BIRD, "-q", spec)
+        assert (code, out) == (1, "")
+        assert err == "error: 1:1: empty predicate name\n"
+
     def test_cap_exceeded(self):
         code, _, err = invoke("-i", BIRD, env={"LPMLN_ATOM_CAP": "1"})
         assert code == 2

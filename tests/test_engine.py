@@ -387,8 +387,11 @@ class TestBitSlicedKernel:
     def test_disjunctive_residual_uses_subset_search(self, lane_bits):
         text = "a ; b.\nc :- a.\nc :- b.\n1 d :- c.\n:- a, not c.\n{e} :- d.\n"
         gp = ground(P(text))
-        assert StableModelEnumerator(gp, "strict")._disjunctive
-        _assert_matches_full_program(gp, text)
+        assert any(r.disjunctive for r in StableModelEnumerator(gp, "strict").residual)
+        with mock.patch.object(engine, "_minimal_subsets",
+                               wraps=engine._minimal_subsets) as search:
+            _assert_matches_full_program(gp, text)
+        assert search.called
 
     def test_fire_bayes_spans_slices_in_candidate_order(self, lane_bits):
         enum = StableModelEnumerator(_fixture_gp("fire_bayes.lpmln"), "strict")

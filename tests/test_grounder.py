@@ -27,6 +27,10 @@ class TestCheckSafety:
         assert check_safety(P("{in(X)} :- node(X).\n").rules[0])
         assert check_safety(P("{smoke(X)}.\n").rules[0])
 
+    def test_desugared_choice_head_variables_safe(self):
+        assert check_safety(P("p(X) :- not not p(X), X != a.\n").rules[0])
+        assert not check_safety(P("p(X) :- not not q(X), X != a.\n").rules[0])
+
     def test_unsafe_reported_with_rule_and_variable(self):
         with pytest.raises(UnsafeRuleError) as exc:
             ground(P("p(a).\nq(X) :- not p(X).\n"))

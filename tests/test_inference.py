@@ -2,9 +2,12 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
 
 from lpmln import fixture_path, ground, parse_evidence, parse_program
 from lpmln.asp_backend import phi_extend
+from lpmln.engine import EnumerationCapError
+from lpmln.grounder import GroundingError
 from lpmln.inference import (
     InconsistentEvidenceError, NoStableModelsError, UnknownPredicateWarning,
     WeightVector, _TIE_EPS, conditional, distribution, map_estimate, marginal,
@@ -14,6 +17,7 @@ from lpmln.model import Atom, Term, atom, atom_sort_key
 from helpers import (
     P, _classically_satisfies, _powerset, random_program_text, random_text_with_facts,
 )
+from strategies import programs
 
 
 def bird_gp():
@@ -339,6 +343,33 @@ class TestSemanticEquivalences:
             assert len(dp.entries) == len(dr.entries)
             for ep, er in zip(dp.entries, dr.entries):
                 assert ep.interpretation == er.interpretation
+                assert ep.probability == pytest.approx(er.probability, abs=1e-9)
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(programs(max_rules=3))
+    def test_property_reward_equals_penalty(self, prog):
+        # the same interpretations in the same order with the same
+        # probabilities, or no stable model for either, in both hard modes
+        try:
+            gp = ground(prog)
+        except GroundingError:
+            assume(False)
+        for hard_mode in ("strict", "relaxed"):
+            dists = []
+            for mode in ("penalty", "reward"):
+                try:
+                    dists.append(distribution(gp, mode, hard_mode, cap=12))
+                except NoStableModelsError:
+                    dists.append(None)
+                except EnumerationCapError:
+                    assume(False)
+            dp, dr = dists
+            if dp is None or dr is None:
+                assert dp is dr
+                continue
+            assert [e.interpretation for e in dp.entries] == \
+                [e.interpretation for e in dr.entries]
+            for ep, er in zip(dp.entries, dr.entries):
                 assert ep.probability == pytest.approx(er.probability, abs=1e-9)
 
     def test_trivial_rule_insensitivity(self):

@@ -10,7 +10,7 @@ from lpmln import (
     herbrand_base, merge_programs, soft,
 )
 from lpmln.grounder import ground_to_program
-from lpmln.model import Literal
+from lpmln.model import Literal, _choice_marker
 from helpers import P
 from strategies import programs
 
@@ -89,6 +89,21 @@ class TestDesugarChoice:
         assert desugar_choice(once) == once
         assert once.index == rule.index
         assert once.weight == rule.weight
+
+    def test_choice_marker_finds_the_desugared_literal(self):
+        out = desugar_choice(P("{p(X)} :- q(X).\n").rules[0])
+        assert _choice_marker(out) == 1
+        assert str(out.body[_choice_marker(out)]) == "not not p(X)"
+        assert _choice_marker(ground(P("{a}.\n")).rules[0]) == 0
+
+    def test_choice_marker_none_without_the_shape(self):
+        assert _choice_marker(P("p(X) ; r :- q(X), not not p(X).\n").rules[0]) is None
+        assert _choice_marker(P("p(X) :- q(X), not p(X).\n").rules[0]) is None
+        assert _choice_marker(P("p(X) :- q(X), not not q(X).\n").rules[0]) is None
+
+    def test_choice_marker_skips_inequalities(self):
+        assert _choice_marker(P("p(X) :- X != a, not not p(X).\n").rules[0]) == 1
+        assert _choice_marker(P("p(X) :- q(X), X != a.\n").rules[0]) is None
 
 
 class TestProgramInvariants:

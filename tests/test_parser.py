@@ -85,6 +85,18 @@ class TestParseErrors:
         assert exc.value.span.line >= 1
         assert exc.value.span.column >= 1
 
+    @pytest.mark.parametrize("text, column, found", [
+        ("1e16 :- a.\n", 2, "e"),  # once weight 1.0 with head e16
+        ("2a.\n", 2, "a"),         # once "2 a."
+        ("1.5e3 a.\n", 4, "e"),    # once "expected '.', found 'a'"
+    ])
+    def test_numeral_glued_to_a_name(self, text, column, found):
+        with pytest.raises(LpmlnSyntaxError) as exc:
+            parse_program(text)
+        assert (exc.value.span.line, exc.value.span.column) == (1, column)
+        assert exc.value.message == \
+            f"a numeral must be followed by a space or punctuation, found {found!r}"
+
     def test_never_panics_on_arbitrary_bytes(self):
         rng = random.Random(99)
         alphabet = "abXY01(){};,.:-!=@\"% \n\t\\'~$\x00\x7fé√"
