@@ -12,13 +12,14 @@ end without an external solver.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .engine import DEFAULT_ATOM_CAP, StableModelEnumerator, _bit_indices, _Compiled
 from .grounder import GroundProgram, GroundRule, UnsafeRuleError, _desugar_safe, ground
 from .model import (
     HARD, Atom, BodyElement, Inequality, Interpretation, Literal, Program, Rule,
-    Term, Weight, desugar_choice, format_rule,
+    Term, Weight, _rule_line, desugar_choice, format_rule,
 )
 
 UNSAT = "unsat"
@@ -56,9 +57,10 @@ def _scaled(w: Weight, scale: int) -> int:
     return 1 if w.is_hard else int(round(w.value * scale))
 
 
-def _marker(name: str, index: int, weight: Weight, terms: tuple[Term, ...]) -> Atom:
-    """The marker ``name(index, w, terms...)``, ``w`` the token of ``weight``."""
-    return Atom(name, (Term(str(index)), _weight_token(weight)) + terms)
+def _marker(name: str, index: int, token: Term, terms: tuple[Term, ...]) -> Atom:
+    """The marker ``name(index, token, terms...)``; ``token`` is a weight's
+    ``_weight_token``."""
+    return Atom(name, (Term(str(index)), token) + terms)
 
 
 def translate_penalty(program: Program, scale: int = 1000,
@@ -87,7 +89,7 @@ def translate_penalty(program: Program, scale: int = 1000,
             continue
         r = desugar_choice(rule)
         variables = tuple(Term(v) for v in r.variables())
-        marker = _marker(UNSAT, r.index, r.weight, variables)
+        marker = _marker(UNSAT, r.index, _weight_token(r.weight), variables)
         not_head = tuple(Literal(h, 1) for h in r.head)
         push(HARD, (marker,), r.body + not_head)
         push(HARD, r.head, r.body + (Literal(marker, 1),))
@@ -102,25 +104,23 @@ def _negate(lit: Literal) -> Literal:
     return Literal(lit.atom, 1 if lit.negation != 1 else 2)
 
 
-def _non_ground(rule: Rule) -> NonGroundProgramError:
+def _non_ground(index: int) -> NonGroundProgramError:
     return NonGroundProgramError(
-        f"rule {rule.index} has variables; the reward translation "
+        f"rule {index} has variables; the reward translation "
         "needs a ground program")
 
 
-def translate_reward(program: Program, scale: int = 1000) -> TranslatedProgram:
-    """Per rule i: ``sat(i,w) :- h`` for each head disjunct, ``sat(i,w) :- L``
-    for the negation of each body literal, ``Head :- Body, not not sat(i,w)``,
-    and ``:~ sat(i,w). [-w'@l, i]``.  Only defined for ground programs; a
-    fact contributes no negated-body rule, so its sat atom is derivable
-    exactly when the fact's head holds.  A ground inequality is decided as
-    ``ground`` decides it: a true one leaves the body, a false one drops
-    the rule."""
+def _reward_parts(indexed: Iterable[tuple[int, Rule | GroundRule]], scale: int):
+    """The reward translation of ``(index, rule)`` pairs, one kept rule at a
+    time: ``(index, marker, sat_bodies, head, body, weight, level)``, that
+    is the rule's index term, its marker ``sat(index, w)``, the one-literal
+    bodies of its sat rules (each head atom, then the negation of each body
+    literal), its head, its kept body, and its weak constraint's weight and
+    level.  Choice rules are desugared.  A ground inequality is decided as
+    ``ground`` decides it: a true one leaves the body, a false one drops the
+    rule.  A rule with variables raises ``NonGroundProgramError``."""
     if scale < 1:
         raise ValueError("scale must be a positive integer")
-
-    rules: list[Rule] = []
-    weak: list[WeakConstraint] = []
     # built and checked ground once per distinct object: the sat-rule body
     # ``(h,)`` of a head atom; the sat-rule body ``(negation,)`` of a body
     # literal, or whether a ground inequality holds; a weight's token
@@ -128,14 +128,15 @@ def translate_reward(program: Program, scale: int = 1000) -> TranslatedProgram:
     negated: dict[BodyElement, tuple[Literal] | bool] = {}
     tokens: dict[float | None, Term] = {}
 
-    for rule in program.rules:
-        r = desugar_choice(rule)
+    for i, rule in indexed:
+        # ``ground`` has desugared a ground rule's choice already
+        r = rule if isinstance(rule, GroundRule) else desugar_choice(rule)
         sat_bodies = []
         for h in r.head:
             b = holds.get(h)
             if b is None:
                 if not h.is_ground:
-                    raise _non_ground(rule)
+                    raise _non_ground(i)
                 b = holds[h] = (Literal(h, 0),)
             sat_bodies.append(b)
         body = []
@@ -145,10 +146,10 @@ def translate_reward(program: Program, scale: int = 1000) -> TranslatedProgram:
             if b is None:
                 if isinstance(el, Inequality):
                     if el.lhs.is_variable or el.rhs.is_variable:
-                        raise _non_ground(rule)
+                        raise _non_ground(i)
                     b = el.lhs != el.rhs
                 elif not el.atom.is_ground:
-                    raise _non_ground(rule)
+                    raise _non_ground(i)
                 else:
                     b = (_negate(el),)
                 negated[el] = b
@@ -166,29 +167,60 @@ def translate_reward(program: Program, scale: int = 1000) -> TranslatedProgram:
             token = _weight_token(w)
             if w.value != 0:  # 0.0 and -0.0 are one key but two tokens
                 tokens[w.value] = token
-        index = Term(str(r.index))
-        marker = Atom(SAT, (index, token))
-        head = (marker,)
-        for b in sat_bodies:
-            rules.append(Rule(len(rules) + 1, HARD, head, b))
-        body.append(Literal(marker, 2))
-        rules.append(Rule(len(rules) + 1, HARD, r.head, tuple(body)))
+        marker = _marker(SAT, i, token, ())
         if w.is_hard:
             weight, level = -scale, 1
         else:
             weight, level = -_scaled(w, scale), 0
+        yield marker.args[0], marker, sat_bodies, r.head, body, weight, level
+
+
+def translate_reward(program: Program, scale: int = 1000) -> TranslatedProgram:
+    """Per rule i: ``sat(i,w) :- h`` for each head disjunct, ``sat(i,w) :- L``
+    for the negation of each body literal, ``Head :- Body, not not sat(i,w)``,
+    and ``:~ sat(i,w). [-w'@l, i]``.  Only defined for ground programs; a
+    fact contributes no negated-body rule, so its sat atom is derivable
+    exactly when the fact's head holds.  A ground inequality is decided as
+    ``ground`` decides it: a true one leaves the body, a false one drops
+    the rule."""
+    rules: list[Rule] = []
+    weak: list[WeakConstraint] = []
+    parts = _reward_parts(((r.index, r) for r in program.rules), scale)
+    for index, marker, sat_bodies, head, body, weight, level in parts:
+        sat_head = (marker,)
+        for b in sat_bodies:
+            rules.append(Rule(len(rules) + 1, HARD, sat_head, b))
+        rules.append(Rule(len(rules) + 1, HARD, head, (*body, Literal(marker, 2))))
         weak.append(WeakConstraint((Literal(marker, 0),), weight, level, (index,)))
     return TranslatedProgram(tuple(rules), tuple(weak), scale, "reward",
                              program.universe)
+
+
+def _reward_text(gp: GroundProgram, scale: int) -> str:
+    """``emit_asp_text(translate_reward(ground_to_program(gp), scale))``,
+    rendered from the ground rules, numbered from 1, without building the
+    translated records."""
+    lines: list[str] = []
+    weak: list[str] = []
+    for index, marker, sat_bodies, head, body, weight, level in _reward_parts(
+            enumerate(gp.rules, start=1), scale):
+        m = str(marker)
+        lines += [_rule_line((m,), (str(lit),)) for (lit,) in sat_bodies]
+        # the guard is the marker under ``not not``
+        lines.append(_rule_line(map(str, head), [*map(str, body), "not not " + m]))
+        weak.append(_weak_line((m,), weight, level, (index.name,)))
+    lines += weak
+    lines.append("")  # every line ends in a newline
+    return "\n".join(lines)
 
 
 def phi_extend(program: Program, interp: Interpretation, flavor: str) -> Interpretation:
     """The witness map between source stable models and translated ones:
     penalty adds ``unsat(i,w,c)`` for every ground instance the model
     violates, reward adds ``sat(i,w,c)`` for every instance it satisfies."""
-    gp = ground(program)
     if flavor not in ("penalty", "reward"):
         raise ValueError(f"unknown flavor {flavor!r}")
+    gp = ground(program)
     comp = _Compiled(gp)
     violated = comp.violated(comp.bits_of(interp))
     return frozenset(interp) | _mask_markers(gp, comp, violated, flavor)
@@ -206,7 +238,7 @@ def _mask_markers(gp: GroundProgram, comp: _Compiled, violated: int, flavor: str
 def _marker_of(g: GroundRule, name: str) -> Atom:
     """The ``unsat`` or ``sat`` marker of one ground rule."""
     # subst is () exactly when the source rule has no variables
-    return _marker(name, g.origin_index, g.weight, g.subst)
+    return _marker(name, g.origin_index, _weight_token(g.weight), g.subst)
 
 
 def _ground_weak(tp: TranslatedProgram) -> tuple[GroundProgram, list[tuple[int, int, tuple]]]:
@@ -269,13 +301,17 @@ def optimal_models(tp: TranslatedProgram, cap: int = DEFAULT_ATOM_CAP) -> list[I
     return [enum.comp.interp_of(b) for b, p in zip(models, penalties) if p == best]
 
 
+def _weak_line(body: Iterable[str], weight: int, level: int, terms: Iterable[str]) -> str:
+    """The line of a weak constraint from the texts of its body elements and
+    terms."""
+    return f":~ {', '.join(body)}. [{weight}@{level},{','.join(terms)}]"
+
+
 def emit_asp_text(tp: TranslatedProgram) -> str:
     """Deterministic solver-dialect text: rules first, then weak constraints
     rendered ``:~ body. [w@l,i,X1,...]``."""
     lines = list(map(format_rule, tp.rules))
     for wc in tp.weak:
-        body = ", ".join(map(str, wc.body))
-        terms = ",".join(map(str, wc.terms))
-        lines.append(f":~ {body}. [{wc.weight}@{wc.level},{terms}]")
+        lines.append(_weak_line(map(str, wc.body), wc.weight, wc.level, map(str, wc.terms)))
     lines.append("")  # every line ends in a newline
     return "\n".join(lines)

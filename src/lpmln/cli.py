@@ -8,10 +8,10 @@ with -e conditionals, -all lists every stable model with its probability,
 otherwise a MAP estimate is printed.  --mode emit-asp-pnt / emit-asp-rwd /
 emit-mln export the translations instead of running inference.
 
-Exit codes: 0 success, 1 parse, safety or argument error (including a
-non-integer LPMLN_ATOM_CAP and --scale below 1), 2 enumeration cap
-exceeded, 3 inconsistent evidence / no stable models.  The environment
-variable LPMLN_ATOM_CAP overrides the enumeration cap.
+Exit codes: 0 success, 1 parse, safety or argument error (including an
+LPMLN_ATOM_CAP that is not a non-negative integer and --scale below 1),
+2 enumeration cap exceeded, 3 inconsistent evidence / no stable models.
+The environment variable LPMLN_ATOM_CAP overrides the enumeration cap.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from pathlib import Path
 
 from . import asp_backend, inference, mln_backend
 from .engine import DEFAULT_ATOM_CAP, EnumerationCapError, _bit_indices
-from .grounder import GroundingCapError, GroundingError, ground, ground_to_program
+from .grounder import GroundingCapError, GroundingError, ground
 from .model import atom_sort_key, merge_programs
 from .parser import LpmlnSyntaxError, parse_evidence, parse_program, parse_query_spec
 
@@ -141,6 +141,10 @@ def run(argv, stdout=None, stderr=None) -> int:
     except ValueError:
         print(f"error: LPMLN_ATOM_CAP must be an integer, got {raw_cap!r}", file=stderr)
         return EXIT_INPUT
+    if cap < 0:
+        print(f"error: LPMLN_ATOM_CAP must be a non-negative integer, got {raw_cap!r}",
+              file=stderr)
+        return EXIT_INPUT
     if args.scale < 1:
         print("error: scale must be a positive integer", file=stderr)
         return EXIT_INPUT
@@ -160,9 +164,7 @@ def run(argv, stdout=None, stderr=None) -> int:
                                                translate_hard=args.relax_hard)
             text = asp_backend.emit_asp_text(tp)
         elif args.mode == "emit-asp-rwd":
-            gp = ground(program)
-            tp = asp_backend.translate_reward(ground_to_program(gp), args.scale)
-            text = asp_backend.emit_asp_text(tp)
+            text = asp_backend._reward_text(ground(program), args.scale)
         elif args.mode == "emit-mln":
             mln = mln_backend.tseytin(mln_backend.complete(ground(program)))
             text = mln_backend.emit_mln_text(mln)

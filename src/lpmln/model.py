@@ -7,6 +7,7 @@ and backends all consume these values and never mutate them.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
@@ -329,13 +330,17 @@ def format_weight(w: Weight) -> str:
     return format(Decimal(text), "f")
 
 
+def _rule_line(head: Iterable[str], body: Iterable[str]) -> str:
+    """The line of an unweighted rule from the texts of its head atoms and
+    body elements: ``h1 ; h2 :- b1, b2.``, ``h1.`` or ``:- b1.``."""
+    head = " ; ".join(head)
+    body = ", ".join(body)
+    if not body:
+        return head + "."
+    return (head + " :- " if head else ":- ") + body + "."
+
+
 def format_rule(rule: Rule) -> str:
-    if rule.is_choice:
-        text = "{" + str(rule.head[0]) + "}"
-    else:
-        text = " ; ".join(map(str, rule.head))
-    if rule.weight.is_soft:
-        text = format_weight(rule.weight) + " " + text
-    if rule.body:
-        text += (" :- " if rule.head else ":- ") + ", ".join(map(str, rule.body))
-    return text + "."
+    head = ("{" + str(rule.head[0]) + "}",) if rule.is_choice else map(str, rule.head)
+    line = _rule_line(head, map(str, rule.body))
+    return format_weight(rule.weight) + " " + line if rule.weight.is_soft else line

@@ -3,8 +3,9 @@ from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from lpmln import fixture_path, ground, parse_program
+from lpmln import asp_backend, fixture_path, ground, parse_program
 from lpmln.asp_backend import (
     NonGroundProgramError, TranslatedProgram, WeakConstraint, emit_asp_text,
     optimal_models, phi_extend, translate_penalty, translate_reward, wc_penalty,
@@ -167,6 +168,11 @@ class TestPhiAndPenalties:
         assert extra == {'sat(1,"alpha",jo)', 'sat(2,"alpha",jo)',
                          'sat(3,"alpha",jo)', 'sat(4,"2.000000")'}
 
+    def test_phi_unknown_flavor_checked_before_grounding(self):
+        unsafe = P("q(X) :- not p(X).\np(a).\n")
+        with pytest.raises(ValueError, match="unknown flavor 'bogus'"):
+            phi_extend(unsafe, frozenset(), "bogus")
+
     def test_phi_identity_when_everything_satisfied(self):
         prog = P("a.\n1 b :- a.\n")
         interp = frozenset([atom("a"), atom("b")])
@@ -277,6 +283,24 @@ class TestEmission:
         prog = parse_program(fixture_path(f"{name}.lpmln").read_text())
         tp = translate_reward(ground_to_program(ground(prog)), 1000)
         assert emit_asp_text(tp) == (GOLDEN / f"{name}_rwd.golden.lp").read_text()
+
+    def test_edge_reward_golden(self):
+        # a constraint, a disjunctive head, a choice, `not not`, a true and a
+        # false ground inequality, weights 0.0, -0.0, hard and negative
+        prog = parse_program((GOLDEN / "edge.lpmln").read_text())
+        tp = translate_reward(ground_to_program(ground(prog)), 3)
+        assert emit_asp_text(tp) == (GOLDEN / "edge_rwd.golden.lp").read_text()
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(programs(), st.sampled_from([1, 7, 1000]))
+    def test_property_direct_reward_text_matches_records(self, prog, scale):
+        # the text emit-asp-rwd renders from the ground rules is the records'
+        try:
+            gp = ground(prog)
+        except GroundingError:
+            assume(False)
+        expected = emit_asp_text(translate_reward(ground_to_program(gp), scale))
+        assert asp_backend._reward_text(gp, scale) == expected
 
     def test_empty_program(self):
         assert emit_asp_text(translate_penalty(P(""), 1000)) == ""

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import lpmln
-from lpmln import asp_backend, cli, engine, fixture_path, inference
+from lpmln import asp_backend, cli, engine, fixture_path, grounder, inference
 from lpmln.cli import run
 from lpmln.model import atom_sort_key
 
@@ -212,6 +212,27 @@ class TestEmitModes:
         assert code == 0 and out == ""
         assert target.read_text() == (GOLDEN / f"{name}_rwd.golden.lp").read_text()
 
+    def test_emit_reward_edge_golden(self):
+        code, out, _ = invoke("-i", str(GOLDEN / "edge.lpmln"), "--mode", "emit-asp-rwd",
+                              "--scale", "3")
+        assert code == 0
+        assert out == (GOLDEN / "edge_rwd.golden.lp").read_text()
+
+    def test_emit_reward_builds_no_records(self, monkeypatch):
+        # the text is rendered from the ground rules: no translated Rule or
+        # WeakConstraint, and no re-packaged ground program
+        def refuse(*args, **kwargs):
+            raise AssertionError("emit-asp-rwd built a record")
+        monkeypatch.setattr(asp_backend, "Rule", refuse)
+        monkeypatch.setattr(asp_backend, "WeakConstraint", refuse)
+        monkeypatch.setattr(grounder, "ground_to_program", refuse)
+        monkeypatch.setattr(cli, "ground_to_program", refuse, raising=False)
+        for path, scale, golden in ((BIRD, "1000", "bird_rwd.golden.lp"),
+                                    (str(GOLDEN / "edge.lpmln"), "3", "edge_rwd.golden.lp")):
+            code, out, err = invoke("-i", path, "--mode", "emit-asp-rwd", "--scale", scale)
+            assert (code, err) == (0, "")
+            assert out == (GOLDEN / golden).read_text()
+
     def test_emit_mln_matches_golden(self, tmp_path):
         target = tmp_path / "out.mln"
         code, _, _ = invoke("-i", BIRD, "--mode", "emit-mln", "-r", str(target))
@@ -319,6 +340,18 @@ class TestInputContract:
         code, out, err = invoke("-i", BIRD, env={"LPMLN_ATOM_CAP": "abc"})
         assert code == 1 and out == ""
         assert err == "error: LPMLN_ATOM_CAP must be an integer, got 'abc'\n"
+
+    @pytest.mark.parametrize("flags", [(), ("-q", "residentbird"),
+                                       ("--mode", "emit-asp-rwd")])
+    def test_negative_atom_cap(self, flags):
+        code, out, err = invoke("-i", BIRD, *flags, env={"LPMLN_ATOM_CAP": "-1"})
+        assert code == 1 and out == ""
+        assert err == "error: LPMLN_ATOM_CAP must be a non-negative integer, got '-1'\n"
+
+    def test_zero_atom_cap_is_valid(self):
+        code, out, _ = invoke("-i", BIRD, "--mode", "emit-asp-rwd",
+                              env={"LPMLN_ATOM_CAP": "0"})
+        assert code == 0 and out == (GOLDEN / "bird_rwd.golden.lp").read_text()
 
     @pytest.mark.parametrize("scale", ["0", "-3"])
     @pytest.mark.parametrize("flags", [(), ("-all",), ("-q", "residentbird"),
