@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from .engine import DEFAULT_ATOM_CAP, StableModelEnumerator, _bit_indices, _Compiled
 from .grounder import GroundProgram, GroundRule, UnsafeRuleError, _desugar_safe, ground
 from .model import (
-    HARD, Atom, BodyElement, Inequality, Interpretation, Literal, Program, Rule,
-    Term, Weight, _rule_line, desugar_choice, format_rule,
+    HARD, Atom, Interpretation, Literal, Program, Rule, Term, Weight, _rule_line,
+    desugar_choice, format_rule,
 )
 
 UNSAT = "unsat"
@@ -104,62 +104,31 @@ def _negate(lit: Literal) -> Literal:
     return Literal(lit.atom, 1 if lit.negation != 1 else 2)
 
 
-def _non_ground(index: int) -> NonGroundProgramError:
-    return NonGroundProgramError(
-        f"rule {index} has variables; the reward translation "
-        "needs a ground program")
-
-
-def _reward_parts(indexed: Iterable[tuple[int, Rule | GroundRule]], scale: int):
-    """The reward translation of ``(index, rule)`` pairs, one kept rule at a
-    time: ``(index, marker, sat_bodies, head, body, weight, level)``, that
+def _reward_parts(indexed: Iterable[tuple[int, GroundRule]], scale: int):
+    """The reward translation of ``(index, ground rule)`` pairs, one rule at
+    a time: ``(index, marker, sat_bodies, head, body, weight, level)``, that
     is the rule's index term, its marker ``sat(index, w)``, the one-literal
     bodies of its sat rules (each head atom, then the negation of each body
-    literal), its head, its kept body, and its weak constraint's weight and
-    level.  Choice rules are desugared.  A ground inequality is decided as
-    ``ground`` decides it: a true one leaves the body, a false one drops the
-    rule.  A rule with variables raises ``NonGroundProgramError``."""
-    if scale < 1:
-        raise ValueError("scale must be a positive integer")
-    # built and checked ground once per distinct object: the sat-rule body
-    # ``(h,)`` of a head atom; the sat-rule body ``(negation,)`` of a body
-    # literal, or whether a ground inequality holds; a weight's token
+    literal), its head, its body, and its weak constraint's weight and
+    level.  ``ground`` has desugared choices and decided inequalities."""
+    # built once per distinct object: the sat-rule body ``(h,)`` of a head
+    # atom, ``(negation,)`` of a body literal, and a weight's token
     holds: dict[Atom, tuple[Literal]] = {}
-    negated: dict[BodyElement, tuple[Literal] | bool] = {}
+    negated: dict[Literal, tuple[Literal]] = {}
     tokens: dict[float | None, Term] = {}
 
-    for i, rule in indexed:
-        # ``ground`` has desugared a ground rule's choice already
-        r = rule if isinstance(rule, GroundRule) else desugar_choice(rule)
+    for i, r in indexed:
         sat_bodies = []
         for h in r.head:
             b = holds.get(h)
             if b is None:
-                if not h.is_ground:
-                    raise _non_ground(i)
                 b = holds[h] = (Literal(h, 0),)
             sat_bodies.append(b)
-        body = []
-        dropped = False
-        for el in r.body:
-            b = negated.get(el)
+        for lit in r.body:
+            b = negated.get(lit)
             if b is None:
-                if isinstance(el, Inequality):
-                    if el.lhs.is_variable or el.rhs.is_variable:
-                        raise _non_ground(i)
-                    b = el.lhs != el.rhs
-                elif not el.atom.is_ground:
-                    raise _non_ground(i)
-                else:
-                    b = (_negate(el),)
-                negated[el] = b
-            if b is False:
-                dropped = True
-            elif b is not True:
-                body.append(el)
-                sat_bodies.append(b)
-        if dropped:
-            continue
+                b = negated[lit] = (_negate(lit),)
+            sat_bodies.append(b)
 
         w = r.weight
         token = tokens.get(w.value)
@@ -172,20 +141,29 @@ def _reward_parts(indexed: Iterable[tuple[int, Rule | GroundRule]], scale: int):
             weight, level = -scale, 1
         else:
             weight, level = -_scaled(w, scale), 0
-        yield marker.args[0], marker, sat_bodies, r.head, body, weight, level
+        yield marker.args[0], marker, sat_bodies, r.head, r.body, weight, level
 
 
 def translate_reward(program: Program, scale: int = 1000) -> TranslatedProgram:
     """Per rule i: ``sat(i,w) :- h`` for each head disjunct, ``sat(i,w) :- L``
     for the negation of each body literal, ``Head :- Body, not not sat(i,w)``,
-    and ``:~ sat(i,w). [-w'@l, i]``.  Only defined for ground programs; a
+    and ``:~ sat(i,w). [-w'@l, i]``.  Only defined for ground programs,
+    which are translated as ``ground`` leaves them: choices desugared, a
+    true inequality out of the body, a rule with a false one dropped.  A
     fact contributes no negated-body rule, so its sat atom is derivable
-    exactly when the fact's head holds.  A ground inequality is decided as
-    ``ground`` decides it: a true one leaves the body, a false one drops
-    the rule."""
+    exactly when the fact's head holds."""
+    if scale < 1:
+        raise ValueError("scale must be a positive integer")
+    for r in program.rules:
+        if r.variables():
+            raise NonGroundProgramError(
+                f"rule {r.index} has variables; the reward translation "
+                "needs a ground program")
+    # one instance per ground rule at most: the cap cannot trip
+    gp = ground(program, cap=len(program.rules))
     rules: list[Rule] = []
     weak: list[WeakConstraint] = []
-    parts = _reward_parts(((r.index, r) for r in program.rules), scale)
+    parts = _reward_parts(((g.origin_index, g) for g in gp.rules), scale)
     for index, marker, sat_bodies, head, body, weight, level in parts:
         sat_head = (marker,)
         for b in sat_bodies:
@@ -199,7 +177,7 @@ def translate_reward(program: Program, scale: int = 1000) -> TranslatedProgram:
 def _reward_text(gp: GroundProgram, scale: int) -> str:
     """``emit_asp_text(translate_reward(ground_to_program(gp), scale))``,
     rendered from the ground rules, numbered from 1, without building the
-    translated records."""
+    translated records; ``scale`` is checked by the caller."""
     lines: list[str] = []
     weak: list[str] = []
     for index, marker, sat_bodies, head, body, weight, level in _reward_parts(

@@ -129,7 +129,12 @@ def parse_bayes_net(text: str) -> BayesNet:
             if not all(f in ("t", "f") for f in flags):
                 raise MalformedNetworkError(
                     f"line {lineno}: parent values must be t or f")
-            cpt[(name, tuple(f == "t" for f in flags))] = float(parts[-1])
+            try:
+                p = float(parts[-1])
+            except ValueError:
+                raise MalformedNetworkError(
+                    f"line {lineno}: cannot read probability {parts[-1]!r}") from None
+            cpt[(name, tuple(f == "t" for f in flags))] = p
         else:
             raise MalformedNetworkError(f"line {lineno}: cannot parse {raw!r}")
     return BayesNet(tuple(nodes), cpt)

@@ -12,14 +12,19 @@ Grammar (also reproduced in the README):
     atom     := ident ["(" term {"," term} ")"]
     term     := ident | variable | integer | quoted
 
-Identifiers are ASCII lowercase-first; variables uppercase-first; a
-numeral must be followed by a space or punctuation (there is no exponent
-notation); comments run from '%' to end of line.  Input is UTF-8 text.
+The lexical grammar is the table ``_LEXEME``.  Identifiers and numerals
+are ASCII: an identifier is lowercase-first, a variable uppercase-first,
+and a numeral is decimal digits 0-9 that must be followed by a space or
+punctuation (there is no exponent notation).  Any other character outside
+a quoted constant or a comment, a non-ASCII digit included, is an
+unexpected character.  Comments run from '%' to end of line.  Input is
+UTF-8 text.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 from .model import HARD, Atom, Inequality, Literal, Program, Rule, Term, soft
@@ -49,85 +54,48 @@ class _Token:
     span: SourceSpan
 
 
-_PUNCTS = (":-", "!=", "::", "(", ")", "{", "}", ";", ",", ".", "/", "@")
-
-_ASCII_LETTERS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
-_ASCII_WORD = _ASCII_LETTERS | frozenset("0123456789_")
+# The lexical grammar, ASCII only: one alternative per lexeme, tried in
+# order at each position.  A numeral glued to a letter or "_" ("1e16",
+# "2a") matches with a ``glued`` group, which is an error.
+_LEXEME = re.compile(r"""
+    (?P<space>[ \t\r]+)
+  | (?P<comment>%[^\n]*)
+  | (?P<newline>\n)
+  | (?P<QUOTED>"[^"\n]*")
+  | (?P<NUM>-?[0-9]+(?:\.[0-9]+)?)(?P<glued>[A-Za-z_])?
+  | (?P<word>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<PUNCT>:-|!=|::|[(){};,./@])
+""", re.VERBOSE)
 
 
 def _tokenize(text: str) -> list[_Token]:
     toks: list[_Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-
-    def err(msg: str, length: int = 1):
-        raise LpmlnSyntaxError(msg, SourceSpan(line, col, length))
-
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_span = SourceSpan(line, col, 1)
-        if c == '"':
-            j = i + 1
-            while j < n and text[j] != '"':
-                if text[j] == "\n":
-                    err("unterminated quoted constant")
-                j += 1
-            if j >= n:
-                err("unterminated quoted constant")
-            tok = text[i:j + 1]
-            toks.append(_Token("QUOTED", tok, SourceSpan(line, col, len(tok))))
-            col += len(tok)
-            i = j + 1
-            continue
-        if c.isdigit() or (c == "-" and i + 1 < n and text[i + 1].isdigit()):
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdigit():
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            if j < n and text[j] in _ASCII_WORD:  # a letter or "_": "1e16", "2a"
-                col += j - i
-                err(f"a numeral must be followed by a space or punctuation, found {text[j]!r}")
-            tok = text[i:j]
-            toks.append(_Token("NUM", tok, SourceSpan(line, col, len(tok))))
-            col += len(tok)
-            i = j
-            continue
-        if c in _ASCII_LETTERS or c == "_":
-            j = i
-            while j < n and (text[j] in _ASCII_WORD):
-                j += 1
-            tok = text[i:j]
-            kind = "VAR" if tok[0].isupper() else "IDENT"
-            if tok[0] == "_":
-                err("identifiers must start with a letter", j - i)
-            toks.append(_Token(kind, tok, SourceSpan(line, col, len(tok))))
-            col += len(tok)
-            i = j
-            continue
-        for p in _PUNCTS:
-            if text.startswith(p, i):
-                toks.append(_Token("PUNCT", p, SourceSpan(line, col, len(p))))
-                col += len(p)
-                i += len(p)
-                break
-        else:
-            err(f"unexpected character {c!r}")
+    pos, line, col = 0, 1, 1
+    while pos < len(text):
+        m = _LEXEME.match(text, pos)
+        if m is None:
+            c = text[pos]
+            message = ("unterminated quoted constant" if c == '"'
+                       else f"unexpected character {c!r}")
+            raise LpmlnSyntaxError(message, SourceSpan(line, col, 1))
+        kind, lexeme = m.lastgroup, m.group()
+        if kind == "glued":
+            raise LpmlnSyntaxError(
+                f"a numeral must be followed by a space or punctuation, found {m['glued']!r}",
+                SourceSpan(line, col + len(m["NUM"]), 1))
+        if kind == "word":
+            if lexeme[0] == "_":
+                raise LpmlnSyntaxError("identifiers must start with a letter",
+                                       SourceSpan(line, col, len(lexeme)))
+            kind = "VAR" if lexeme[0].isupper() else "IDENT"
+        # a comment leaves col at its '%': the end of input after it is there
+        if kind == "newline":
+            line, col = line + 1, 1
+        elif kind != "comment":
+            if kind != "space":
+                toks.append(_Token(kind, lexeme, SourceSpan(line, col, len(lexeme))))
+            col += len(lexeme)
+        pos = m.end()
     toks.append(_Token("EOF", "", SourceSpan(line, col, 0)))
     return toks
 

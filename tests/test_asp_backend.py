@@ -133,6 +133,17 @@ class TestTranslateReward:
         with pytest.raises(NonGroundProgramError):
             translate_reward(P("q.\np :- q, X != a.\n"))
 
+    def test_scale_then_groundness_errors(self):
+        # the scale is checked first, then the first rule with variables
+        prog = P("p(a).\nq(b) :- p(a), Y != a.\n1 q(X) :- p(X).\n")
+        with pytest.raises(ValueError) as exc:
+            translate_reward(prog, 0)
+        assert str(exc.value) == "scale must be a positive integer"
+        with pytest.raises(NonGroundProgramError) as exc:
+            translate_reward(prog)
+        assert str(exc.value) == \
+            "rule 2 has variables; the reward translation needs a ground program"
+
     def test_ground_inequalities_decided_as_ground_decides_them(self):
         # a true inequality leaves the body, a false one drops the rule
         tp = translate_reward(P("p :- q, a != b.\nq.\n"))

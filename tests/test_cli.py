@@ -267,6 +267,23 @@ class TestExitCodes:
         assert err == "error: 1:2: a numeral must be followed by a space or punctuation, " \
                       "found 'e'\n"
 
+    def test_non_ascii_digit(self, tmp_path):
+        bad = tmp_path / "superscript.lpmln"
+        bad.write_text("² a.\n", encoding="utf-8")
+        code, out, err = invoke("-i", str(bad))
+        assert (code, out, err) == (1, "", "error: 1:1: unexpected character '²'\n")
+
+    @pytest.mark.parametrize("text, message", [
+        (fixture_path("smoke.lpmln").read_text(),
+         "completion is only defined for tight programs"),
+        ("a ; b.\n", "rule 1 has a disjunctive head"),
+    ])
+    def test_emit_mln_rejects_what_completion_cannot_take(self, tmp_path, text, message):
+        prog = tmp_path / "prog.lpmln"
+        prog.write_text(text)
+        code, out, err = invoke("-i", str(prog), "--mode", "emit-mln")
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("spec", ["", ","])
     def test_empty_query_spec(self, spec):
         code, out, err = invoke("-i", BIRD, "-q", spec)

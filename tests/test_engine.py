@@ -71,6 +71,11 @@ class TestIsStableModel:
         rs = rules_of("a :- b.\n")
         assert not is_stable_model(rs, frozenset([atom("a"), atom("b")]))
 
+    def test_atom_outside_the_program(self):
+        rs = rules_of("{a}.\n")
+        assert not is_stable_model(rs, frozenset([atom("z")]))
+        assert not is_stable_model(rs, frozenset([atom("a"), atom("z")]))
+
     def test_minimality_methods_agree_on_nondisjunctive(self):
         rng = random.Random(13)
         for _ in range(60):

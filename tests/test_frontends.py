@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from lpmln import fixture_path, ground, parse_program
+from lpmln import LpmlnSyntaxError, fixture_path, ground, parse_program
 from lpmln.frontends import (
     BayesNet, MalformedNetworkError, bayes_to_lpmln, mln_embed,
     parse_bayes_net, parse_problog, problog_to_lpmln,
@@ -44,6 +44,12 @@ class TestProblog:
                              "path(X,Y) :- path(X,Z), path(Z,Y), Y != Z.\n")
         assert [r.weight.is_hard for r in prog.rules] == [False, False, True, True]
         assert prog.rules[0].weight.value == pytest.approx(math.log(0.3 / 0.7), abs=1e-12)
+
+    @pytest.mark.parametrize("text", ["1.5::a.\n", "0::a.\n"])
+    def test_parse_problog_rejects_degenerate_probability(self, text):
+        with pytest.raises(LpmlnSyntaxError) as exc:
+            parse_problog(text)
+        assert str(exc.value) == "1:1: probabilistic fact needs 0 < p < 1"
 
     def test_rules_appended_hard(self):
         prog = problog_to_lpmln([(0.4, atom("edge", "a", "b"))],
@@ -155,6 +161,22 @@ class TestBayesNet:
             parse_bayes_net("node a\n")  # missing CPT row
         with pytest.raises(MalformedNetworkError):
             BayesNet((("a", ()),), {("a", ()): 1.5})
+
+    @pytest.mark.parametrize("text, message", [
+        ("node a\ncpt a abc\n", "line 2: cannot read probability 'abc'"),
+        ("node a\ncpt a t\n", "line 2: cannot read probability 't'"),
+        ("node a\nnode a\ncpt a 0.5\n", "duplicate node"),
+        ("node a x\ncpt a t 0.5\ncpt a f 0.5\n", "undeclared parent 'x' of 'a'"),
+        ("node b a\nnode a\n", "node 'b' lists parent 'a' declared later; "
+                               "declare parents first"),
+        ("node a\nnode b a\ncpt a 0.5\ncpt b x 0.5\n",
+         "line 4: parent values must be t or f"),
+        ("node a\nbogus\n", "line 2: cannot parse 'bogus'"),
+    ])
+    def test_malformed_messages(self, text, message):
+        with pytest.raises(MalformedNetworkError) as exc:
+            parse_bayes_net(text)
+        assert str(exc.value) == message
 
 
 def _random_bn(rng) -> BayesNet:

@@ -9,6 +9,7 @@ from lpmln import (
     parse_query_spec, pretty_program,
 )
 from lpmln.model import Atom, Inequality, Literal, Program, Rule, Weight
+from lpmln.parser import _tokenize
 from helpers import random_program_text
 from strategies import programs
 
@@ -97,15 +98,100 @@ class TestParseErrors:
         assert exc.value.message == \
             f"a numeral must be followed by a space or punctuation, found {found!r}"
 
+    @pytest.mark.parametrize("text, column, found", [
+        ("² a.\n", 1, "²"),         # once a bare ValueError from float()
+        ("٣ a.\n", 1, "٣"),         # once a soft fact of weight 3.0
+        ("p(٣).\n", 3, "٣"),
+        ("@log(²) a.\n", 6, "²"),
+    ])
+    def test_numerals_are_ascii(self, text, column, found):
+        with pytest.raises(LpmlnSyntaxError) as exc:
+            parse_program(text)
+        assert str(exc.value) == f"1:{column}: unexpected character {found!r}"
+
+    @pytest.mark.parametrize("text, message", [
+        ("@log(x) a.\n", "1:6: @log expects a number"),
+        ("@log(1/x) a.\n", "1:8: @log expects a number after '/'"),
+    ])
+    def test_log_weight_needs_numbers(self, text, message):
+        with pytest.raises(LpmlnSyntaxError) as exc:
+            parse_program(text)
+        assert str(exc.value) == message
+
     def test_never_panics_on_arbitrary_bytes(self):
         rng = random.Random(99)
-        alphabet = "abXY01(){};,.:-!=@\"% \n\t\\'~$\x00\x7fé√"
+        alphabet = "abXY01(){};,.:-!=@\"% \n\t\\'~$\x00\x7fé√²٣"
         for _ in range(500):
             text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 60)))
             try:
                 parse_program(text)
             except LpmlnSyntaxError:
                 pass
+
+
+# Recorded with the character-loop tokenizer that the lexeme table replaced:
+# every token, span and message must stay as it was.
+_TOKENS = [
+    ('p(X, "q r", 7, -3) :- not q, X != a.', [
+        ("IDENT", "p", 1, 1, 1), ("PUNCT", "(", 1, 2, 1), ("VAR", "X", 1, 3, 1),
+        ("PUNCT", ",", 1, 4, 1), ("QUOTED", '"q r"', 1, 6, 5), ("PUNCT", ",", 1, 11, 1),
+        ("NUM", "7", 1, 13, 1), ("PUNCT", ",", 1, 14, 1), ("NUM", "-3", 1, 16, 2),
+        ("PUNCT", ")", 1, 18, 1), ("PUNCT", ":-", 1, 20, 2), ("IDENT", "not", 1, 23, 3),
+        ("IDENT", "q", 1, 27, 1), ("PUNCT", ",", 1, 28, 1), ("VAR", "X", 1, 30, 1),
+        ("PUNCT", "!=", 1, 32, 2), ("IDENT", "a", 1, 35, 1), ("PUNCT", ".", 1, 36, 1),
+        ("EOF", "", 1, 37, 0)]),
+    ("-0.5 a.", [("NUM", "-0.5", 1, 1, 4), ("IDENT", "a", 1, 6, 1),
+                 ("PUNCT", ".", 1, 7, 1), ("EOF", "", 1, 8, 0)]),
+    ("1.25 :: b", [("NUM", "1.25", 1, 1, 4), ("PUNCT", "::", 1, 6, 2),
+                   ("IDENT", "b", 1, 9, 1), ("EOF", "", 1, 10, 0)]),
+    # end of input after a final comment sits at the comment's column
+    ("{c} :- d; e. % note", [
+        ("PUNCT", "{", 1, 1, 1), ("IDENT", "c", 1, 2, 1), ("PUNCT", "}", 1, 3, 1),
+        ("PUNCT", ":-", 1, 5, 2), ("IDENT", "d", 1, 8, 1), ("PUNCT", ";", 1, 9, 1),
+        ("IDENT", "e", 1, 11, 1), ("PUNCT", ".", 1, 12, 1), ("EOF", "", 1, 14, 0)]),
+    ("@log(2/3) f.", [
+        ("PUNCT", "@", 1, 1, 1), ("IDENT", "log", 1, 2, 3), ("PUNCT", "(", 1, 5, 1),
+        ("NUM", "2", 1, 6, 1), ("PUNCT", "/", 1, 7, 1), ("NUM", "3", 1, 8, 1),
+        ("PUNCT", ")", 1, 9, 1), ("IDENT", "f", 1, 11, 1), ("PUNCT", ".", 1, 12, 1),
+        ("EOF", "", 1, 13, 0)]),
+    ("a.\n  b.", [("IDENT", "a", 1, 1, 1), ("PUNCT", ".", 1, 2, 1), ("IDENT", "b", 2, 3, 1),
+                  ("PUNCT", ".", 2, 4, 1), ("EOF", "", 2, 5, 0)]),
+    ("Ab_9 x1", [("VAR", "Ab_9", 1, 1, 4), ("IDENT", "x1", 1, 6, 2), ("EOF", "", 1, 8, 0)]),
+]
+
+_TOKEN_ERRORS = [
+    ('"abc\nd".', "1:1: unterminated quoted constant", 1),
+    ('"abc', "1:1: unterminated quoted constant", 1),
+    ("a :-\tb ~.", "1:8: unexpected character '~'", 1),
+    ("a.\r\n$", "2:1: unexpected character '$'", 1),
+    ("a : b", "1:3: unexpected character ':'", 1),
+    ("- a", "1:1: unexpected character '-'", 1),
+    ("2a.", "1:2: a numeral must be followed by a space or punctuation, found 'a'", 1),
+    ("-1.5x", "1:5: a numeral must be followed by a space or punctuation, found 'x'", 1),
+    ("_a.", "1:1: identifiers must start with a letter", 2),
+]
+
+
+class TestTokenize:
+    @pytest.mark.parametrize("text, tokens", _TOKENS)
+    def test_tokens_and_spans(self, text, tokens):
+        assert [(t.kind, t.text, t.span.line, t.span.column, t.span.length)
+                for t in _tokenize(text)] == tokens
+
+    @pytest.mark.parametrize("text, message, length", _TOKEN_ERRORS)
+    def test_errors_and_spans(self, text, message, length):
+        with pytest.raises(LpmlnSyntaxError) as exc:
+            _tokenize(text)
+        assert (str(exc.value), exc.value.span.length) == (message, length)
+
+    @pytest.mark.parametrize("text, message", [
+        ("a :- b % c", "1:8: expected '.', found 'end of input'"),
+        ("_a.", "1:1: identifiers must start with a letter"),
+    ])
+    def test_parse_error_columns(self, text, message):
+        with pytest.raises(LpmlnSyntaxError) as exc:
+            parse_program(text)
+        assert str(exc.value) == message
 
 
 class TestParseEvidence:

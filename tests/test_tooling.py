@@ -1,6 +1,7 @@
 """Guards on the test tooling itself."""
 
 import ast
+import sys
 from pathlib import Path
 
 import lpmln
@@ -45,3 +46,18 @@ def test_reference_grounder_does_not_call_ground():
         if isinstance(node, ast.Attribute):
             assert node.attr != "ground", ast.unparse(node)
     assert "def naive_ground(" in helpers.read_text(encoding="utf-8")
+
+
+def test_package_imports_only_the_standard_library():
+    # the engine is dependency-free: every import is stdlib or lpmln itself
+    for path in sorted(Path(lpmln.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top == "lpmln" or top in sys.stdlib_module_names, (path.name, name)
