@@ -24,9 +24,9 @@ from pathlib import Path
 
 from . import asp_backend, inference, mln_backend
 from .engine import DEFAULT_ATOM_CAP, EnumerationCapError, _bit_indices
-from .grounder import GroundingCapError, GroundingError, ground
+from .grounder import GroundingCapError, ground
 from .model import atom_sort_key, merge_programs
-from .parser import LpmlnSyntaxError, parse_evidence, parse_program, parse_query_spec
+from .parser import parse_evidence, parse_program, parse_query_spec
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -183,22 +183,16 @@ def run(argv, stdout=None, stderr=None) -> int:
         if args.output:
             Path(args.output).write_text(text, encoding="utf-8")
             return EXIT_OK
-    except (LpmlnSyntaxError, OSError) as e:
-        print(f"error: {e}", file=stderr)
-        return EXIT_INPUT
-    except (GroundingCapError, EnumerationCapError) as e:
+    except (GroundingCapError, EnumerationCapError) as e:  # first: GroundingCapError is a ValueError
         print(f"error: {e}", file=stderr)
         return EXIT_CAP
-    except GroundingError as e:
-        print(f"error: {e}", file=stderr)
-        return EXIT_INPUT
     except inference.NoStableModelsError as e:
         if args.evidence:
             print("error: evidence is inconsistent with the program", file=stderr)
         else:
             print(f"error: {e}", file=stderr)
         return EXIT_UNSAT
-    except ValueError as e:
+    except (ValueError, OSError) as e:  # syntax, grounding, decoding and file errors
         print(f"error: {e}", file=stderr)
         return EXIT_INPUT
     stdout.write(text)

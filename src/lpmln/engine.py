@@ -27,21 +27,22 @@ rest keep their index and lose their fixed literals and head atoms.
 Candidates are decided a slice at a time, bit-sliced: per slice of
 ``2 ** _LANE_BITS`` candidates every atom holds one integer whose bit m is
 its value in the slice's candidate m (the low free atoms take fixed lane
-patterns, the others are constant over the slice).  Per slice, one pass
-over the residual closure stages closes every lane; ``_rule_pass`` gives
-each residual rule the lanes that violate it and the lanes whose reduct
-keeps it; strict mode drops the lanes that violate a hard rule; and
-``_stable_lanes`` keeps the lanes that are minimal models of their
-reducts, by one least fixpoint of them all or, when a rule the slice
-keeps is disjunctive, by subset search per lane.  Minimality is decided
-above ``sure`` because every model of the reduct contains ``sure``, and a
-dropped rule is satisfied by every interpretation between ``sure`` and
-the candidate.  Per accepted model, the lanes are read back into one atom
+patterns, the others are constant over the slice).  Per slice, ``_derive``
+closes every lane, one residual closure stage after another; ``_rule_pass``
+gives each residual rule the lanes that violate it and the lanes whose
+reduct keeps it; strict mode drops the lanes that violate a hard rule; and
+``_stable_lanes`` keeps the lanes that are minimal models of their reducts,
+by ``_derive`` from no atoms or, when a rule the slice keeps is
+disjunctive, by subset search per lane.  Minimality is decided above
+``sure`` because every model of the reduct contains ``sure``, and a dropped
+rule is satisfied by every interpretation between ``sure`` and the
+candidate.  Per accepted model, the lanes are read back into one atom
 bitset and one violation mask, in ascending candidate order, so violation
-masks still index, and agree with, the full program.  These two functions
-are the only code that decides violation and minimality: a single
-interpretation, as in ``is_stable_model`` and ``_Compiled.violated``, is
-one lane over the full program.
+masks still index, and agree with, the full program.  These functions,
+with ``_kept_lanes`` as the one reader of ``not`` literals, are the only
+code that decides reducts, violation and minimality: a single
+interpretation, as in ``is_stable_model``, ``reduce_program`` and
+``_Compiled.violated``, is one lane over the full program.
 
 Interpretations are manipulated as integer bitsets internally; the public
 functions speak frozensets of atoms.
@@ -86,11 +87,13 @@ class Reduct:
 
 def reduce_program(rules: Iterable[GroundRule], interp: Interpretation) -> Reduct:
     """Keep a rule iff every 'not A' has A outside I and every 'not not A'
-    has A inside I; strip the negative literals from what remains."""
+    has A inside I (``_kept_lanes``, I as one lane); drop its negative literals."""
     comp = _Compiled(GroundProgram(tuple(rules)))
     bits = comp.bits_of(interp)
-    return Reduct(tuple((comp.interp_of(r.head), comp.interp_of(r.pos)) for r in comp.rules
-                        if not bits & r.neg1 and (bits & r.neg2) == r.neg2))
+    val = [bits >> p & 1 for p in range(len(comp.atoms))]
+    return Reduct(tuple((comp.interp_of(r.head), comp.interp_of(r.pos))
+                        for r, _, _, neg1, neg2 in _lane_form(comp.rules)
+                        if _kept_lanes(neg1, neg2, val, 1)))
 
 
 @dataclass
@@ -301,10 +304,7 @@ class StableModelEnumerator:
         # The same rules as atom positions, for the lane-parallel kernel.
         # Every atom they mention can vary: fixed ones were stripped.
         self._varying = _bit_indices(maybe & ~sure)
-        self._lane_stages = [
-            [(_bit_indices(r.head)[0], _bit_indices(r.pos | r.neg2), _bit_indices(r.neg1))
-             for r in rs]
-            for rs in map(residual, self.closure_stages) if rs]
+        self._lane_stages = [_lane_form(rs) for rs in map(residual, self.closure_stages) if rs]
         self._lane_rules = _lane_form(self.residual)
 
     def _free_atoms(self) -> list[tuple[str, str]]:
@@ -351,19 +351,8 @@ class StableModelEnumerator:
         slice's candidate m.  Returns the models and their violation masks
         in lane order."""
         for stage in self._lane_stages:
-            changed = True
-            while changed:
-                changed = False
-                for head, need, neg1 in stage:
-                    v = full
-                    for a in need:
-                        v &= val[a]
-                    for a in neg1:
-                        v &= ~val[a]
-                    if v & ~val[head]:
-                        val[head] |= v
-                        changed = True
-
+            _derive([(r, head, pos, _kept_lanes(neg1, neg2, val, full))
+                     for r, head, pos, neg1, neg2 in stage], val)
         violated, reduct = _rule_pass(self._lane_rules, val, full)
         alive = full
         if self.hard_mode == "strict":
@@ -396,11 +385,7 @@ def _rule_pass(rules: Sequence[tuple], val: list[int], full: int) -> tuple[list,
     violated = []
     reduct = []
     for r, head, pos, neg1, neg2 in rules:
-        ok = full
-        for a in neg2:
-            ok &= val[a]
-        for a in neg1:
-            ok &= ~val[a]
+        ok = _kept_lanes(neg1, neg2, val, full)
         if not ok:
             continue
         body = ok
@@ -416,11 +401,21 @@ def _rule_pass(rules: Sequence[tuple], val: list[int], full: int) -> tuple[list,
     return violated, reduct
 
 
-def _derive(reduct: Sequence[tuple], n: int) -> list[int]:
-    """Lane-parallel least fixpoint of ``_rule_pass``'s reduct over ``n``
-    atoms: entry p holds the lanes that derive atom p.  Sound for
-    non-disjunctive reducts; multi-atom heads never derive here."""
-    derived = [0] * n
+def _kept_lanes(neg1: Sequence[int], neg2: Sequence[int], val: list[int], full: int) -> int:
+    """The lanes of ``full`` whose reduct keeps a rule with the ``not`` atoms
+    ``neg1`` and the ``not not`` atoms ``neg2``: those false, these true."""
+    for a in neg2:
+        full &= val[a]
+    for a in neg1:
+        full &= ~val[a]
+    return full
+
+
+def _derive(reduct: Sequence[tuple], derived: list[int]) -> list[int]:
+    """Lane-parallel least fixpoint of a reduct in ``_rule_pass``'s form,
+    in place from the lane vectors ``derived``: entry p gains the lanes
+    that derive atom p.  Sound for non-disjunctive reducts; multi-atom
+    heads never derive here."""
     changed = True
     while changed:
         changed = False
@@ -455,7 +450,7 @@ def _stable_lanes(reduct: Sequence[tuple], val: list[int], varying: list[int],
                 stable |= 1 << m
                 models.append(bits)
         return stable, models
-    derived = _derive(reduct, len(val))
+    derived = _derive(reduct, [0] * len(val))
     unfounded = 0
     for p in varying:
         unfounded |= val[p] & ~derived[p]

@@ -67,7 +67,8 @@ class MalformedNetworkError(ValueError):
 @dataclass(frozen=True)
 class BayesNet:
     """Boolean-variable network: node declarations (with parents) and one
-    CPT entry P(node=t | parent values) per parent-value combination."""
+    CPT entry P(node=t | parent values) per parent-value combination, and
+    no other entry."""
 
     nodes: tuple[tuple[str, tuple[str, ...]], ...]
     cpt: dict[tuple[str, tuple[bool, ...]], float]
@@ -95,6 +96,14 @@ class BayesNet:
                 p = self.cpt[key]
                 if not 0.0 <= p <= 1.0:
                     raise MalformedNetworkError(f"CPT entry {key} out of [0,1]: {p}")
+        arity = {name: len(parents) for name, parents in self.nodes}
+        for key in self.cpt:
+            name, values = key
+            if name not in arity:
+                raise MalformedNetworkError(f"CPT entry {key} names an undeclared node")
+            if len(values) != arity[name]:
+                raise MalformedNetworkError(
+                    f"CPT entry {key} does not match the {arity[name]} parents of {name!r}")
 
     @cached_property
     def abbrev(self) -> dict[str, str]:
@@ -134,7 +143,10 @@ def parse_bayes_net(text: str) -> BayesNet:
             except ValueError:
                 raise MalformedNetworkError(
                     f"line {lineno}: cannot read probability {parts[-1]!r}") from None
-            cpt[(name, tuple(f == "t" for f in flags))] = p
+            key = (name, tuple(f == "t" for f in flags))
+            if key in cpt:
+                raise MalformedNetworkError(f"line {lineno}: duplicate CPT row for {key}")
+            cpt[key] = p
         else:
             raise MalformedNetworkError(f"line {lineno}: cannot parse {raw!r}")
     return BayesNet(tuple(nodes), cpt)

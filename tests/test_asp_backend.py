@@ -421,6 +421,41 @@ class TestTheoremCorrespondences:
         assert set(translated) == image
         assert len(translated) == len(source)
 
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(programs(max_rules=3))
+    def test_property_reward_witness_bijection(self, prog):
+        # the reward translation reads ground programs: the translated stable
+        # models are the phi_extend images of the source ones, one for one
+        try:
+            gp = ground(prog)
+            source = enumerate_sm(gp, "relaxed", cap=12)
+            gprog = ground_to_program(gp)
+            translated = translated_models(translate_reward(gprog, 1000), cap=12)
+        except (GroundingError, EnumerationCapError):
+            assume(False)
+        image = {phi_extend(gprog, i, "reward") for i in source}
+        assert set(translated) == image
+        assert len(translated) == len(source)
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(programs(max_rules=3))
+    def test_property_map_is_the_optimal_models(self, prog):
+        # for both translations, the preimages of the optimal translated
+        # models are the relaxed MAP models
+        try:
+            gp = ground(prog)
+            source = enumerate_sm(gp, "relaxed", cap=12)
+            gprog = ground_to_program(gp)
+            cases = [(prog, "penalty", translate_penalty(prog, 1000, translate_hard=True)),
+                     (gprog, "reward", translate_reward(gprog, 1000))]
+            optimal = [optimal_models(tp, cap=12) for _, _, tp in cases]
+        except (GroundingError, EnumerationCapError):
+            assume(False)
+        best = set(map_estimate(gp, "relaxed", cap=12).models)
+        for (p, flavor, _), models in zip(cases, optimal):
+            image = {phi_extend(p, i, flavor): i for i in source}
+            assert {image[t] for t in models} == best, flavor
+
     def test_penalty_nonground_programs(self):
         self._check_penalty_case(BIRD)
         self._check_penalty_case(parse_program(fixture_path("smoke.lpmln").read_text()))

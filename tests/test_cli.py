@@ -326,6 +326,34 @@ class TestExitCodes:
         code, _, _ = invoke()
         assert code == 1
 
+    # exit code and stderr of each input error, recorded before cli.run's
+    # handlers were merged into one per exit code
+    @pytest.mark.parametrize("argv, message", [
+        (["-i", "{tmp}/missing.lpmln"],
+         "[Errno 2] No such file or directory: '{tmp}/missing.lpmln'"),
+        (["-i", BIRD, "-e", "{tmp}/missing.db"],
+         "[Errno 2] No such file or directory: '{tmp}/missing.db'"),
+        (["-i", "{tmp}"], "[Errno 21] Is a directory: '{tmp}'"),
+        (["-i", "{tmp}/latin.lpmln"],
+         "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        (["-i", BIRD, "-e", "{tmp}/latin.lpmln"],
+         "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        (["-i", "{tmp}/empty.lpmln"], "rule 1 has variables but the universe is empty"),
+    ])
+    def test_input_errors(self, tmp_path, argv, message):
+        (tmp_path / "latin.lpmln").write_bytes(b"\xff\xfe a.\n")
+        (tmp_path / "empty.lpmln").write_text("p(X) :- q(X).\n")
+        code, out, err = invoke(*(a.format(tmp=tmp_path) for a in argv))
+        assert (code, out, err) == (1, "", f"error: {message.format(tmp=tmp_path)}\n")
+
+    def test_grounding_cap(self, monkeypatch):
+        # a GroundingCapError is a ValueError, and still exits 2
+        def capped(program):
+            raise grounder.GroundingCapError(5)
+        monkeypatch.setattr(cli, "ground", capped)
+        code, out, err = invoke("-i", BIRD)
+        assert (code, out, err) == (2, "", "error: grounding exceeds the cap of 5 rules\n")
+
     def test_unsafe_program(self, tmp_path):
         bad = tmp_path / "unsafe.lpmln"
         bad.write_text("p(a).\nq(X) :- not p(X).\n")

@@ -172,6 +172,14 @@ class TestBayesNet:
         ("node a\nnode b a\ncpt a 0.5\ncpt b x 0.5\n",
          "line 4: parent values must be t or f"),
         ("node a\nbogus\n", "line 2: cannot parse 'bogus'"),
+        ("node a\ncpt a 0.5\ncpt a 0.7\n", "line 3: duplicate CPT row for ('a', ())"),
+        ("node a\ncpt a 0.5\ncpt a t 0.3\ncpt z 0.9\ncpt a 0.7\n",
+         "line 5: duplicate CPT row for ('a', ())"),
+        ("node a\ncpt a 0.5\ncpt z 0.9\n", "CPT entry ('z', ()) names an undeclared node"),
+        ("node a\ncpt a 0.5\ncpt a t 0.3\n",
+         "CPT entry ('a', (True,)) does not match the 0 parents of 'a'"),
+        ("node a\nnode b a\ncpt a 0.5\ncpt b t 0.1\ncpt b f 0.2\ncpt b 0.3\n",
+         "CPT entry ('b', ()) does not match the 1 parents of 'b'"),
     ])
     def test_malformed_messages(self, text, message):
         with pytest.raises(MalformedNetworkError) as exc:
