@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 from .engine import DEFAULT_ATOM_CAP, StableModelEnumerator, _bit_indices, _Compiled
 from .grounder import GroundProgram, GroundRule, UnsafeRuleError, _desugar_safe, ground
+from .inference import _scaled
 from .model import (
-    HARD, Atom, Interpretation, Literal, Program, Rule, Term, Weight, _rule_line,
-    desugar_choice, format_rule,
+    HARD, Atom, Interpretation, Literal, Program, Rule, Term, Weight, _rule_line, format_rule,
 )
 
 UNSAT = "unsat"
@@ -53,10 +53,6 @@ def _weight_token(w: Weight) -> Term:
     return Term('"alpha"' if w.is_hard else f'"{w.value:.6f}"')
 
 
-def _scaled(w: Weight, scale: int) -> int:
-    return 1 if w.is_hard else int(round(w.value * scale))
-
-
 def _marker(name: str, index: int, token: Term, terms: tuple[Term, ...]) -> Atom:
     """The marker ``name(index, token, terms...)``; ``token`` is a weight's
     ``_weight_token``."""
@@ -72,8 +68,6 @@ def translate_penalty(program: Program, scale: int = 1000,
     ``translate_hard`` is set."""
     if scale < 1:
         raise ValueError("scale must be a positive integer")
-    _desugar_safe(program)
-
     rules: list[Rule] = []
     weak: list[WeakConstraint] = []
     nxt = 1
@@ -83,17 +77,17 @@ def translate_penalty(program: Program, scale: int = 1000,
         rules.append(Rule(nxt, weight, head, body, is_choice))
         nxt += 1
 
-    for rule in program.rules:
+    for rule, r in zip(program.rules, _desugar_safe(program).rules):
         if rule.weight.is_hard and not translate_hard:
             push(HARD, rule.head, rule.body, rule.is_choice)
             continue
-        r = desugar_choice(rule)
         variables = tuple(Term(v) for v in r.variables())
         marker = _marker(UNSAT, r.index, _weight_token(r.weight), variables)
         not_head = tuple(Literal(h, 1) for h in r.head)
         push(HARD, (marker,), r.body + not_head)
         push(HARD, r.head, r.body + (Literal(marker, 1),))
-        weak.append(WeakConstraint((Literal(marker, 0),), _scaled(r.weight, scale),
+        weight = 1 if r.weight.is_hard else _scaled(r.weight.value, scale)
+        weak.append(WeakConstraint((Literal(marker, 0),), weight,
                                    int(r.weight.is_hard), (Term(str(r.index)),) + variables))
     return TranslatedProgram(tuple(rules), tuple(weak), scale, "penalty",
                              program.universe)
@@ -140,7 +134,7 @@ def _reward_parts(indexed: Iterable[tuple[int, GroundRule]], scale: int):
         if w.is_hard:
             weight, level = -scale, 1
         else:
-            weight, level = -_scaled(w, scale), 0
+            weight, level = -_scaled(w.value, scale), 0
         yield marker.args[0], marker, sat_bodies, r.head, r.body, weight, level
 
 

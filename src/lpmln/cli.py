@@ -85,7 +85,7 @@ def _model_printer(gp, w, scale: int):
         extra = sorted({m for m in map(marker, _bit_indices(w.violations[k]))
                         if m[2] is None or not b >> m[2] & 1})
         return [" ".join([names[i] for i in _bit_indices(b)] + [t for _, t, _ in extra]),
-                f"Optimization: {int(round(w.vectors[k].soft * scale))}"]
+                f"Optimization: {inference._scaled(w.vectors[k].soft, scale)}"]
     return lines
 
 

@@ -9,6 +9,8 @@ weight is ever used.
 Every query function takes ``hard_mode``: ``"strict"`` (default) enforces
 hard rules outright, ``"relaxed"`` lets them participate in the hard-tier
 ranking, which is what makes inconsistency diagnosis possible.
+
+``_total`` adds every float sum and ``_scaled`` rounds every scaled weight.
 """
 
 from __future__ import annotations
@@ -70,15 +72,27 @@ class Distribution:
         return [e for e in self.entries if e.probability > 0.0]
 
 
+def _total(values) -> float:
+    """``values`` added one at a time, in order, from 0.0: ``sum``
+    compensates on Python 3.12+, which could move the last digits."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def _scaled(value: float, scale: int) -> int:
+    """``value * scale`` rounded to an int; ``ValueError`` past the float range."""
+    try:
+        return int(round(value * scale))
+    except OverflowError:
+        raise ValueError(f"{value!r} at scale {scale} is out of range") from None
+
+
 def _vector(comp: _Compiled, violated: int, mode: str) -> WeightVector:
     counted = comp.counted(violated, mode == "reward")
-    # one rule at a time in rule order from 0.0, as the recorded outputs were
-    # computed: sum() compensates on Python 3.12+ and could move the digits
-    soft = 0.0
-    weights = comp.weights
-    for k in _bit_indices(counted & ~comp.hard):
-        soft += weights[k]
-    return WeightVector((counted & comp.hard).bit_count(), soft)
+    return WeightVector((counted & comp.hard).bit_count(),
+                        _total(map(comp.weights.__getitem__, _bit_indices(counted & ~comp.hard))))
 
 
 def _weigh(gp: GroundProgram, interp: Interpretation, mode: str) -> WeightVector:
@@ -138,7 +152,7 @@ def _normalise(vectors: list[WeightVector], mode: str) -> tuple[int, list[float]
 
     exponents = [sign * v.soft for v in vectors if v.hard == best_hard]
     shift = max(exponents)
-    total = sum(math.exp(e - shift) for e in exponents)
+    total = _total(math.exp(e - shift) for e in exponents)
     return best_hard, [math.exp(sign * v.soft - shift) / total if v.hard == best_hard else 0.0
                        for v in vectors]
 
@@ -160,7 +174,7 @@ def distribution(gp: GroundProgram, mode: str = "penalty",
 @dataclass(frozen=True)
 class MapResult:
     models: tuple[Interpretation, ...]
-    optimizations: tuple[int, ...]  # round(soft penalty * scale), for display
+    optimizations: tuple[int, ...]  # _scaled(soft penalty, scale), for display
     scale: int
 
 
@@ -172,7 +186,7 @@ def map_estimate(gp: GroundProgram, hard_mode: str = "strict",
     w = _weigh_models(gp, "penalty", hard_mode, cap)
     tied = _most_probable(w)
     return MapResult(tuple(w.comp.interp_of(w.bits[k]) for k in tied),
-                     tuple(int(round(w.vectors[k].soft * scale)) for k in tied), scale)
+                     tuple(_scaled(w.vectors[k].soft, scale) for k in tied), scale)
 
 
 def _most_probable(w: _Weighed) -> list[int]:

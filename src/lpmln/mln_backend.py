@@ -17,7 +17,7 @@ from functools import cached_property
 
 from .engine import DEFAULT_ATOM_CAP, EnumerationCapError, _bit_indices, _Compiled, _tarjan_scc
 from .grounder import GroundProgram
-from .inference import WeightVector, _normalise
+from .inference import WeightVector, _normalise, _total
 from .model import HARD, Atom, Interpretation, Weight, _choice_marker, atom_sort_key
 
 
@@ -296,7 +296,7 @@ class MlnDistribution:
         return 0.0
 
     def marginal_of(self, atom: Atom) -> float:
-        return sum(p for w, p in self.entries if atom in w)
+        return _total(p for w, p in self.entries if atom in w)
 
     def project(self, drop) -> dict[Interpretation, float]:
         """Marginalize the listed atoms away."""
@@ -328,7 +328,7 @@ def mln_distribution(mln: MlnProgram, cap: int = DEFAULT_ATOM_CAP) -> MlnDistrib
         interp = frozenset(a for i, a in enumerate(atoms) if mask >> i & 1)
         worlds.append(interp)
         vectors.append(WeightVector(sum(1 for f in hard if evaluate(f, interp)),
-                                    sum(w for f, w in softs if evaluate(f, interp))))
+                                    _total(w for f, w in softs if evaluate(f, interp))))
 
     best_hard, probabilities = _normalise(vectors, "reward")
     entries = tuple((w, p) for w, v, p in zip(worlds, vectors, probabilities)

@@ -44,3 +44,17 @@ def rules(draw, index: int) -> Rule:
 def programs(draw, max_rules: int = 4) -> Program:
     n = draw(st.integers(0, max_rules))
     return Program(tuple(draw(rules(k)) for k in range(1, n + 1)))
+
+
+def _made_safe(rule: Rule) -> Rule:
+    """``rule`` with a positive body literal ``q(V)`` for each variable ``V``
+    that no positive body literal binds, so that it is safe."""
+    bound = {t.name for el in rule.body if isinstance(el, Literal) and el.negation == 0
+             for t in el.atom.args if t.is_variable}
+    extra = tuple(Literal(Atom("q", (Term(v),))) for v in rule.variables() if v not in bound)
+    return Rule(rule.index, rule.weight, rule.head, rule.body + extra, rule.is_choice)
+
+
+def safe_programs(max_rules: int = 4):
+    """``programs`` with every rule made safe by ``_made_safe``."""
+    return programs(max_rules).map(lambda p: Program(tuple(map(_made_safe, p.rules))))

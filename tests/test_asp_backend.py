@@ -17,7 +17,7 @@ from lpmln.grounder import (
 from lpmln.inference import map_estimate, weight_penalty, weight_reward
 from lpmln.model import HARD, Literal, Program, Rule, Term, atom
 from helpers import P, random_program_text
-from strategies import programs
+from strategies import programs, safe_programs
 
 BIRD = parse_program(fixture_path("bird.lpmln").read_text())
 BIRD_RB = frozenset([atom("bird", "jo"), atom("residentbird", "jo")])
@@ -72,6 +72,14 @@ class TestTranslatePenalty:
             translate_penalty(P("p(a).\n1 q(X) :- not p(X).\n"))
         with pytest.raises(ValueError):
             translate_penalty(BIRD, scale=0)
+
+    def test_rejects_a_scaled_weight_out_of_range(self):
+        with pytest.raises(ValueError) as exc:
+            translate_penalty(parse_program("1.5 a."), 10 ** 400)
+        assert str(exc.value) == f"1.5 at scale {10 ** 400} is out of range"
+        # a hard weak constraint weighs 1 at any scale
+        tp = translate_penalty(parse_program("a."), 10 ** 400, translate_hard=True)
+        assert [(wc.weight, wc.level) for wc in tp.weak] == [(1, 1)]
 
     @pytest.mark.parametrize("text", [
         "p(a).\n1 q(X) :- not p(X).\n",
@@ -407,7 +415,7 @@ class TestTheoremCorrespondences:
             self._check_reward_case(prog)
 
     @settings(derandomize=True, database=None, max_examples=100, deadline=None)
-    @given(programs(max_rules=3))
+    @given(safe_programs(max_rules=3))
     def test_property_penalty_witness_bijection(self, prog):
         # the translated stable models are exactly the phi_extend images of
         # the source ones, one for one
@@ -422,7 +430,7 @@ class TestTheoremCorrespondences:
         assert len(translated) == len(source)
 
     @settings(derandomize=True, database=None, max_examples=100, deadline=None)
-    @given(programs(max_rules=3))
+    @given(safe_programs(max_rules=3))
     def test_property_reward_witness_bijection(self, prog):
         # the reward translation reads ground programs: the translated stable
         # models are the phi_extend images of the source ones, one for one
@@ -438,7 +446,7 @@ class TestTheoremCorrespondences:
         assert len(translated) == len(source)
 
     @settings(derandomize=True, database=None, max_examples=100, deadline=None)
-    @given(programs(max_rules=3))
+    @given(safe_programs(max_rules=3))
     def test_property_map_is_the_optimal_models(self, prog):
         # for both translations, the preimages of the optimal translated
         # models are the relaxed MAP models

@@ -406,6 +406,32 @@ class TestInputContract:
         assert code == 1 and out == ""
         assert err == "error: scale must be a positive integer\n"
 
+    # a scaled weight or penalty outside the float range is one error line,
+    # not an OverflowError traceback
+    @pytest.mark.parametrize("weight, scale, flags, message", [
+        ("", 10 ** 400, (), f"0.0 at scale {10 ** 400}"),
+        ("1" + "0" * 300, 10 ** 12, ("-all",), "1e+300 at scale 1000000000000"),
+        ("1" + "0" * 300, 10 ** 12, ("--mode", "emit-asp-pnt"),
+         "1e+300 at scale 1000000000000"),
+        ("1" + "0" * 300, 10 ** 12, ("--mode", "emit-asp-rwd"),
+         "1e+300 at scale 1000000000000"),
+        ("-1" + "0" * 300, 10 ** 12, (), "-1e+300 at scale 1000000000000"),
+    ], ids=["map-huge-scale", "all", "emit-asp-pnt", "emit-asp-rwd", "map-negative-weight"])
+    def test_scaled_weight_out_of_range(self, tmp_path, weight, scale, flags, message):
+        src = tmp_path / "p.lpmln"
+        src.write_text(f"{weight} a.\n")
+        code, out, err = invoke("-i", str(src), "--scale", str(scale), *flags)
+        assert (code, out, err) == (1, "", f"error: {message} is out of range\n")
+
+    def test_hard_reward_weights_at_any_scale(self, tmp_path):
+        # hard weak constraints weigh -scale, an exact integer
+        src = tmp_path / "p.lpmln"
+        src.write_text("a.\nb :- a.\n")
+        code, out, err = invoke("-i", str(src), "--mode", "emit-asp-rwd",
+                                "--scale", str(10 ** 400))
+        assert code == 0 and err == ""
+        assert f"[-{10 ** 400}@1,1]" in out
+
 
 class TestGroundOnce:
     @pytest.mark.parametrize("flags", [(), ("-all",)])

@@ -436,3 +436,9 @@ class TestBitSlicedKernel:
         # (candidates, rejected_hard, rejected_minimality, models)
         enum = StableModelEnumerator(_fixture_gp(name, evidence), hard_mode)
         assert _counts(enum) == counts
+
+
+def test_unknown_hard_mode():
+    with pytest.raises(ValueError) as exc:
+        enumerate_sm(ground(P("a.\n")), "bogus")
+    assert str(exc.value) == "unknown hard mode 'bogus'"

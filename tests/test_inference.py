@@ -17,7 +17,7 @@ from lpmln.model import Atom, Term, atom, atom_sort_key
 from helpers import (
     P, _classically_satisfies, _powerset, random_program_text, random_text_with_facts,
 )
-from strategies import programs
+from strategies import safe_programs
 
 
 def bird_gp():
@@ -142,6 +142,16 @@ class TestDistribution:
     def test_no_models_reported(self):
         with pytest.raises(NoStableModelsError):
             distribution(ground(P("a.\n:- a.\n")), "penalty", "strict")
+
+    def test_unknown_mode(self):
+        with pytest.raises(ValueError) as exc:
+            distribution(ground(P("a.\n")), mode="bogus")
+        assert str(exc.value) == "unknown mode 'bogus'"
+
+    def test_non_model_and_support(self):
+        dist = distribution(ground(P("a.\n:- not a.\n")), "penalty", "relaxed")
+        assert dist.probability(frozenset([atom("b")])) == 0.0
+        assert [e.interpretation for e in dist.support()] == [frozenset([atom("a")])]
 
 
 class TestHardModes:
@@ -346,7 +356,7 @@ class TestSemanticEquivalences:
                 assert ep.probability == pytest.approx(er.probability, abs=1e-9)
 
     @settings(derandomize=True, database=None, max_examples=100, deadline=None)
-    @given(programs(max_rules=3))
+    @given(safe_programs(max_rules=3))
     def test_property_reward_equals_penalty(self, prog):
         # the same interpretations in the same order with the same
         # probabilities, or no stable model for either, in both hard modes

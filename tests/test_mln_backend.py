@@ -7,8 +7,8 @@ from lpmln import fixture_path, ground, parse_program
 from lpmln.engine import EnumerationCapError
 from lpmln.inference import NoStableModelsError, distribution
 from lpmln.mln_backend import (
-    FAnd, FAtom, FIff, FImpl, FNot, FOr, HARD, MlnFormula, MlnProgram,
-    DisjunctiveProgramError, NotTightError, aux_extract, complete,
+    FALSE, FAnd, FAtom, FIff, FImpl, FNot, FOr, HARD, MlnFormula, MlnProgram,
+    DisjunctiveProgramError, NotTightError, aux_extract, complete, disj,
     emit_mln_text, evaluate, is_tight, mln_distribution, tseytin,
 )
 from lpmln.model import atom, soft
@@ -195,6 +195,15 @@ class TestMlnDistribution:
     def test_single_hard_formula(self):
         d = mln_distribution(MlnProgram((MlnFormula(HARD, fa("a")),)))
         assert d.probability(frozenset([atom("a")])) == 1.0
+        assert d.probability(frozenset()) == 0.0
+        # a float 0.0 for an atom in no world
+        none = d.marginal_of(atom("b"))
+        assert none == 0.0 and isinstance(none, float)
+
+    def test_empty_junctions(self):
+        assert disj(()) == FALSE
+        mln = MlnProgram((MlnFormula(HARD, FAnd(())), MlnFormula(HARD, FOr(()))))
+        assert emit_mln_text(mln) == "TRUE.\nFALSE.\n"
 
     def test_cap_error_names_world_and_aux_atoms(self):
         mln = tseytin(complete(ground(P("b. c.\na :- b, c.\n"))))

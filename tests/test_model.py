@@ -10,7 +10,7 @@ from lpmln import (
     herbrand_base, merge_programs, soft,
 )
 from lpmln.grounder import ground_to_program
-from lpmln.model import Literal, _choice_marker
+from lpmln.model import Literal, Term, Weight, _choice_marker, const, var
 from helpers import P
 from strategies import programs
 
@@ -167,3 +167,33 @@ class TestAtomHash:
             assert b == obj and hash(b) == h and str(b) == text
             assert (b < other, other < b) == (obj < other, other < obj)
             assert sorted([other, b]) == sorted([obj, other])
+
+
+class TestConstructorContracts:
+    """The constructors' results and error messages."""
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_soft_weights_must_be_finite(self, value):
+        with pytest.raises(ValueError, match="^soft weights must be finite$"):
+            Weight(value)
+
+    def test_negation_depth(self):
+        with pytest.raises(ValueError) as exc:
+            Literal(atom("a"), 3)
+        assert str(exc.value) == "negation depth must be 0, 1, or 2: 3"
+
+    def test_terms_by_spelling(self):
+        assert var("X") == Term("X") and const(3) == Term("3")
+        with pytest.raises(ValueError, match="^not a variable name: 'x'$"):
+            var("x")
+        with pytest.raises(ValueError, match="^not a constant name: 'X'$"):
+            const("X")
+
+    def test_weight_text_and_arity(self):
+        assert str(HARD) == "alpha" and str(soft(1.5)) == "1.5"
+        assert atom("p", "a", "b").arity == 2
+
+    def test_missing_fixture(self):
+        with pytest.raises(FileNotFoundError) as exc:
+            fixture_path("nope")
+        assert str(exc.value) == "no such fixture: nope"

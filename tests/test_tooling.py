@@ -61,3 +61,38 @@ def test_package_imports_only_the_standard_library():
             for name in names:
                 top = name.split(".")[0]
                 assert top == "lpmln" or top in sys.stdlib_module_names, (path.name, name)
+
+
+def _calls_of(tree: ast.AST, name: str) -> list[ast.Call]:
+    return [n for n in ast.walk(tree) if isinstance(n, ast.Call)
+            and isinstance(n.func, ast.Name) and n.func.id == name]
+
+
+def _counts(call: ast.Call) -> bool:
+    """Whether ``call`` is ``sum`` of a generator of 1s or of ``<<`` shifts:
+    an integer count or bitmask, which adds the same in any order."""
+    if len(call.args) != 1 or call.keywords or not isinstance(call.args[0], ast.GeneratorExp):
+        return False
+    elt = call.args[0].elt
+    return (isinstance(elt, ast.Constant) and elt.value == 1
+            or isinstance(elt, ast.BinOp) and isinstance(elt.op, ast.LShift))
+
+
+def test_floats_are_added_and_rounded_by_one_owner_each():
+    # sum() compensates on Python 3.12+ and not before, so no value test on
+    # one interpreter can see a new float sum(): inference._total adds every
+    # float, and inference._scaled is the one caller of round()
+    rounds = []
+    for path in sorted(Path(lpmln.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for call in _calls_of(tree, "sum"):
+            assert _counts(call), (path.name, call.lineno, ast.unparse(call))
+        owner = set()
+        if path.name == "inference.py":
+            scaled = next(n for n in tree.body
+                          if isinstance(n, ast.FunctionDef) and n.name == "_scaled")
+            owner = {id(n) for n in ast.walk(scaled)}
+        for call in _calls_of(tree, "round"):
+            assert id(call) in owner, (path.name, call.lineno, ast.unparse(call))
+            rounds.append(call)
+    assert len(rounds) == 1
