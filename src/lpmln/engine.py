@@ -26,23 +26,24 @@ rest keep their index and lose their fixed literals and head atoms.
 
 Candidates are decided a slice at a time, bit-sliced: per slice of
 ``2 ** _LANE_BITS`` candidates every atom holds one integer whose bit m is
-its value in the slice's candidate m (the low free atoms take fixed lane
-patterns, the others are constant over the slice).  Per slice, ``_derive``
-closes every lane, one residual closure stage after another; ``_rule_pass``
-gives each residual rule the lanes that violate it and the lanes whose
-reduct keeps it; strict mode drops the lanes that violate a hard rule; and
-``_stable_lanes`` keeps the lanes that are minimal models of their reducts,
-by ``_derive`` from no atoms or, when a rule the slice keeps is
-disjunctive, by subset search per lane.  Minimality is decided above
-``sure`` because every model of the reduct contains ``sure``, and a dropped
-rule is satisfied by every interpretation between ``sure`` and the
-candidate.  Per accepted model, the lanes are read back into one atom
-bitset and one violation mask, in ascending candidate order, so violation
-masks still index, and agree with, the full program.  These functions,
-with ``_kept_lanes`` as the one reader of ``not`` literals, are the only
-code that decides reducts, violation and minimality: a single
-interpretation, as in ``is_stable_model``, ``reduce_program`` and
-``_Compiled.violated``, is one lane over the full program.
+its value in the slice's candidate m (``_slices`` gives the low free atoms
+fixed lane patterns, the others constants; ``mln_backend`` reads its worlds
+with it too).  Per slice, ``_derive`` closes every lane, one residual
+closure stage after another; ``_rule_pass`` gives each residual rule the
+lanes that violate it and the lanes whose reduct keeps it; strict mode
+drops the lanes that violate a hard rule; and ``_stable_lanes`` keeps the
+lanes that are minimal models of their reducts, by ``_derive`` from no
+atoms or, when a rule the slice keeps is disjunctive, by subset search per
+lane.  Minimality is decided above ``sure`` because every model of the
+reduct contains ``sure``, and a dropped rule is satisfied by every
+interpretation between ``sure`` and the candidate.  Per accepted model, the
+lanes are read back into one atom bitset and one violation mask, in
+ascending candidate order, so violation masks still index, and agree with,
+the full program.  These functions, with ``_kept_lanes`` as the one reader
+of ``not`` literals, are the only code that decides reducts, violation and
+minimality: a single interpretation, as in ``is_stable_model``,
+``reduce_program`` and ``_Compiled.violated``, is one lane over the full
+program.
 
 Interpretations are manipulated as integer bitsets internally; the public
 functions speak frozensets of atoms.
@@ -52,7 +53,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .grounder import GroundProgram, GroundRule
 from .model import Atom, Interpretation
@@ -326,18 +327,9 @@ class StableModelEnumerator:
         k = len(self.free_positions)
         if k > self.cap:
             raise EnumerationCapError(self.cap, k, self._free_atoms())
-        lanes = min(k, _LANE_BITS)
-        full = (1 << (1 << lanes)) - 1
-        # lane m of low free atom j holds bit j of m: blocks of 2**j zeros,
-        # then 2**j ones, repeated
-        low = [full // ((1 << 2 * h) - 1) * (((1 << h) - 1) << h)
-               for h in (1 << j for j in range(lanes))]
         out: list[int] = []
         violations: list[int] = []
-        for s in range(1 << (k - lanes)):
-            val = [0] * len(self.comp.atoms)
-            for j, p in enumerate(self.free_positions):
-                val[p] = low[j] if j < lanes else full if s >> (j - lanes) & 1 else 0
+        for val, full in _slices(self.free_positions, len(self.comp.atoms)):
             models, masks = self._decide_slice(val, full)
             out += models
             violations += masks
@@ -367,6 +359,24 @@ class StableModelEnumerator:
 
     def models(self) -> list[Interpretation]:
         return [self.comp.interp_of(b) for b in self.models_bits()]
+
+
+def _slices(positions: Sequence[int], n: int) -> Iterator[tuple[list[int], int]]:
+    """Every assignment to the atom positions ``positions`` of ``n``, in order, a slice
+    at a time: ``val`` (bit m of ``val[p]`` is atom p's value in lane m) and ``full``,
+    every lane set; bit j of an assignment is the value of ``positions[j]``."""
+    k = len(positions)
+    lanes = min(k, _LANE_BITS)
+    full = (1 << (1 << lanes)) - 1
+    # lane m of low position j holds bit j of m: blocks of 2**j zeros,
+    # then 2**j ones, repeated
+    low = [full // ((1 << 2 * h) - 1) * (((1 << h) - 1) << h)
+           for h in (1 << j for j in range(lanes))]
+    for s in range(1 << (k - lanes)):
+        val = [0] * n
+        for j, p in enumerate(positions):
+            val[p] = low[j] if j < lanes else full if s >> (j - lanes) & 1 else 0
+        yield val, full
 
 
 def _lane_form(rules: Iterable[_CompiledRule]) -> list[tuple]:

@@ -89,15 +89,16 @@ def _scaled(value: float, scale: int) -> int:
         raise ValueError(f"{value!r} at scale {scale} is out of range") from None
 
 
-def _vector(comp: _Compiled, violated: int, mode: str) -> WeightVector:
-    counted = comp.counted(violated, mode == "reward")
-    return WeightVector((counted & comp.hard).bit_count(),
-                        _total(map(comp.weights.__getitem__, _bit_indices(counted & ~comp.hard))))
+def _vector(counted: int, hard: int, weights: list[float]) -> WeightVector:
+    """The hard count and the soft total of the rules or formulas in the mask ``counted``."""
+    return WeightVector((counted & hard).bit_count(),
+                        _total(map(weights.__getitem__, _bit_indices(counted & ~hard))))
 
 
 def _weigh(gp: GroundProgram, interp: Interpretation, mode: str) -> WeightVector:
     comp = _Compiled(gp)
-    return _vector(comp, comp.violated(comp.bits_of(interp)), mode)
+    return _vector(comp.counted(comp.violated(comp.bits_of(interp)), mode == "reward"),
+                   comp.hard, comp.weights)
 
 
 def weight_reward(gp: GroundProgram, interp: Interpretation) -> WeightVector:
@@ -133,16 +134,19 @@ def _weigh_models(gp: GroundProgram, mode: str, hard_mode: str, cap: int) -> _We
     if not bits_list:
         raise NoStableModelsError("no probabilistic stable models")
 
-    vectors = [_vector(enum.comp, v, mode) for v in enum.violations]
+    comp = enum.comp
+    vectors = [_vector(comp.counted(v, mode == "reward"), comp.hard, comp.weights)
+               for v in enum.violations]
     _, probabilities = _normalise(vectors, mode)
-    return _Weighed(enum.comp, bits_list, enum.violations, vectors, probabilities)
+    return _Weighed(comp, bits_list, enum.violations, vectors, probabilities)
 
 
 def _normalise(vectors: list[WeightVector], mode: str) -> tuple[int, list[float]]:
     """The extremal hard tier of a non-empty list of weight vectors
     (maximal for reward, minimal for penalty) and each vector's
     probability: 0.0 off that tier; on it, the exponentiated signed soft
-    tier, shifted by the tier's largest exponent, over the tier's total."""
+    tier, shifted by the tier's largest exponent, over the tier's total.
+    ``ValueError`` when that total is undefined."""
     if mode == "reward":
         best_hard = max(v.hard for v in vectors)
         sign = 1.0
@@ -153,6 +157,8 @@ def _normalise(vectors: list[WeightVector], mode: str) -> tuple[int, list[float]
     exponents = [sign * v.soft for v in vectors if v.hard == best_hard]
     shift = max(exponents)
     total = _total(math.exp(e - shift) for e in exponents)
+    if math.isnan(total):  # an exponent of inf or nan, or every one -inf
+        raise ValueError("soft weights add up past the float range")
     return best_hard, [math.exp(sign * v.soft - shift) / total if v.hard == best_hard else 0.0
                        for v in vectors]
 

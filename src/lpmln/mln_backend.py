@@ -7,17 +7,20 @@ matches the program's own.  The evaluator enumerates worlds exactly:
 worlds violating a hard formula carry no mass (falling back to the
 maximal count of satisfied hard formulas when nothing satisfies them
 all), and the rest weigh in at the exponentiated sum of their satisfied
-soft weights.
+soft weights.  ``_lanes`` evaluates each formula once per slice of worlds
+(``engine._slices``); a soft total past the float range is a ValueError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import and_, or_
 
-from .engine import DEFAULT_ATOM_CAP, EnumerationCapError, _bit_indices, _Compiled, _tarjan_scc
+from .engine import (DEFAULT_ATOM_CAP, EnumerationCapError, _bit_indices, _Compiled, _slices,
+                     _tarjan_scc, _transpose)
 from .grounder import GroundProgram
-from .inference import WeightVector, _normalise, _total
+from .inference import _normalise, _total, _vector
 from .model import HARD, Atom, Interpretation, Weight, _choice_marker, atom_sort_key
 
 
@@ -90,18 +93,24 @@ def disj(subs) -> Formula:
 
 
 def evaluate(f: Formula, interp: Interpretation) -> bool:
+    """Whether ``f`` holds in ``interp``: ``_lanes`` with it as the only lane."""
+    return _lanes(f, dict.fromkeys(interp, 1), 1) == 1
+
+
+def _lanes(f: Formula, val: dict[Atom, int], full: int) -> int:
+    """The lanes of ``full`` where ``f`` holds; ``val[a]``: atom a's true lanes, if any."""
     if isinstance(f, FAtom):
-        return f.atom in interp
+        return val.get(f.atom, 0)
     if isinstance(f, FNot):
-        return not evaluate(f.sub, interp)
+        return full ^ _lanes(f.sub, val, full)
     if isinstance(f, FAnd):
-        return all(evaluate(s, interp) for s in f.subs)
+        return reduce(and_, [_lanes(s, val, full) for s in f.subs], full)
     if isinstance(f, FOr):
-        return any(evaluate(s, interp) for s in f.subs)
+        return reduce(or_, [_lanes(s, val, full) for s in f.subs], 0)
     if isinstance(f, FImpl):
-        return not evaluate(f.lhs, interp) or evaluate(f.rhs, interp)
+        return full & ~_lanes(f.lhs, val, full) | _lanes(f.rhs, val, full)
     if isinstance(f, FIff):
-        return evaluate(f.lhs, interp) == evaluate(f.rhs, interp)
+        return full ^ _lanes(f.lhs, val, full) ^ _lanes(f.rhs, val, full)
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -319,19 +328,24 @@ def mln_distribution(mln: MlnProgram, cap: int = DEFAULT_ATOM_CAP) -> MlnDistrib
     if n > cap:
         raise EnumerationCapError(cap, n, [
             (str(a), "aux atom" if a in mln.aux_atoms else "world atom") for a in atoms])
-    hard = [mf.formula for mf in mln.formulas if mf.weight.is_hard]
-    softs = [(mf.formula, mf.weight.value) for mf in mln.formulas if mf.weight.is_soft]
+    hard = sum(1 << k for k, mf in enumerate(mln.formulas) if mf.weight.is_hard)
+    weights = [0.0 if mf.weight.is_hard else mf.weight.value for mf in mln.formulas]
 
-    worlds = []
-    vectors = []  # reward-style: satisfied hard formulas, satisfied soft weights
-    for mask in range(1 << n):
-        interp = frozenset(a for i, a in enumerate(atoms) if mask >> i & 1)
-        worlds.append(interp)
-        vectors.append(WeightVector(sum(1 for f in hard if evaluate(f, interp)),
-                                    _total(w for f, w in softs if evaluate(f, interp))))
-
+    # (atoms, satisfied formulas) of the worlds satisfying every hard formula, else of every world
+    for required in (_bit_indices(hard), []):
+        read: list[tuple[int, int]] = []
+        for val, full in _slices(range(n), n):
+            truth = dict(zip(atoms, val))
+            sat = [_lanes(mf.formula, truth, full) for mf in mln.formulas]
+            alive = reduce(and_, [sat[k] for k in required], full)
+            read += zip(_transpose(list(enumerate(val)), full.bit_length(), alive),
+                        _transpose(list(enumerate(sat)), full.bit_length(), alive))
+        if read:
+            break
+    vectors = [_vector(satisfied, hard, weights) for _, satisfied in read]
     best_hard, probabilities = _normalise(vectors, "reward")
-    entries = tuple((w, p) for w, v, p in zip(worlds, vectors, probabilities)
+    entries = tuple((frozenset(atoms[i] for i in _bit_indices(bits)), p)
+                    for (bits, _), v, p in zip(read, vectors, probabilities)
                     if v.hard == best_hard)
     return MlnDistribution(atoms, entries)
 

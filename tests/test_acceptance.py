@@ -20,7 +20,7 @@ from lpmln.inference import (
     weight_penalty, weight_reward,
 )
 from lpmln.mln_backend import aux_extract, complete, mln_distribution
-from lpmln.model import Program, atom
+from lpmln.model import Program, atom, merge_programs
 from helpers import P, random_program_text, random_tight_text
 
 TOL = 1e-9
@@ -195,13 +195,7 @@ def test_criterion_10_tight_completion():
         except NoStableModelsError:
             continue
         checked += 1
-        mln_d = mln_distribution(complete(gp))
-        projected = mln_d.project(set(mln_d.atoms) - set(gp.atoms))
-        support = {e.interpretation: e.probability for e in src.entries}
-        keys = set(projected) | set(support)
-        for world in keys:
-            assert projected.get(world, 0.0) == \
-                pytest.approx(support.get(world, 0.0), abs=TOL)
+        _assert_completion_matches(gp, src)
     bird_mln = mln_distribution(complete(ground(load("bird.lpmln"))))
     e = math.e
     p_bird = bird_mln.marginal_of(atom("bird", "jo"))
@@ -209,6 +203,16 @@ def test_criterion_10_tight_completion():
     assert abs(p_bird - 0.90296) < 0.02
     done(10, "completion preserves the distribution on 100 random tight programs; "
              "completed bird gives (e^2+e)/(1+e+e^2), within 0.02 of 0.90296")
+
+
+def _assert_completion_matches(gp, src):
+    """The completion's distribution, projected onto the program's atoms,
+    is the program's reward distribution ``src``, both ways."""
+    mln_d = mln_distribution(complete(gp))
+    projected = mln_d.project(set(mln_d.atoms) - set(gp.atoms))
+    support = {e.interpretation: e.probability for e in src.entries}
+    for world in set(projected) | set(support):
+        assert projected.get(world, 0.0) == pytest.approx(support.get(world, 0.0), abs=TOL)
 
 
 def test_criterion_11_problog():
@@ -257,3 +261,20 @@ def test_criterion_12_clique_smoke_test():
     assert in_atoms  # a relaxed clique was actually selected
     done(12, f"relaxed-clique MAP (10 nodes, p=0.5) finished in {elapsed:.2f}s "
              "(timing experiments themselves are out of desk-scale scope)")
+
+
+@pytest.mark.parametrize("name, evidence_name", [
+    ("fire_bayes.lpmln", None),
+    *[("fire_bayes.lpmln", f"fire_evid_{kind}.db")
+      for kind in ("diagnostic", "explaining", "intercausal", "mixed", "predictive")],
+    ("pcm_firing_squad.lpmln", None),
+    ("pcm_firing_squad.lpmln", "pcm_evid.db"),
+])
+def test_criterion_13_completion_of_the_paper_programs(name, evidence_name):
+    program = load(name)
+    if evidence_name:
+        program = merge_programs(program, evidence(evidence_name))
+    gp = ground(program)
+    _assert_completion_matches(gp, distribution(gp, "reward", "strict"))
+    done(13, f"the completion of {name}" + (f" under {evidence_name}" if evidence_name else "")
+             + " has the program's distribution")

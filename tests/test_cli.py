@@ -423,6 +423,21 @@ class TestInputContract:
         code, out, err = invoke("-i", str(src), "--scale", str(scale), *flags)
         assert (code, out, err) == (1, "", f"error: {message} is out of range\n")
 
+    # penalty mode: {} violates both facts, an exponent of -(-inf) = inf
+    @pytest.mark.parametrize("flags", [("-q", "a,b"), ()], ids=["query", "map"])
+    def test_infinite_soft_total(self, tmp_path, flags):
+        src = tmp_path / "p.lpmln"
+        src.write_text("".join(f"-1{'0' * 308} {a}.\n" for a in "ab"))
+        code, out, err = invoke("-i", str(src), *flags)
+        assert (code, out, err) == (1, "", "error: soft weights add up past the float range\n")
+
+    def test_minus_infinite_exponent_has_probability_zero(self, tmp_path):
+        # {} violates both facts, adds up to inf and weighs exp(-inf) = 0
+        src = tmp_path / "p.lpmln"
+        src.write_text("".join(f"1{'0' * 308} {a}.\n" for a in "ab"))
+        code, out, err = invoke("-i", str(src), "-q", "a,b")
+        assert (code, out, err) == (0, "a 1\nb 1\n", "")
+
     def test_hard_reward_weights_at_any_scale(self, tmp_path):
         # hard weak constraints weigh -scale, an exact integer
         src = tmp_path / "p.lpmln"

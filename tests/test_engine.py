@@ -360,10 +360,15 @@ class TestBitSlicedKernel:
     """Candidates are decided a slice of 2 ** _LANE_BITS at a time; at every
     lane width the result must be the oracle's, in candidate order."""
 
-    @pytest.fixture(params=[0, 1, 2, engine._LANE_BITS])
-    def lane_bits(self, request, monkeypatch):
-        monkeypatch.setattr(engine, "_LANE_BITS", request.param)
-        return request.param
+    def test_slices_read_back_every_assignment_in_order(self, lane_bits):
+        positions = [1, 3, 4]
+        read = []
+        for val, full in engine._slices(positions, 6):
+            assert full == (1 << (1 << min(3, lane_bits))) - 1
+            assert val[0] == val[2] == val[5] == 0
+            read += engine._transpose(list(enumerate(val)), full.bit_length(), full)
+        assert read == [sum(1 << p for j, p in enumerate(positions) if m >> j & 1)
+                        for m in range(8)]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_generated_programs(self, lane_bits, seed):

@@ -7,8 +7,8 @@ from lpmln import fixture_path, ground, parse_program
 from lpmln.engine import EnumerationCapError
 from lpmln.inference import NoStableModelsError, distribution
 from lpmln.mln_backend import (
-    FALSE, FAnd, FAtom, FIff, FImpl, FNot, FOr, HARD, MlnFormula, MlnProgram,
-    DisjunctiveProgramError, NotTightError, aux_extract, complete, disj,
+    FALSE, FAnd, FAtom, FIff, FImpl, FNot, FOr, HARD, MlnDistribution, MlnFormula,
+    MlnProgram, DisjunctiveProgramError, NotTightError, aux_extract, complete, disj,
     emit_mln_text, evaluate, is_tight, mln_distribution, tseytin,
 )
 from lpmln.model import atom, soft
@@ -224,6 +224,41 @@ class TestMlnDistribution:
         assert d.probability(frozenset([atom("b")])) == pytest.approx(0.5)
 
 
+    def test_infinite_soft_total_is_an_error(self):
+        # the world {a, b} adds up to inf: exp(inf - inf) has no value
+        big = soft(float("1" + "0" * 308))
+        with pytest.raises(ValueError) as exc:
+            mln_distribution(MlnProgram((MlnFormula(big, fa("a")), MlnFormula(big, fa("b")))))
+        assert str(exc.value) == "soft weights add up past the float range"
+
+
+class TestLaneWidths:
+    """Worlds are evaluated a slice of 2 ** _LANE_BITS at a time; at every
+    width the distribution is the world-by-world one, float for float."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_mlns(self, lane_bits, seed):
+        rng = random.Random(900 + seed)
+        for _ in range(40):
+            mln = _random_mln(rng)
+            assert mln_distribution(mln) == _world_by_world(mln)
+
+    def test_twelve_atoms_with_unsatisfiable_hard_formulas(self, lane_bits):
+        rng = random.Random(12)
+        names = [f"a{k}" for k in range(12)]
+        formulas = [MlnFormula(HARD, fa("a0")), MlnFormula(HARD, FNot(fa("a0")))]
+        for k in range(11):
+            formulas.append(MlnFormula(HARD, FImpl(fa(names[k]), fa(names[k + 1]))))
+        for _ in range(8):
+            formulas.append(MlnFormula(soft(rng.randint(-2000, 2000) / 1000),
+                                       _random_formula(rng, names, 2)))
+        mln = MlnProgram(tuple(formulas))
+        d = mln_distribution(mln)
+        # every world misses a0 or !a0; the best also keep the whole chain
+        assert len(d.entries) == 13
+        assert d == _world_by_world(mln)
+
+
 class TestAuxExtract:
     def test_aux_equals_definition_in_support(self):
         rng = random.Random(8)
@@ -373,3 +408,42 @@ def _random_subformula(rng, mln):
     for mf in mln.formulas:
         pool.extend(_collect_compound(mf.formula))
     return rng.choice(pool) if pool else None
+
+
+def _holds(f, world) -> bool:
+    if isinstance(f, FAtom):
+        return f.atom in world
+    if isinstance(f, FNot):
+        return not _holds(f.sub, world)
+    if isinstance(f, FAnd):
+        return all(_holds(s, world) for s in f.subs)
+    if isinstance(f, FOr):
+        return any(_holds(s, world) for s in f.subs)
+    if isinstance(f, FImpl):
+        return not _holds(f.lhs, world) or _holds(f.rhs, world)
+    return _holds(f.lhs, world) == _holds(f.rhs, world)
+
+
+def _world_by_world(mln) -> MlnDistribution:
+    """``mln_distribution`` one world and one formula at a time: worlds in
+    ascending order (bit i for atom i), floats added in the same order."""
+    atoms = mln.atoms
+    scored = []
+    for mask in range(1 << len(atoms)):
+        world = frozenset(a for i, a in enumerate(atoms) if mask >> i & 1)
+        hard, total = 0, 0.0
+        for mf in mln.formulas:
+            if _holds(mf.formula, world):
+                if mf.weight.is_hard:
+                    hard += 1
+                else:
+                    total += mf.weight.value
+        scored.append((hard, world, total))
+    best = max(hard for hard, _, _ in scored)
+    tier = [(world, total) for hard, world, total in scored if hard == best]
+    shift = max(total for _, total in tier)
+    norm = 0.0
+    for _, total in tier:
+        norm += math.exp(total - shift)
+    return MlnDistribution(atoms, tuple((world, math.exp(total - shift) / norm)
+                                        for world, total in tier))
