@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .engine import DEFAULT_ATOM_CAP, StableModelEnumerator, _bit_indices, _Compiled
 from .grounder import GroundProgram, GroundRule, UnsafeRuleError, _desugar_safe, ground
-from .inference import _scaled
+from .inference import _check_scale, _scaled
 from .model import (
     HARD, Atom, Interpretation, Literal, Program, Rule, Term, Weight, _rule_line, format_rule,
 )
@@ -66,8 +66,7 @@ def translate_penalty(program: Program, scale: int = 1000,
     (level 0 with w' = round(w*scale) for soft rules, level 1 with w' = 1
     for hard ones).  Hard rules pass through verbatim unless
     ``translate_hard`` is set."""
-    if scale < 1:
-        raise ValueError("scale must be a positive integer")
+    _check_scale(scale)
     rules: list[Rule] = []
     weak: list[WeakConstraint] = []
     nxt = 1
@@ -146,8 +145,7 @@ def translate_reward(program: Program, scale: int = 1000) -> TranslatedProgram:
     true inequality out of the body, a rule with a false one dropped.  A
     fact contributes no negated-body rule, so its sat atom is derivable
     exactly when the fact's head holds."""
-    if scale < 1:
-        raise ValueError("scale must be a positive integer")
+    _check_scale(scale)
     for r in program.rules:
         if r.variables():
             raise NonGroundProgramError(

@@ -10,14 +10,17 @@ emit-mln export the translations instead of running inference.
 
 Exit codes: 0 success, 1 parse, safety or argument error (including an
 LPMLN_ATOM_CAP that is not a non-negative integer and --scale below 1),
-2 enumeration cap exceeded, 3 inconsistent evidence / no stable models.
-The environment variable LPMLN_ATOM_CAP overrides the enumeration cap.
+2 enumeration cap exceeded, 3 inconsistent evidence / no stable models
+(the evidence is blamed only when the program alone has a stable model).
+The environment variable LPMLN_ATOM_CAP overrides the enumeration cap;
+it and --scale are ASCII decimal numerals.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -56,9 +59,20 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="accepted for drop-in compatibility; ignored")
     p.add_argument("--mode", choices=["infer", "emit-asp-pnt", "emit-asp-rwd", "emit-mln"],
                    default="infer")
-    p.add_argument("--scale", type=int, default=inference.DEFAULT_SCALE,
+    p.add_argument("--scale", type=_decimal, default=inference.DEFAULT_SCALE,
                    help="integer scaling factor for weak-constraint weights")
     return p
+
+
+def _decimal(text: str) -> int:
+    """``text`` as an int if it is an ASCII decimal numeral, as in programs:
+    ``int`` alone also reads ``3_0``, ``+3``, `` 3 `` and non-ASCII digits."""
+    if re.fullmatch("-?[0-9]+", text):
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
 def _fmt(p: float) -> str:
@@ -137,16 +151,18 @@ def run(argv, stdout=None, stderr=None) -> int:
 
     raw_cap = os.environ.get("LPMLN_ATOM_CAP", str(DEFAULT_ATOM_CAP))
     try:
-        cap = int(raw_cap)
-    except ValueError:
+        cap = _decimal(raw_cap)
+    except argparse.ArgumentTypeError:
         print(f"error: LPMLN_ATOM_CAP must be an integer, got {raw_cap!r}", file=stderr)
         return EXIT_INPUT
     if cap < 0:
         print(f"error: LPMLN_ATOM_CAP must be a non-negative integer, got {raw_cap!r}",
               file=stderr)
         return EXIT_INPUT
-    if args.scale < 1:
-        print("error: scale must be a positive integer", file=stderr)
+    try:
+        inference._check_scale(args.scale)
+    except ValueError as e:
+        print(f"error: {e}", file=stderr)
         return EXIT_INPUT
     hard_mode = "relaxed" if args.relax_hard else "strict"
     if clingo_opts is not None:
@@ -174,12 +190,17 @@ def run(argv, stdout=None, stderr=None) -> int:
         else:
             merged = merge_programs(program, evidence) if evidence else program
             gp = ground(merged)
-            if args.map_mode or not (preds is not None or args.all_models):
-                text = _render_map(gp, hard_mode, cap, args.scale)
-            elif preds is not None:
-                text = _render_marginal(gp, preds, hard_mode, cap, stderr)
-            else:
-                text = _render_all(gp, hard_mode, cap, args.scale)
+            try:
+                if args.map_mode or not (preds is not None or args.all_models):
+                    text = _render_map(gp, hard_mode, cap, args.scale)
+                elif preds is not None:
+                    text = _render_marginal(gp, preds, hard_mode, cap, stderr)
+                else:
+                    text = _render_all(gp, hard_mode, cap, args.scale)
+            except inference.NoStableModelsError:
+                if evidence is None:
+                    raise
+                inference._blame_evidence(program, hard_mode, cap)
         if args.output:
             Path(args.output).write_text(text, encoding="utf-8")
             return EXIT_OK
@@ -187,10 +208,7 @@ def run(argv, stdout=None, stderr=None) -> int:
         print(f"error: {e}", file=stderr)
         return EXIT_CAP
     except inference.NoStableModelsError as e:
-        if args.evidence:
-            print("error: evidence is inconsistent with the program", file=stderr)
-        else:
-            print(f"error: {e}", file=stderr)
+        print(f"error: {e}", file=stderr)
         return EXIT_UNSAT
     except (ValueError, OSError) as e:  # syntax, grounding, decoding and file errors
         print(f"error: {e}", file=stderr)

@@ -7,22 +7,22 @@ from candidacy outright (mirroring solvers that pass hard rules through
 verbatim); under ``hard_mode="relaxed"`` the full set SM[P] is produced.
 
 Candidate generation is exhaustive over a *free* subset of the atoms
-rather than the whole Herbrand base.  First, a least fixpoint that ignores
-negation over-approximates the atoms a stable model can hold (every atom
-of a stable model is in the least model of its reduct); a rule with a
-positive or double-negated body atom outside that set holds in every
-candidate and is left out of the analysis.  Among the rules that remain,
-an atom is free when its value is not forced by hard rules alone: it heads
-a soft rule (droppable), heads a disjunctive rule, or sits in a dependency
-cycle through negation (which covers desugared choice rules).  Everything
-else is either fixed false (no remaining rule can derive it) or computed
-by a stratified least fixpoint, component by component.
-
-Once per program, a three-valued pass over those components bounds every
-candidate from both sides: ``sure`` holds the atoms true in all of them,
-``maybe`` the atoms true in some.  A rule with a body literal fixed false
-or a head atom in ``sure`` holds in every candidate and is dropped; the
-rest keep their index and lose their fixed literals and head atoms.
+rather than the whole Herbrand base.  One propagator, ``_propagate``, a
+least fixpoint over an atom bitset under a partial assignment, serves two
+analyses.  Under the empty assignment it ignores negation and bounds the
+atoms a stable model can hold; a rule with a positive or double-negated
+body atom outside them holds in every candidate and is left out.  Among
+the rules that remain, an atom is free when its value is not forced by
+hard rules alone: it heads a soft rule (droppable), heads a disjunctive
+rule, or sits in a dependency cycle through negation (which covers
+desugared choice rules).  Everything else is either fixed false (no
+remaining rule can derive it) or computed by a stratified least fixpoint,
+component by component.  Once per program, the propagator bounds every
+candidate from both sides over those components, each bound the other's
+assignment: ``sure`` holds the atoms true in all of them, ``maybe`` the
+atoms true in some.  A rule with a body literal fixed false or a head atom
+in ``sure`` holds in every candidate and is dropped; the rest keep their
+index and lose their fixed literals and head atoms.
 
 Candidates are decided a slice at a time, bit-sliced: per slice of
 ``2 ** _LANE_BITS`` candidates every atom holds one integer whose bit m is
@@ -214,10 +214,12 @@ class StableModelEnumerator:
         self.hard_mode = hard_mode
         self.cap = cap
         self.comp = _Compiled(gp)
-        # A rule with a positive or double-negated body atom that no stable
-        # model holds is satisfied by every model and never fires in its
-        # reduct: the analysis and the specialisation skip it.
-        derivable = _derivable(self.comp.rules)
+        # Every atom of a stable model is in the least model of its reduct,
+        # so propagation under the empty assignment, which ignores negation,
+        # derives it.  A rule with a positive or double-negated body atom
+        # outside that set is satisfied by every model and never fires in
+        # its reduct: the analysis and the specialisation skip it.
+        derivable = _propagate(self.comp.rules, 0, -1, 0)
         self._live = [r for r in self.comp.rules if not (r.pos | r.neg2) & ~derivable]
         self._analyze()
         self._specialise()
@@ -283,13 +285,14 @@ class StableModelEnumerator:
         self.closure_stages = [rs for rs in scc_rules if rs]
 
     def _specialise(self) -> None:
-        """Bound every candidate by a three-valued pass over the closure
-        stages, then keep only the rules whose truth can vary, stripped of
-        their fixed literals and head atoms."""
+        """Bound every candidate by propagation over the closure stages, the
+        lower bound under the upper and the upper under the lower (a stage's
+        negated atoms are settled when it runs), then keep only the rules
+        whose truth can vary, stripped of their fixed literals and head atoms."""
         sure = 0  # true in every candidate
         maybe = sum(1 << p for p in self.free_positions)  # true in some candidate
         for stage in self.closure_stages:
-            sure, maybe = _fire(stage, sure, maybe), _fire(stage, maybe, sure)
+            sure, maybe = _propagate(stage, sure, sure, maybe), _propagate(stage, maybe, maybe, sure)
         self.sure = sure
 
         def residual(rules):
@@ -490,41 +493,21 @@ def _transpose(columns: list[tuple[int, int]], width: int, lanes: int) -> list[i
     return [int("".join(digits), 2) << above for digits in compress(zip(*rows), picked)]
 
 
-def _derivable(rules: Sequence[_CompiledRule]) -> int:
-    """The atoms some stable model may hold: the least fixpoint in which a
-    rule derives its head atoms once its positive body atoms are derived,
-    whatever its negated and double-negated ones (a choice ``a :- B, not
-    not a`` must still derive ``a``).  Every atom of a stable model is in
-    the least model of its reduct, hence in this set."""
-    derived = 0
-    pending = [r for r in rules if r.head]
+def _propagate(rules: Sequence[_CompiledRule], bits: int, yes: int, no: int) -> int:
+    """Least fixpoint from ``bits`` under a partial assignment: a rule adds
+    its head atoms once its positive atoms are in ``bits``, its ``not not``
+    atoms in ``yes`` and none of its ``not`` atoms in ``no``."""
+    pending = rules
     while True:
         waiting = []
         for r in pending:
-            if (derived & r.pos) == r.pos:
-                derived |= r.head
+            if (bits & r.pos) == r.pos and (yes & r.neg2) == r.neg2 and not no & r.neg1:
+                bits |= r.head
             else:
                 waiting.append(r)
         if len(waiting) == len(pending):
-            return derived
+            return bits
         pending = waiting
-
-
-def _fire(stage: Sequence[_CompiledRule], bits: int, other: int) -> int:
-    """Least fixpoint of one closure stage from ``bits``: a rule adds its
-    head when its positive and double-negated atoms are in ``bits`` and
-    none of its negated atoms is in ``other``.  With (lower, upper) and
-    (upper, lower) bounds it gives the atoms derived in every candidate and
-    in some candidate."""
-    changed = True
-    while changed:
-        changed = False
-        for r in stage:
-            if not bits & r.head and (bits & r.pos) == r.pos \
-                    and not other & r.neg1 and (bits & r.neg2) == r.neg2:
-                bits |= r.head
-                changed = True
-    return bits
 
 
 def _bit_indices(bits: int) -> list[int]:

@@ -89,6 +89,12 @@ def _scaled(value: float, scale: int) -> int:
         raise ValueError(f"{value!r} at scale {scale} is out of range") from None
 
 
+def _check_scale(scale: int) -> None:
+    """``ValueError`` unless ``scale``, the factor of every scaled weight, is at least 1."""
+    if scale < 1:
+        raise ValueError("scale must be a positive integer")
+
+
 def _vector(counted: int, hard: int, weights: list[float]) -> WeightVector:
     """The hard count and the soft total of the rules or formulas in the mask ``counted``."""
     return WeightVector((counted & hard).bit_count(),
@@ -189,6 +195,7 @@ def map_estimate(gp: GroundProgram, hard_mode: str = "strict",
                  scale: int = DEFAULT_SCALE) -> MapResult:
     """All most probable stable models (ties included), with each model's
     scaled integer penalty for display."""
+    _check_scale(scale)
     w = _weigh_models(gp, "penalty", hard_mode, cap)
     tied = _most_probable(w)
     return MapResult(tuple(w.comp.interp_of(w.bits[k]) for k in tied),
@@ -239,5 +246,14 @@ def conditional(program: Program, evidence: Program, query_preds,
     gp = ground(merged)
     try:
         return marginal(gp, query_preds, mode, hard_mode, cap)
-    except NoStableModelsError as exc:
-        raise InconsistentEvidenceError("evidence is inconsistent with the program") from exc
+    except NoStableModelsError:
+        _blame_evidence(program, hard_mode, cap)
+
+
+def _blame_evidence(program: Program, hard_mode: str, cap: int) -> None:
+    """Raise the error for a program that has no stable model once evidence
+    is added: ``InconsistentEvidenceError`` when the program alone has one,
+    ``NoStableModelsError`` when it has none either."""
+    if StableModelEnumerator(ground(program), hard_mode, cap).models_bits():
+        raise InconsistentEvidenceError("evidence is inconsistent with the program")
+    raise NoStableModelsError("no probabilistic stable models")

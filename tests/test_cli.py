@@ -322,6 +322,19 @@ class TestExitCodes:
         assert code == 3
         assert "inconsistent" in err
 
+    @pytest.mark.parametrize("program, message", [
+        ("a.\n", "evidence is inconsistent with the program"),
+        ("a.\n:- a.\n", "no probabilistic stable models"),  # not the evidence's fault
+    ])
+    @pytest.mark.parametrize("flags", [(), ("-q", "a"), ("-all",)])
+    def test_evidence_is_blamed_only_when_the_program_has_models(self, tmp_path, program,
+                                                                 message, flags):
+        (tmp_path / "p.lpmln").write_text(program)
+        (tmp_path / "e.db").write_text(":- a.\n:- b.\n")
+        code, out, err = invoke("-i", str(tmp_path / "p.lpmln"), "-e", str(tmp_path / "e.db"),
+                                *flags)
+        assert (code, out, err) == (3, "", f"error: {message}\n")
+
     def test_missing_input_flag(self):
         code, _, _ = invoke()
         assert code == 1
@@ -385,6 +398,23 @@ class TestInputContract:
         code, out, err = invoke("-i", BIRD, env={"LPMLN_ATOM_CAP": "abc"})
         assert code == 1 and out == ""
         assert err == "error: LPMLN_ATOM_CAP must be an integer, got 'abc'\n"
+
+    # numerals on the command line are ASCII decimals, as in programs
+    @pytest.mark.parametrize("raw", ["3_0", "\uff13", "\u0663", " 3 ", "+3",
+                                     pytest.param("9" * 5000, id="past-int-digit-limit")])
+    def test_atom_cap_is_an_ascii_decimal(self, raw):
+        code, out, err = invoke("-i", BIRD, env={"LPMLN_ATOM_CAP": raw})
+        assert (code, out) == (1, "")
+        assert err == f"error: LPMLN_ATOM_CAP must be an integer, got {raw!r}\n"
+
+    @pytest.mark.parametrize("raw", ["3_0", "\uff13", "\u0663", " 3 ", "+3",
+                                     pytest.param("9" * 5000, id="past-int-digit-limit")])
+    def test_scale_is_an_ascii_decimal(self, raw, capsys):
+        code, out, err = invoke("-i", BIRD, "--scale", raw)
+        assert (code, out, err) == (1, "", "")
+        # argparse reports to sys.stderr
+        assert capsys.readouterr().err.splitlines()[-1] == \
+            f"lpmln: error: argument --scale: invalid int value: {raw!r}"
 
     @pytest.mark.parametrize("flags", [(), ("-q", "residentbird"),
                                        ("--mode", "emit-asp-rwd")])

@@ -287,6 +287,9 @@ class TestSpecialisedEnumeration:
             _assert_matches_full_program(ground(P(text)), text)
 
 
+DISJUNCTIVE_BOUNDS = "a ; b :- c.\nc.\nd :- b.\n{x}.\ny :- not not x, z.\n"
+
+
 class TestDerivability:
     """Rules with a positive or double-negated body atom that nothing can
     derive are left out of the free-atom analysis; models and violation
@@ -295,9 +298,27 @@ class TestDerivability:
     def test_fixpoint_ignores_negation(self):
         comp = _Compiled(ground(P("{a}.\nb :- a, not c.\nd :- not not e.\n"
                                   "f :- d.\n1 g :- u.\n:- a.\n")))
-        derived = engine._derivable(comp.rules)
+        derived = engine._propagate(comp.rules, 0, -1, 0)
         assert sorted(str(comp.atoms[i]) for i in engine._bit_indices(derived)) == \
             ["a", "b", "d", "f"]
+        # every head atom of a disjunctive rule is derivable
+        comp = _Compiled(ground(P(DISJUNCTIVE_BOUNDS)))
+        derived = engine._propagate(comp.rules, 0, -1, 0)
+        assert sorted(str(comp.atoms[i]) for i in engine._bit_indices(derived)) == \
+            ["a", "b", "c", "d", "x"]
+
+    @pytest.mark.parametrize("text, sure, varying", [
+        ("{f}.\na :- not f.\nb :- not not f.\nc.\nd :- c, not g.\ne :- a, b.\n",
+         ["c", "d"], ["a", "b", "e", "f"]),
+        (DISJUNCTIVE_BOUNDS, ["c"], ["a", "b", "d", "x"]),
+    ])
+    def test_bounds(self, text, sure, varying):
+        # the lower bound fires a rule only when its negated atoms are in no
+        # candidate and its double-negated ones in every candidate; the
+        # upper bound when they are in some candidate
+        enum = StableModelEnumerator(ground(P(text)), "strict")
+        assert sorted(str(enum.comp.atoms[p]) for p in engine._bit_indices(enum.sure)) == sure
+        assert [str(enum.comp.atoms[p]) for p in enum._varying] == varying
 
     def test_underivable_heads_are_not_free(self):
         gp = ground(P("1 p :- u.\n2 q :- not not u.\n{r} :- p.\n{s}.\n:- s, not p.\n"))
@@ -335,7 +356,7 @@ class TestDerivability:
             _assert_matches_full_program(gp, text)
         for hard_mode in ("strict", "relaxed"):
             enum = StableModelEnumerator(gp, hard_mode)
-            derivable = engine._derivable(enum.comp.rules)
+            derivable = engine._propagate(enum.comp.rules, 0, -1, 0)
             assert all(derivable >> p & 1 for p in enum.free_positions), text
 
 

@@ -193,6 +193,11 @@ class TestMapEstimate:
         result = map_estimate(ground(P("{a}.\n")))
         assert len(result.models) == 2
 
+    @pytest.mark.parametrize("scale", [0, -3])
+    def test_scale_below_one(self, scale):
+        with pytest.raises(ValueError, match="^scale must be a positive integer$"):
+            map_estimate(bird_gp(), scale=scale)
+
     def test_scaling_preserves_argmax(self):
         rng = random.Random(17)
         for _ in range(20):
@@ -300,6 +305,16 @@ class TestMarginalAndConditional:
         prog = parse_program(fixture_path("bird.lpmln").read_text())
         with pytest.raises(InconsistentEvidenceError):
             conditional(prog, parse_evidence(":- bird(jo).\n:- not bird(jo).\n"), ["bird"])
+
+    @pytest.mark.parametrize("text, error, message", [
+        ("a.\n", InconsistentEvidenceError, "evidence is inconsistent with the program"),
+        # the program alone has no stable model: the evidence is not to blame
+        ("a.\n:- a.\n", NoStableModelsError, "no probabilistic stable models"),
+    ])
+    def test_evidence_is_blamed_only_when_the_program_has_models(self, text, error, message):
+        with pytest.raises(NoStableModelsError) as info:
+            conditional(P(text), parse_evidence(":- a.\n:- b.\n"), ["a"])
+        assert (type(info.value), str(info.value)) == (error, message)
 
     def test_soft_evidence_rejected(self):
         prog = parse_program(fixture_path("bird.lpmln").read_text())
