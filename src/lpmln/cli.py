@@ -8,12 +8,13 @@ with -e conditionals, -all lists every stable model with its probability,
 otherwise a MAP estimate is printed.  --mode emit-asp-pnt / emit-asp-rwd /
 emit-mln export the translations instead of running inference.
 
-Exit codes: 0 success, 1 parse, safety or argument error (including an
-LPMLN_ATOM_CAP that is not a non-negative integer and --scale below 1),
-2 enumeration cap exceeded, 3 inconsistent evidence / no stable models
-(the evidence is blamed only when the program alone has a stable model).
-The environment variable LPMLN_ATOM_CAP overrides the enumeration cap;
-it and --scale are ASCII decimal numerals.
+Exit codes: 0 success (-h too, its help on run's stdout), 1 parse, safety
+or usage error (an LPMLN_ATOM_CAP that is not a non-negative integer and
+--scale below 1 included), 2 enumeration cap exceeded, 3 inconsistent
+evidence / no stable models (the evidence is blamed only when the program
+alone has a stable model).  Every error is one "error:" line on run's
+stderr.  The environment variable LPMLN_ATOM_CAP overrides the
+enumeration cap; it and --scale are ASCII decimal numerals.
 """
 
 from __future__ import annotations
@@ -37,10 +38,24 @@ EXIT_CAP = 2
 EXIT_UNSAT = 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as ``ValueError(message)``, for ``run`` to report."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
+class _Help(argparse.Action, Exception):
+    """``-h``: the action raises itself, to stop parsing as argparse's help does."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        raise self
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="lpmln",
-        description="Exact inference and translations for weighted answer set programs.")
+    p = _Parser(prog="lpmln", add_help=False, description=(
+        "Exact inference and translations for weighted answer set programs."))
+    p.add_argument("-h", "--help", action=_Help, nargs=0, help="show this help message and exit")
     p.add_argument("-i", dest="input", required=True, metavar="FILE",
                    help="input program")
     p.add_argument("-e", dest="evidence", metavar="FILE",
@@ -146,29 +161,18 @@ def run(argv, stdout=None, stderr=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as e:
-        return EXIT_INPUT if e.code else EXIT_OK
-
-    raw_cap = os.environ.get("LPMLN_ATOM_CAP", str(DEFAULT_ATOM_CAP))
-    try:
-        cap = _decimal(raw_cap)
-    except argparse.ArgumentTypeError:
-        print(f"error: LPMLN_ATOM_CAP must be an integer, got {raw_cap!r}", file=stderr)
-        return EXIT_INPUT
-    if cap < 0:
-        print(f"error: LPMLN_ATOM_CAP must be a non-negative integer, got {raw_cap!r}",
-              file=stderr)
-        return EXIT_INPUT
-    try:
+        raw_cap = os.environ.get("LPMLN_ATOM_CAP", str(DEFAULT_ATOM_CAP))
+        try:
+            cap = _decimal(raw_cap)
+        except argparse.ArgumentTypeError:
+            raise ValueError(f"LPMLN_ATOM_CAP must be an integer, got {raw_cap!r}")
+        if cap < 0:
+            raise ValueError(f"LPMLN_ATOM_CAP must be a non-negative integer, got {raw_cap!r}")
         inference._check_scale(args.scale)
-    except ValueError as e:
-        print(f"error: {e}", file=stderr)
-        return EXIT_INPUT
-    hard_mode = "relaxed" if args.relax_hard else "strict"
-    if clingo_opts is not None:
-        print("warning: -clingo options are accepted but ignored", file=stderr)
+        hard_mode = "relaxed" if args.relax_hard else "strict"
+        if clingo_opts is not None:
+            print("warning: -clingo options are accepted but ignored", file=stderr)
 
-    try:
         program = parse_program(Path(args.input).read_text(encoding="utf-8"))
         evidence = None
         if args.evidence:
@@ -204,6 +208,9 @@ def run(argv, stdout=None, stderr=None) -> int:
         if args.output:
             Path(args.output).write_text(text, encoding="utf-8")
             return EXIT_OK
+    except _Help:
+        stdout.write(parser.format_help())
+        return EXIT_OK
     except (GroundingCapError, EnumerationCapError) as e:  # first: GroundingCapError is a ValueError
         print(f"error: {e}", file=stderr)
         return EXIT_CAP

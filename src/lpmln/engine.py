@@ -234,6 +234,8 @@ class StableModelEnumerator:
         comp = self.comp
         n = len(comp.atoms)
         head_atoms = soft = disjunctive = relaxed = 0
+        # edges head -> body atom, positive ones first: the DFS order fixes the stage order
+        succ: list[list[int]] = [[] for _ in range(n)]
         for r in self._live:
             head_atoms |= r.head
             if r.disjunctive:
@@ -242,31 +244,14 @@ class StableModelEnumerator:
                 soft |= r.head
             elif self.hard_mode == "relaxed":
                 relaxed |= r.head
-
-        # Dependency edges head -> body atom, flagged negative when the
-        # body literal is under one or two negations.
-        succ: list[list[int]] = [[] for _ in range(n)]
-        neg_pairs = set()
-        for r in self._live:
-            heads = _bit_indices(r.head)
-            body_pos = _bit_indices(r.pos)
-            body_neg = _bit_indices(r.neg1 | r.neg2)
-            for h in heads:
-                succ[h].extend(body_pos)
-                succ[h].extend(body_neg)
-                for b in body_neg:
-                    neg_pairs.add((h, b))
+            body = _bit_indices(r.pos) + _bit_indices(r.neg1 | r.neg2)
+            for h in _bit_indices(r.head):
+                succ[h] += body
 
         comp_id = _tarjan_scc(n, succ)
-        n_sccs = max(comp_id, default=-1) + 1
-        scc_has_neg = [False] * n_sccs
-        for h, b in neg_pairs:
-            if comp_id[h] == comp_id[b]:
-                scc_has_neg[comp_id[h]] = True
-        negative_cycle = 0
-        for i in range(n):
-            if scc_has_neg[comp_id[i]]:
-                negative_cycle |= 1 << i
+        neg_sccs = {comp_id[h] for r in self._live if r.neg1 | r.neg2 for h in _bit_indices(r.head)
+                    for b in _bit_indices(r.neg1 | r.neg2) if comp_id[b] == comp_id[h]}
+        negative_cycle = sum(1 << i for i, c in enumerate(comp_id) if c in neg_sccs)
         free = (soft | disjunctive | relaxed | negative_cycle) & head_atoms
 
         self.free_positions = _bit_indices(free)
@@ -278,7 +263,7 @@ class StableModelEnumerator:
         # in dependency order (Tarjan emits components dependencies-first).
         # No component holding a deterministic atom has a negative edge
         # inside it, so a stage's negated atoms are settled before it runs.
-        scc_rules: list[list[_CompiledRule]] = [[] for _ in range(n_sccs)]
+        scc_rules: list[list[_CompiledRule]] = [[] for _ in range(n)]
         for r in self._live:
             if r.head and not r.disjunctive and (r.head & det):
                 scc_rules[comp_id[_bit_indices(r.head)[0]]].append(r)
@@ -520,49 +505,38 @@ def _bit_indices(bits: int) -> list[int]:
 
 
 def _tarjan_scc(n: int, succ: list[list[int]]) -> list[int]:
-    """Iterative Tarjan; returns component ids, dependencies numbered first."""
+    """Iterative Tarjan, one edge iterator per DFS frame: component ids,
+    dependencies first.  A visited node is on the stack while its id is -1."""
     index = [-1] * n
     low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
     comp = [-1] * n
-    counter = 0
-    next_comp = 0
+    stack: list[int] = []
+    counter = next_comp = 0
     for root in range(n):
         if index[root] != -1:
             continue
-        work = [(root, 0)]
+        work = [(root, iter(succ[root]))]
         while work:
-            v, pi = work[-1]
-            if pi == 0:
+            v, edges = work[-1]
+            if index[v] == -1:
                 index[v] = low[v] = counter
                 counter += 1
                 stack.append(v)
-                on_stack[v] = True
-            recurse = False
-            for i in range(pi, len(succ[v])):
-                w = succ[v][i]
+            for w in edges:
                 if index[w] == -1:
-                    work[-1] = (v, i + 1)
-                    work.append((w, 0))
-                    recurse = True
+                    work.append((w, iter(succ[w])))
                     break
-                if on_stack[w]:
+                if comp[w] == -1:
                     low[v] = min(low[v], index[w])
-            if recurse:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp[w] = next_comp
-                    if w == v:
-                        break
-                next_comp += 1
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
+            else:
+                work.pop()
+                if low[v] == index[v]:
+                    while comp[v] == -1:
+                        comp[stack.pop()] = next_comp
+                    next_comp += 1
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
     return comp
 
 

@@ -230,27 +230,13 @@ class Program:
     @cached_property
     def universe(self) -> tuple[Term, ...]:
         """All constants occurring in the rules, in sorted order."""
-        # each object once, by identity: a ground program shares one object
-        # per ground atom and literal, and hashing would cost a parsed
-        # program more than it saves
-        atoms: dict[int, Atom] = {}
-        elements: dict[int, BodyElement] = {}
+        terms = set()
         for r in self.rules:
             for a in r.head:
-                atoms[id(a)] = a
+                terms.update(a.args)
             for el in r.body:
-                elements[id(el)] = el
-        terms: dict[str, Term] = {}
-        for el in elements.values():
-            if isinstance(el, Literal):
-                atoms[id(el.atom)] = el.atom
-            else:
-                terms[el.lhs.name] = el.lhs
-                terms[el.rhs.name] = el.rhs
-        for a in atoms.values():
-            for t in a.args:
-                terms[t.name] = t
-        return tuple(sorted(t for t in terms.values() if t.is_constant))
+                terms.update(el.atom.args if isinstance(el, Literal) else (el.lhs, el.rhs))
+        return tuple(sorted(t for t in terms if t.is_constant))
 
     def __str__(self) -> str:
         return "".join(format_rule(r) + "\n" for r in self.rules)

@@ -411,10 +411,34 @@ class TestInputContract:
                                      pytest.param("9" * 5000, id="past-int-digit-limit")])
     def test_scale_is_an_ascii_decimal(self, raw, capsys):
         code, out, err = invoke("-i", BIRD, "--scale", raw)
-        assert (code, out, err) == (1, "", "")
-        # argparse reports to sys.stderr
-        assert capsys.readouterr().err.splitlines()[-1] == \
-            f"lpmln: error: argument --scale: invalid int value: {raw!r}"
+        assert (code, out) == (1, "")
+        assert err == f"error: argument --scale: invalid int value: {raw!r}\n"
+        assert capsys.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("argv, message", [
+        ((), "the following arguments are required: -i"),
+        (("-i",), "argument -i: expected one argument"),
+        (("-i", BIRD, "--bogus"), "unrecognized arguments: --bogus"),
+        # argparse words an invalid choice differently across versions
+        (("-i", BIRD, "--mode", "nope"), None),
+    ])
+    def test_usage_error_is_one_line_on_the_given_stream(self, argv, message, capsys):
+        code, out, err = invoke(*argv)
+        assert (code, out) == (1, "")
+        if message is None:
+            assert err.startswith("error: argument --mode: ") and err.count("\n") == 1
+            assert err.endswith("\n")
+        else:
+            assert err == f"error: {message}\n"
+        assert capsys.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("argv", [("-h",), ("--help",), ("-i", BIRD, "-h", "--bogus")])
+    def test_help_goes_to_the_given_stdout(self, argv, capsys):
+        code, out, err = invoke(*argv)
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: lpmln [-h] -i FILE ")
+        assert "--scale SCALE" in out
+        assert capsys.readouterr() == ("", "")
 
     @pytest.mark.parametrize("flags", [(), ("-q", "residentbird"),
                                        ("--mode", "emit-asp-rwd")])

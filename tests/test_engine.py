@@ -468,3 +468,63 @@ def test_unknown_hard_mode():
     with pytest.raises(ValueError) as exc:
         enumerate_sm(ground(P("a.\n")), "bogus")
     assert str(exc.value) == "unknown hard mode 'bogus'"
+
+
+def _reachable(succ, v):
+    seen, todo = {v}, [v]
+    while todo:
+        for w in succ[todo.pop()]:
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return seen
+
+
+class TestRuleGraph:
+    """``_tarjan_scc`` numbers the components of the dependency graph
+    dependencies first; the free-atom analysis reads negative cycles and
+    the closure stages off those ids."""
+
+    def test_components_against_mutual_reachability(self):
+        rng = random.Random(2024)
+        for _ in range(1500):
+            n = rng.randint(0, 12)
+            # self-loops and duplicate edges included
+            succ = [[rng.randrange(n) for _ in range(rng.randint(0, 4))] for _ in range(n)]
+            comp = engine._tarjan_scc(n, succ)
+            reach = [_reachable(succ, v) for v in range(n)]
+            for v in range(n):
+                for w in range(n):
+                    same = w in reach[v] and v in reach[w]
+                    assert (comp[v] == comp[w]) == same, (succ, v, w)
+                for w in succ[v]:
+                    assert comp[w] <= comp[v], (succ, v, w)
+            assert sorted(set(comp)) == list(range(len(set(comp))))
+
+    def test_long_chain_and_cycle_without_recursion(self):
+        n = 5000
+        chain = [[v + 1] for v in range(n - 1)] + [[]]
+        assert engine._tarjan_scc(n, chain) == list(range(n - 1, -1, -1))
+        cycle = [[(v + 1) % n] for v in range(n)]
+        assert engine._tarjan_scc(n, cycle) == [0] * n
+
+    @pytest.mark.parametrize("text, hard_mode, free, stages", [
+        ("a :- not b.\nb :- not a.\n", "strict",
+         [("a", "negative cycle"), ("b", "negative cycle")], []),
+        ("a :- not b.\nb :- not a.\n", "relaxed",
+         [("a", "negative cycle"), ("b", "negative cycle")], []),
+        ("a :- not not a.\n", "strict", [("a", "negative cycle")], []),
+        ("a :- not not a.\n", "relaxed", [("a", "negative cycle")], []),
+        # p and q are underivable: only r's negative edge to p is left,
+        # and it is not inside a component
+        ("p :- q.\nq :- p.\nr :- not p.\n", "strict", [], [["r"]]),
+        ("p :- q.\nq :- p.\nr :- not p.\n", "relaxed", [("r", "relaxed hard")], []),
+        # a positive cycle is one closure stage, computed before what negates it
+        ("{c}.\np :- q.\nq :- p.\np :- c.\nr :- not p.\n", "strict",
+         [("c", "negative cycle")], [["p", "q", "p"], ["r"]]),
+    ])
+    def test_negative_cycles_and_stages(self, text, hard_mode, free, stages):
+        enum = StableModelEnumerator(ground(P(text)), hard_mode)
+        assert enum._free_atoms() == free
+        assert [[str(enum.comp.atoms[p]) for r in stage for p in engine._bit_indices(r.head)]
+                for stage in enum.closure_stages] == stages
