@@ -11,6 +11,10 @@ hard rules outright, ``"relaxed"`` lets them participate in the hard-tier
 ranking, which is what makes inconsistency diagnosis possible.
 
 ``_total`` adds every float sum and ``_scaled`` rounds every scaled weight.
+``_vector`` weighs every model: one popcount per distinct weight when the
+soft weights are whole numbers whose absolute values add up to less than
+2**53 (``_classes``), which gives the same float as adding the counted
+rules' weights one by one in rule order, and that walk otherwise.
 """
 
 from __future__ import annotations
@@ -95,16 +99,37 @@ def _check_scale(scale: int) -> None:
         raise ValueError("scale must be a positive integer")
 
 
-def _vector(counted: int, hard: int, weights: list[float]) -> WeightVector:
-    """The hard count and the soft total of the rules or formulas in the mask ``counted``."""
-    return WeightVector((counted & hard).bit_count(),
-                        _total(map(weights.__getitem__, _bit_indices(counted & ~hard))))
+def _classes(hard: int, weights: list[float]) -> list[tuple[float, int]] | None:
+    """The soft rules or formulas grouped by weight, as ``(weight, mask)``
+    pairs in order of first occurrence, when every soft weight is an integer
+    and their absolute values add up to less than 2**53; else None.  Every
+    soft total is then an integer below 2**53 in any grouping, so adding
+    ``weight * count`` per class gives the float of the walk rule by rule."""
+    soft = _bit_indices(((1 << len(weights)) - 1) & ~hard)
+    if not all(weights[k].is_integer() for k in soft) \
+            or _total(abs(weights[k]) for k in soft) >= 2 ** 53:
+        return None
+    masks: dict[float, int] = {}
+    for k in soft:
+        masks[weights[k]] = masks.get(weights[k], 0) | 1 << k
+    return list(masks.items())
+
+
+def _vector(counted: int, hard: int, weights: list[float],
+            classes: list[tuple[float, int]] | None) -> WeightVector:
+    """The hard count and the soft total of the rules or formulas in the
+    mask ``counted``; ``classes`` is ``_classes(hard, weights)``."""
+    if classes is None:
+        soft = _total(map(weights.__getitem__, _bit_indices(counted & ~hard)))
+    else:
+        soft = _total(w * (counted & mask).bit_count() for w, mask in classes)
+    return WeightVector((counted & hard).bit_count(), soft)
 
 
 def _weigh(gp: GroundProgram, interp: Interpretation, mode: str) -> WeightVector:
     comp = _Compiled(gp)
     return _vector(comp.counted(comp.violated(comp.bits_of(interp)), mode == "reward"),
-                   comp.hard, comp.weights)
+                   comp.hard, comp.weights, _classes(comp.hard, comp.weights))
 
 
 def weight_reward(gp: GroundProgram, interp: Interpretation) -> WeightVector:
@@ -141,7 +166,8 @@ def _weigh_models(gp: GroundProgram, mode: str, hard_mode: str, cap: int) -> _We
         raise NoStableModelsError("no probabilistic stable models")
 
     comp = enum.comp
-    vectors = [_vector(comp.counted(v, mode == "reward"), comp.hard, comp.weights)
+    classes = _classes(comp.hard, comp.weights)
+    vectors = [_vector(comp.counted(v, mode == "reward"), comp.hard, comp.weights, classes)
                for v in enum.violations]
     _, probabilities = _normalise(vectors, mode)
     return _Weighed(comp, bits_list, enum.violations, vectors, probabilities)

@@ -20,7 +20,7 @@ from operator import and_, or_
 from .engine import (DEFAULT_ATOM_CAP, EnumerationCapError, _bit_indices, _Compiled, _slices,
                      _tarjan_scc, _transpose)
 from .grounder import GroundProgram
-from .inference import _normalise, _total, _vector
+from .inference import _classes, _normalise, _total, _vector
 from .model import HARD, Atom, Interpretation, Weight, _choice_marker, atom_sort_key
 
 
@@ -342,7 +342,8 @@ def mln_distribution(mln: MlnProgram, cap: int = DEFAULT_ATOM_CAP) -> MlnDistrib
                         _transpose(list(enumerate(sat)), full.bit_length(), alive))
         if read:
             break
-    vectors = [_vector(satisfied, hard, weights) for _, satisfied in read]
+    classes = _classes(hard, weights)
+    vectors = [_vector(satisfied, hard, weights, classes) for _, satisfied in read]
     best_hard, probabilities = _normalise(vectors, "reward")
     entries = tuple((frozenset(atoms[i] for i in _bit_indices(bits)), p)
                     for (bits, _), v, p in zip(read, vectors, probabilities)

@@ -7,9 +7,11 @@ and backends all consume these values and never mutate them.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Real
 from typing import Union
 
 
@@ -135,7 +137,8 @@ BodyElement = Union[Literal, Inequality]
 
 @dataclass(frozen=True, order=True)
 class Weight:
-    """Soft real weight, or ``None`` for the hard (infinite) marker."""
+    """Soft real weight, kept as a float, or ``None`` for the hard (infinite)
+    marker."""
 
     value: float | None = None
 
@@ -148,10 +151,17 @@ class Weight:
         return self.value is not None
 
     def __post_init__(self) -> None:
-        if self.value is not None:
+        if self.value is None:
+            return
+        if isinstance(self.value, bool) or not isinstance(self.value, Real):
+            raise ValueError(f"soft weights must be real numbers: {self.value!r}")
+        try:
             v = float(self.value)
-            if v != v or v in (float("inf"), float("-inf")):
-                raise ValueError("soft weights must be finite")
+        except OverflowError:  # an int or a fraction past the float range
+            v = math.inf
+        if not math.isfinite(v):
+            raise ValueError("soft weights must be finite")
+        object.__setattr__(self, "value", v)
 
     def __str__(self) -> str:
         return "alpha" if self.is_hard else repr(self.value)
@@ -161,7 +171,7 @@ HARD = Weight(None)
 
 
 def soft(value: float) -> Weight:
-    return Weight(float(value))
+    return Weight(value)
 
 
 @dataclass(frozen=True)

@@ -141,9 +141,14 @@ def grid_weight(rng: random.Random) -> str:
     return f"{rng.randint(-3000, 3000) / 1000:g}"
 
 
+def integer_weight(rng: random.Random) -> str:
+    """``grid_weight``'s range in whole numbers."""
+    return str(rng.randint(-3, 3))
+
+
 def random_program_text(rng: random.Random, n_atoms: int, n_rules: int,
                         hard_frac: float = 0.3, allow_disjunction: bool = False,
-                        allow_choice: bool = True) -> str:
+                        allow_choice: bool = True, weight=grid_weight) -> str:
     atoms = [f"a{k}" for k in range(1, n_atoms + 1)]
     lines = []
     for _ in range(n_rules):
@@ -164,9 +169,9 @@ def random_program_text(rng: random.Random, n_atoms: int, n_rules: int,
             body.append(("", "not ", "not not ")[rng.choices([0, 1, 2], [5, 3, 2])[0]] + b)
         if not head_atoms and not body:
             body = [rng.choice(atoms)]
-        weight = "" if rng.random() < hard_frac else grid_weight(rng) + " "
+        text = "" if rng.random() < hard_frac else weight(rng) + " "
         head = "{" + head_atoms[0] + "}" if choice else " ; ".join(head_atoms)
-        rule = weight + head
+        rule = text + head
         if body:
             rule += (" :- " if head else ":- ") + ", ".join(body)
         lines.append(rule + ".")

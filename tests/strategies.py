@@ -17,7 +17,7 @@ _ATOM_TERMS = ("X", "Y", "a", "b1", "0", '"c d"')
 _INEQUALITY_TERMS = _ATOM_TERMS + ("k", "-7")
 _WEIGHTS = st.one_of(
     st.none(), st.sampled_from([1.5, -2.0, 0.25, -0.028801991603851305]),
-    st.floats(-1e3, 1e3))
+    st.floats(-1e3, 1e3), st.integers(-1000, 1000).map(float))
 
 _atoms = st.sampled_from(_PREDICATES).flatmap(lambda pa: st.builds(
     Atom, st.just(pa[0]),

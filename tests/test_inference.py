@@ -6,16 +6,17 @@ from hypothesis import assume, given, settings
 
 from lpmln import fixture_path, ground, parse_evidence, parse_program
 from lpmln.asp_backend import phi_extend
-from lpmln.engine import EnumerationCapError
+from lpmln.engine import EnumerationCapError, StableModelEnumerator
 from lpmln.grounder import GroundingError
 from lpmln.inference import (
     InconsistentEvidenceError, NoStableModelsError, UnknownPredicateWarning,
-    WeightVector, _TIE_EPS, conditional, distribution, map_estimate, marginal,
-    weight_penalty, weight_reward,
+    WeightVector, _TIE_EPS, _classes, _vector, conditional, distribution, map_estimate,
+    marginal, weight_penalty, weight_reward,
 )
 from lpmln.model import Atom, Term, atom, atom_sort_key
 from helpers import (
-    P, _classically_satisfies, _powerset, random_program_text, random_text_with_facts,
+    P, _classically_satisfies, _powerset, grid_weight, integer_weight, random_program_text,
+    random_text_with_facts,
 )
 from strategies import safe_programs
 
@@ -89,11 +90,13 @@ class TestWeightsAndMarkersAgainstOracle:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_programs(self, seed):
+        # whole-number weights are weighed by class, the others rule by rule
         rng = random.Random(seed)
-        for _ in range(10):
-            program = P(random_program_text(rng, rng.randint(1, 4), rng.randint(1, 7),
-                                            allow_disjunction=True))
-            self.check(program, [frozenset(s) for s in _powerset(ground(program).atoms)])
+        for weight in (grid_weight, integer_weight):
+            for _ in range(10):
+                program = P(random_program_text(rng, rng.randint(1, 4), rng.randint(1, 7),
+                                                allow_disjunction=True, weight=weight))
+                self.check(program, [frozenset(s) for s in _powerset(ground(program).atoms)])
 
     @pytest.mark.parametrize("name", ["bird.lpmln", "smoke.lpmln"])
     def test_nonground_fixtures(self, name):
@@ -102,6 +105,66 @@ class TestWeightsAndMarkersAgainstOracle:
         atoms = ground(program).atoms
         self.check(program, [frozenset(a for a in atoms if rng.random() < 0.5)
                              for _ in range(40)])
+
+
+class TestExactWeighing:
+    """Programs whose soft weights are whole numbers adding up to less than
+    2**53 in absolute value are weighed one popcount per distinct weight;
+    the totals are the floats of the walk rule by rule, in rule order."""
+
+    @staticmethod
+    def walked(gp, interp, mode: str) -> float:
+        total = 0.0
+        for g in gp.rules:
+            if not g.is_hard and _classically_satisfies(interp, g) == (mode == "reward"):
+                total += g.weight.value
+        return total
+
+    @pytest.mark.parametrize("text, atoms", [
+        ("-0.0 a.\n-0.0 b.\n", ""),  # a weight of -0.0, counted twice
+        ("-0.0 a.\n-0.0 b.\n", "a"),
+        ("-5 a.\n", "a"),  # penalty counts -5 zero times: -5.0 * 0 is -0.0
+        ("-5 a.\n", ""),  # and so does reward
+        ("-5 a.\n5 b.\n", ""),  # -5 + 5 is +0.0
+        # mixed: the walk gives 1.2000000000000002, a grouping 0.1 * 2 + 1.0 = 1.2
+        ("0.1 a.\n1 b.\n0.1 c.\n", ""),
+        # the walk gives 2**53, a grouping 2**53 + 1.0 * 2
+        ("9007199254740992 a.\n1 b.\n1 c.\n", ""),
+    ])
+    @pytest.mark.parametrize("mode", ["penalty", "reward"])
+    def test_pins_against_the_walk(self, text, atoms, mode):
+        gp = ground(P(text))
+        interp = frozenset(atom(a) for a in atoms)
+        got = (weight_reward if mode == "reward" else weight_penalty)(gp, interp).soft
+        want = self.walked(gp, interp, mode)
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+    def test_classes_only_for_whole_weights_below_two_to_the_53(self):
+        assert _classes(0b010, [5.0, 0.0, -5.0, 5.0]) == [(5.0, 0b1001), (-5.0, 0b0100)]
+        assert _classes(0, [2.0 ** 53 - 3, 1.0, 1.0]) is not None  # adds up to 2**53 - 1
+        assert _classes(0, [2.0 ** 53 - 2, 1.0, 1.0]) is None  # adds up to 2**53
+        assert _classes(0, [2.0 ** 53, 1.0, 1.0]) is None
+        assert _classes(0, [-1e308, -1e308]) is None  # inf: test_cli's test_infinite_soft_total
+        assert _classes(0, [1.0, 0.5]) is None
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_generated_programs_every_model(self, seed):
+        # by class and rule by rule, sign of zero included, in both modes and hard modes
+        rng = random.Random(1800 + seed)
+        for _ in range(15):
+            gp = ground(P(random_program_text(rng, rng.randint(1, 5), rng.randint(1, 8),
+                                              allow_disjunction=True, weight=integer_weight)))
+            for hard_mode in ("strict", "relaxed"):
+                comp = (enum := StableModelEnumerator(gp, hard_mode)).comp
+                classes = _classes(comp.hard, comp.weights)
+                assert classes is not None
+                for v in enum.violations:
+                    for reward in (False, True):
+                        counted = comp.counted(v, reward)
+                        got = _vector(counted, comp.hard, comp.weights, classes)
+                        want = _vector(counted, comp.hard, comp.weights, None)
+                        assert got == want
+                        assert math.copysign(1.0, got.soft) == math.copysign(1.0, want.soft)
 
 
 class TestDistribution:

@@ -238,10 +238,12 @@ class TestLaneWidths:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_random_mlns(self, lane_bits, seed):
+        # whole-number weights (scale 1) are weighed by class
         rng = random.Random(900 + seed)
-        for _ in range(40):
-            mln = _random_mln(rng)
-            assert mln_distribution(mln) == _world_by_world(mln)
+        for scale in (1000, 1):
+            for _ in range(40):
+                mln = _random_mln(rng, scale)
+                assert mln_distribution(mln) == _world_by_world(mln)
 
     def test_twelve_atoms_with_unsatisfiable_hard_formulas(self, lane_bits):
         rng = random.Random(12)
@@ -257,6 +259,15 @@ class TestLaneWidths:
         # every world misses a0 or !a0; the best also keep the whole chain
         assert len(d.entries) == 13
         assert d == _world_by_world(mln)
+
+    # whole-number weights are weighed one popcount per distinct weight: -0.0
+    # and a zero count of -5; a sum of 2**53 that a grouping would make
+    # 2**53 + 2; a mixed program that a grouping would round differently
+    @pytest.mark.parametrize("weights", [(-0.0, -5.0, 5.0), (2.0 ** 53, 1.0, 1.0),
+                                         (0.1, 1.0, 0.1)])
+    def test_whole_weight_pins(self, lane_bits, weights):
+        mln = MlnProgram(tuple(MlnFormula(soft(w), fa(a)) for w, a in zip(weights, "abc")))
+        assert mln_distribution(mln) == _world_by_world(mln)
 
 
 class TestAuxExtract:
@@ -380,11 +391,13 @@ def _random_formula(rng, atoms, depth):
                 _random_formula(rng, atoms, depth - 1))
 
 
-def _random_mln(rng) -> MlnProgram:
+def _random_mln(rng, scale: int = 1000) -> MlnProgram:
+    """Up to four formulas over two to five atoms; each soft weight is a
+    multiple of 1 / ``scale`` in [-2, 2]."""
     names = [f"a{k}" for k in range(1, rng.randint(2, 5) + 1)]
     formulas = []
     for _ in range(rng.randint(1, 4)):
-        w = HARD if rng.random() < 0.3 else soft(rng.randint(-2000, 2000) / 1000)
+        w = HARD if rng.random() < 0.3 else soft(rng.randint(-2 * scale, 2 * scale) / scale)
         formulas.append(MlnFormula(w, _random_formula(rng, names, 2)))
     return MlnProgram(tuple(formulas))
 

@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,7 @@ from lpmln import (
     herbrand_base, merge_programs, soft,
 )
 from lpmln.grounder import ground_to_program
-from lpmln.model import Literal, Term, Weight, _choice_marker, const, var
+from lpmln.model import Literal, Term, Weight, _choice_marker, const, format_rule, var
 from helpers import P
 from strategies import programs
 
@@ -176,6 +177,24 @@ class TestConstructorContracts:
     def test_soft_weights_must_be_finite(self, value):
         with pytest.raises(ValueError, match="^soft weights must be finite$"):
             Weight(value)
+
+    # a bool, a string or a complex number is refused when the weight is
+    # built, not when a sum or a printer meets it later
+    @pytest.mark.parametrize("value", [True, False, "2", "1.5", 1j])
+    def test_soft_weights_must_be_real_numbers(self, value):
+        with pytest.raises(ValueError) as exc:
+            Weight(value)
+        assert str(exc.value) == f"soft weights must be real numbers: {value!r}"
+
+    def test_an_int_past_the_float_range_is_not_finite(self):
+        with pytest.raises(ValueError, match="^soft weights must be finite$"):
+            Weight(10 ** 400)
+
+    def test_soft_weights_are_stored_as_floats(self):
+        assert Weight(2) == Weight(2.0) == soft(2)
+        assert type(Weight(2).value) is float and Weight(2).value.is_integer()
+        assert str(Weight(2)) == "2.0" and str(Weight(Fraction(1, 4))) == "0.25"
+        assert format_rule(Rule(1, Weight(-3), (atom("a"),))) == "-3.0 a."
 
     def test_negation_depth(self):
         with pytest.raises(ValueError) as exc:

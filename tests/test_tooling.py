@@ -1,10 +1,13 @@
 """Guards on the test tooling itself."""
 
 import ast
+import hashlib
+import json
 import sys
 from pathlib import Path
 
 import lpmln
+import lpmln.cli
 
 ENGINE_SIDE = {"lpmln.engine", "lpmln.inference", "lpmln.asp_backend", "lpmln.mln_backend"}
 
@@ -96,3 +99,24 @@ def test_floats_are_added_and_rounded_by_one_owner_each():
             assert id(call) in owner, (path.name, call.lineno, ast.unparse(call))
             rounds.append(call)
     assert len(rounds) == 1
+
+
+def test_cli_output_matches_the_recorded_benchmark_digests(tmp_path, monkeypatch):
+    # every CLI op the benchmark can ask for prints the bytes whose SHA-256
+    # perfbench/digests.json holds; perfbench/ is only read, bytecode included
+    bench = Path(__file__).resolve().parent.parent / "perfbench"
+    before = sorted(bench.rglob("*"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(bench))
+    import workloads
+
+    rnd = workloads.every_cli_op()
+    digests = json.loads(workloads.DIGESTS.read_text(encoding="utf-8"))
+    assert sorted(op.key for op in rnd.ops) == sorted(digests)
+    wrong = []
+    for op, argv in zip(rnd.ops, workloads.prepare(rnd, tmp_path)):
+        code, output = workloads.run_op(op, argv, lpmln)
+        if (code, hashlib.sha256(output.encode("utf-8")).hexdigest()) != (0, digests[op.key]):
+            wrong.append(op.key)
+    assert wrong == []
+    assert sorted(bench.rglob("*")) == before
