@@ -45,6 +45,11 @@ minimality: a single interpretation, as in ``is_stable_model``,
 ``reduce_program`` and ``_Compiled.violated``, is one lane over the full
 program.
 
+``_transpose`` is the one read-back, here and in ``mln_backend``: it packs
+a slice's vectors as the rows of one bit matrix in one integer, transposes
+every 8x8 block with three delta swaps and reads each lane with one
+strided byte slice.
+
 Interpretations are manipulated as integer bitsets internally; the public
 functions speak frozensets of atoms.
 """
@@ -441,7 +446,7 @@ def _stable_lanes(reduct: Sequence[tuple], val: list[int], varying: list[int],
     atoms = [(p, val[p]) for p in varying]
     if any(len(head) > 1 for _, head, _, _ in reduct):
         stable, models = 0, []
-        for m, bits in zip(_bit_indices(alive), _transpose(atoms, width, alive)):
+        for m, bits in zip(_lane_indices(alive, width), _transpose(atoms, width, alive)):
             bits |= sure
             lane_reduct = [(r.head, r.pos) for r, _, _, keep in reduct if keep >> m & 1]
             if _minimal_subsets(lane_reduct, bits, sure):
@@ -460,22 +465,42 @@ def _transpose(columns: list[tuple[int, int]], width: int, lanes: int) -> list[i
     """Turn lane vectors into bitsets.  ``columns`` pairs bit positions, in
     ascending order, with vectors over ``width`` lanes; for each lane set in
     ``lanes``, in ascending order, the result holds the bitset of the
-    positions whose vector has that lane set."""
+    positions whose vector has that lane set.
+
+    The vectors are the rows of one bit matrix packed into one integer: bit
+    ``r * w + m`` is lane m of row ``r = p - base`` for position ``p``, and
+    the rows between two positions are zero.  Three delta swaps transpose
+    every 8x8 block in place.  Then each group of eight rows, ``w`` bytes,
+    holds lane m's values in those rows at its byte ``(m & 7) * row + (m >>
+    3)``, ``row`` bytes a row, so one slice with step ``w`` reads the lane."""
     if not columns or not lanes:
         return [0] * lanes.bit_count()
-    fmt = f"0{width}b"
-    # one row per position, highest first, indexed by lane: the vector's
-    # digits, or one run of zeros for the positions between two vectors;
-    # zip yields each lane's digits in the order int() reads them
-    rows = []
-    above = columns[-1][0] + 1
-    for p, vec in reversed(columns):
-        if above - p > 1:
-            rows.append(["0" * (above - p - 1)] * width)
-        rows.append(format(vec, fmt)[::-1])
-        above = p
-    picked = map("1".__eq__, format(lanes, fmt)[::-1])
-    return [int("".join(digits), 2) << above for digits in compress(zip(*rows), picked)]
+    w = max(width + 7 & ~7, 8)  # lanes a row, whole bytes
+    row = w >> 3  # bytes a row
+    base = columns[0][0]
+    groups = columns[-1][0] - base + 8 >> 3  # 8-row blocks
+    buf = bytearray(groups * w)
+    keep = (1 << w) - 1  # a vector may set lanes past ``width``: keep the w of its row
+    for p, vec in columns:
+        start = (p - base) * row
+        buf[start:start + row] = (vec & keep).to_bytes(row, "little")
+    bits = int.from_bytes(buf, "little")
+    for j, byte in (4, 0xF0), (2, 0xCC), (1, 0xAA):
+        # in every 2j x 2j block, swap the j x j block above the diagonal
+        # (rows with bit j clear, lanes with bit j set) with the one below it
+        block = (bytes([byte]) * (row * j) + bytes(row * j)) * (4 // j)
+        mask = int.from_bytes(block * groups, "little")
+        d = j * (w - 1)  # from row i, lane l to row i + j, lane l - j
+        t = (bits >> d ^ bits) & mask
+        bits ^= t | t << d
+    buf = bits.to_bytes(groups * w, "little")
+    return [int.from_bytes(buf[(m & 7) * row + (m >> 3)::w], "little") << base
+            for m in _lane_indices(lanes, width)]
+
+
+def _lane_indices(lanes: int, width: int) -> Iterator[int]:
+    """The lanes set in ``lanes``, a mask over ``width`` lanes, in ascending order."""
+    return compress(range(width), map("1".__eq__, format(lanes, f"0{width}b")[::-1]))
 
 
 def _propagate(rules: Sequence[_CompiledRule], bits: int, yes: int, no: int) -> int:

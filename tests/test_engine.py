@@ -1,4 +1,5 @@
 import random
+from itertools import compress
 from unittest import mock
 
 import pytest
@@ -377,9 +378,58 @@ def _candidate_number(enum, bits):
     return sum(1 << j for j, p in enumerate(enum.free_positions) if bits >> p & 1)
 
 
+def _transpose_by_digits(columns, width, lanes):
+    """The reference read-back: one digit string per column, lane m's digits
+    joined and read by ``int``.  ``engine._transpose`` must agree with it."""
+    if not columns or not lanes:
+        return [0] * lanes.bit_count()
+    fmt = f"0{width}b"
+    # one row per position, highest first, indexed by lane: the vector's
+    # digits, or one run of zeros for the positions between two vectors
+    rows = []
+    above = columns[-1][0] + 1
+    for p, vec in reversed(columns):
+        if above - p > 1:
+            rows.append(["0" * (above - p - 1)] * width)
+        rows.append(format(vec, fmt)[::-1])
+        above = p
+    picked = map("1".__eq__, format(lanes, fmt)[::-1])
+    return [int("".join(digits), 2) << above for digits in compress(zip(*rows), picked)]
+
+
+def _random_columns(rng, width, count, base=0, spread=3, extra=0):
+    """``count`` lane vectors at ascending positions from ``base`` with random
+    gaps; each may set up to ``extra`` bits above ``width``."""
+    positions = sorted(rng.sample(range(base, base + spread * count), count))
+    return [(p, rng.getrandbits(width + extra)) for p in positions]
+
+
 class TestBitSlicedKernel:
     """Candidates are decided a slice of 2 ** _LANE_BITS at a time; at every
     lane width the result must be the oracle's, in candidate order."""
+
+    def test_transpose_matches_the_digit_string_reference(self):
+        rng = random.Random(19)
+        for width in range(1, 1101):  # every padding to whole bytes
+            for extra in (0, rng.randint(1, 40)):  # bits above ``width``
+                columns = _random_columns(rng, width, rng.randint(1, 12),
+                                          base=rng.choice([0, rng.randint(1, 70)]),
+                                          spread=rng.randint(1, 4), extra=extra)
+                for lanes in (rng.getrandbits(width), (1 << width) - 1):
+                    assert engine._transpose(columns, width, lanes) == \
+                        _transpose_by_digits(columns, width, lanes), (width, extra)
+
+    def test_transpose_edge_cases(self):
+        rng = random.Random(20)
+        assert engine._transpose([], 16, 0b1011) == [0, 0, 0]
+        assert engine._transpose([(3, 0b101)], 3, 0) == []
+        assert engine._transpose([(0, 1)], 1, 1) == [1]
+        assert engine._transpose([(5, 0b10), (9, 0b11)], 2, 0b11) == [1 << 9, 1 << 5 | 1 << 9]
+        for width in (8, 100, 1024):
+            columns = _random_columns(rng, width, 3000, base=7, spread=2)
+            for lanes in (rng.getrandbits(width), 1 << (width - 1)):
+                assert engine._transpose(columns, width, lanes) == \
+                    _transpose_by_digits(columns, width, lanes)
 
     def test_slices_read_back_every_assignment_in_order(self, lane_bits):
         positions = [1, 3, 4]
