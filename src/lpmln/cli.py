@@ -94,43 +94,45 @@ def _fmt(p: float) -> str:
     return f"{p:.12g}"
 
 
-def _model_printer(gp, w, scale: int):
-    """The lines of model k of ``w``: its atoms, then the unsat markers of
-    the rules it violates that it does not hold, each once, sorted; then
-    its scaled penalty.  The violation masks give the markers, so nothing
-    is re-checked."""
+def _model_printer(gp, comp, scale: int):
+    """The lines of a model of ``gp`` from its bitset over ``comp``'s atoms,
+    its violation mask and its soft total: its atoms, then the unsat
+    markers of the rules it violates that it does not hold, each once,
+    sorted; then its scaled penalty.  The violation mask gives the
+    markers, so nothing is re-checked."""
     # _Compiled numbers atoms in atom_sort_key order, so bit order is print order
-    names = [str(a) for a in w.comp.atoms]
+    names = [str(a) for a in comp.atoms]
     markers = {}  # rule index -> (sort key, text, bit or None), made on first use
 
     def marker(r):
         if r not in markers:
             m = asp_backend._marker_of(gp.rules[r], asp_backend.UNSAT)
-            markers[r] = (atom_sort_key(m), str(m), w.comp.index.get(m))
+            markers[r] = (atom_sort_key(m), str(m), comp.index.get(m))
         return markers[r]
 
-    def lines(k):
-        b = w.bits[k]
-        extra = sorted({m for m in map(marker, _bit_indices(w.violations[k]))
+    def lines(b, violated, soft):
+        extra = sorted({m for m in map(marker, _bit_indices(violated))
                         if m[2] is None or not b >> m[2] & 1})
         return [" ".join([names[i] for i in _bit_indices(b)] + [t for _, t, _ in extra]),
-                f"Optimization: {inference._scaled(w.vectors[k].soft, scale)}"]
+                f"Optimization: {inference._scaled(soft, scale)}"]
     return lines
 
 
 def _render_map(gp, hard_mode: str, cap: int, scale: int) -> str:
+    """The tied models only are read back from the enumeration."""
     w = inference._weigh_models(gp, "penalty", hard_mode, cap)
-    show = _model_printer(gp, w, scale)
-    lines = [line for k in inference._most_probable(w) for line in show(k)]
+    show = _model_printer(gp, w.enum.comp, scale)
+    tied = inference._most_probable(w)
+    lines = [line for k, b, v in zip(tied, *w.enum._read(tied)) for line in show(b, v, w.soft[k])]
     return "".join(l + "\n" for l in lines + ["OPTIMUM FOUND"])
 
 
 def _render_all(gp, hard_mode: str, cap: int, scale: int) -> str:
     w = inference._weigh_models(gp, "penalty", hard_mode, cap)
-    show = _model_printer(gp, w, scale)
+    show = _model_printer(gp, w.enum.comp, scale)
     lines = []
-    for k in range(len(w.bits)):
-        lines += [f"Answer: {k + 1}"] + show(k)
+    for k, (b, v, soft) in enumerate(zip(w.enum.models_bits(), w.enum.violations, w.soft)):
+        lines += [f"Answer: {k + 1}"] + show(b, v, soft)
     lines.append("")
     for k, p in enumerate(w.probabilities, start=1):
         lines.append(f"Probability of Answer {k} : {_fmt(p)}")

@@ -36,14 +36,23 @@ lanes that are minimal models of their reducts, by ``_derive`` from no
 atoms or, when a rule the slice keeps is disjunctive, by subset search per
 lane.  Minimality is decided above ``sure`` because every model of the
 reduct contains ``sure``, and a dropped rule is satisfied by every
-interpretation between ``sure`` and the candidate.  Per accepted model, the
-lanes are read back into one atom bitset and one violation mask, in
-ascending candidate order, so violation masks still index, and agree with,
-the full program.  These functions, with ``_kept_lanes`` as the one reader
-of ``not`` literals, are the only code that decides reducts, violation and
-minimality: a single interpretation, as in ``is_stable_model``,
-``reduce_program`` and ``_Compiled.violated``, is one lane over the full
-program.
+interpretation between ``sure`` and the candidate.  These functions, with
+``_kept_lanes`` as the one reader of ``not`` literals, are the only code
+that decides reducts, violation and minimality: a single interpretation,
+as in ``is_stable_model``, ``reduce_program`` and ``_Compiled.violated``,
+is one lane over the full program.
+
+Each slice with a stable lane keeps one record: the stable lanes, the
+rules they violate with those lanes, and the varying atoms' vectors (or the
+models subset search found); a slice without one keeps an empty record.  A
+model is read back, into one atom bitset and one violation mask that index,
+and agree with, the full program, only when a caller asks for it:
+``models_bits`` and ``violations`` read every model, and then the records
+are dropped; ``_read`` reads the models at some positions of the ascending
+candidate order.  ``_counts`` reads no model: ``_count``, a bit-sliced
+ripple-carry counter per group of rules over a slice's lanes, gives each
+model its packed number of violated rules per group, which is how
+``inference`` weighs whole-number weights.
 
 ``_transpose`` is the one read-back, here and in ``mln_backend``: it packs
 a slice's vectors as the rows of one bit matrix in one integer, transposes
@@ -56,6 +65,7 @@ functions speak frozensets of atoms.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable, Iterator, Sequence
@@ -207,7 +217,8 @@ def is_stable_model(rules: Iterable[GroundRule], interp: Interpretation) -> bool
 class StableModelEnumerator:
     """Shared machinery behind ``enumerate_sm`` and the inference layer.
 
-    After ``models_bits`` the candidates it tried, ``2 ** len(free_positions)``,
+    Once it has enumerated (``models_bits``, ``violations``, ``_read`` or
+    ``_counts``) the candidates it tried, ``2 ** len(free_positions)``,
     split into the models, ``rejected_hard`` (strict mode: a hard rule is
     violated) and ``rejected_minimality`` (not a minimal model of its reduct).
     """
@@ -228,8 +239,9 @@ class StableModelEnumerator:
         self._live = [r for r in self.comp.rules if not (r.pos | r.neg2) & ~derivable]
         self._analyze()
         self._specialise()
+        self._decided: list[tuple] | None = None
         self._models: list[int] | None = None
-        self.violations: list[int] = []
+        self._violations: list[int] = []
         self.rejected_hard = 0
         self.rejected_minimality = 0
 
@@ -313,28 +325,74 @@ class StableModelEnumerator:
 
     def models_bits(self) -> list[int]:
         """The stable models as bitsets, in ascending candidate order (bit j
-        of a candidate's number is the value of free atom j);
-        ``self.violations[k]`` is the mask of the rules model k violates."""
-        if self._models is not None:
-            return self._models
-        k = len(self.free_positions)
-        if k > self.cap:
-            raise EnumerationCapError(self.cap, k, self._free_atoms())
-        out: list[int] = []
-        violations: list[int] = []
-        for val, full in _slices(self.free_positions, len(self.comp.atoms)):
-            models, masks = self._decide_slice(val, full)
-            out += models
-            violations += masks
-        self._models = out
-        self.violations = violations
-        return out
+        of a candidate's number is the value of free atom j).  Once every
+        model is read, the slices' records are dropped."""
+        if self._models is None:
+            self._models, self._violations = self._read()
+            self._decided = None
+        return self._models
 
-    def _decide_slice(self, val: list[int], full: int) -> tuple[list[int], list[int]]:
+    @property
+    def violations(self) -> list[int]:
+        """Per model of ``models_bits``, the mask of the rules it violates."""
+        self.models_bits()
+        return self._violations
+
+    def _enumerate(self) -> list[tuple]:
+        """Decide every slice, once unless ``models_bits`` dropped the
+        records; ``_decide_slice`` gives each one's record."""
+        if self._decided is None:
+            k = len(self.free_positions)
+            if k > self.cap:
+                raise EnumerationCapError(self.cap, k, self._free_atoms())
+            self.rejected_hard = self.rejected_minimality = 0
+            self._decided = [self._decide_slice(val, full)
+                             for val, full in _slices(self.free_positions, len(self.comp.atoms))]
+        return self._decided
+
+    def _read(self, positions: Sequence[int] | None = None) -> tuple[list[int], list[int]]:
+        """The bitsets and violation masks of the models at the ascending
+        ``positions`` of the model order, or of every model; each slice
+        reads back only the lanes asked of it."""
+        if self._models is not None:  # every model is read already
+            if positions is None:
+                return self._models, self._violations
+            return [self._models[k] for k in positions], [self._violations[k] for k in positions]
+        bits: list[int] = []
+        masks: list[int] = []
+        start = at = 0  # the slice's first model; the first position not yet read
+        for violated, width, stable, columns, models in self._enumerate():
+            lanes, picked = stable, None
+            if positions is not None:
+                end = bisect_left(positions, start + stable.bit_count(), at)
+                picked = [q - start for q in positions[at:end]]  # ranks among the slice's models
+                start, at = start + stable.bit_count(), end
+                if not picked:
+                    continue
+                order = list(_lane_indices(stable, width))
+                lanes = sum(1 << order[i] for i in picked)
+            masks += _transpose(violated, width, lanes)
+            if models is None:
+                bits += [b | self.sure for b in
+                         _transpose(list(zip(self._varying, columns)), width, lanes)]
+            else:
+                bits += models if picked is None else [models[i] for i in picked]
+        return bits, masks
+
+    def _counts(self, groups: Sequence[int]) -> list[int]:
+        """Per model, in model order, ``_count`` of the rules it violates over
+        the disjoint rule masks ``groups``."""
+        return [c for violated, width, stable, _, _ in self._enumerate()
+                for c in _count(violated, groups, width, stable)]
+
+    def _decide_slice(self, val: list[int], full: int) -> tuple:
         """Decide every candidate of one slice at once.  ``val[p]`` is atom
         p's lane vector, set for the free atoms; bit m is its value in the
-        slice's candidate m.  Returns the models and their violation masks
-        in lane order."""
+        slice's candidate m.  Returns the slice's record: the ``(rule index,
+        stable lanes that violate it)`` pairs, the lane width, the stable
+        lanes, and the varying atoms' lane vectors or, when subset search
+        decided the slice, its models in lane order; with no stable lane,
+        nothing but the width."""
         for stage in self._lane_stages:
             _derive([(r, head, pos, _kept_lanes(neg1, neg2, val, full))
                      for r, head, pos, neg1, neg2 in stage], val)
@@ -348,7 +406,11 @@ class StableModelEnumerator:
         self.rejected_hard += (full ^ alive).bit_count()
         stable, models = _stable_lanes(reduct, val, self._varying, alive, self.sure)
         self.rejected_minimality += (alive ^ stable).bit_count()
-        return models, _transpose(violated, full.bit_length(), stable)
+        if not stable:
+            return [], full.bit_length(), 0, [], None
+        violated = [(k, lanes & stable) for k, lanes in violated if lanes & stable]
+        columns = [val[p] for p in self._varying] if models is None else []
+        return violated, full.bit_length(), stable, columns, models
 
     def models(self) -> list[Interpretation]:
         return [self.comp.interp_of(b) for b in self.models_bits()]
@@ -436,16 +498,17 @@ def _derive(reduct: Sequence[tuple], derived: list[int]) -> list[int]:
 
 
 def _stable_lanes(reduct: Sequence[tuple], val: list[int], varying: list[int],
-                  alive: int, sure: int) -> tuple[int, list[int]]:
+                  alive: int, sure: int) -> tuple[int, list[int] | None]:
     """The lanes of ``alive`` whose candidate (``val`` over the positions
     ``varying``, plus ``sure``) is a minimal model of its reduct above
-    ``sure``, and those candidates in lane order.  ``_derive`` decides every
-    lane at once unless a rule of ``_rule_pass``'s ``reduct`` is
-    disjunctive; then subset search runs per lane on that lane's reduct."""
+    ``sure``.  ``_derive`` decides every lane at once unless a rule of
+    ``_rule_pass``'s ``reduct`` is disjunctive; then subset search runs per
+    lane on that lane's reduct, and the stable candidates, in lane order,
+    come second (None otherwise)."""
     width = alive.bit_length()
-    atoms = [(p, val[p]) for p in varying]
     if any(len(head) > 1 for _, head, _, _ in reduct):
         stable, models = 0, []
+        atoms = [(p, val[p]) for p in varying]
         for m, bits in zip(_lane_indices(alive, width), _transpose(atoms, width, alive)):
             bits |= sure
             lane_reduct = [(r.head, r.pos) for r, _, _, keep in reduct if keep >> m & 1]
@@ -457,8 +520,7 @@ def _stable_lanes(reduct: Sequence[tuple], val: list[int], varying: list[int],
     unfounded = 0
     for p in varying:
         unfounded |= val[p] & ~derived[p]
-    stable = alive & ~unfounded
-    return stable, [bits | sure for bits in _transpose(atoms, width, stable)]
+    return alive & ~unfounded, None
 
 
 def _transpose(columns: list[tuple[int, int]], width: int, lanes: int) -> list[int]:
@@ -496,6 +558,37 @@ def _transpose(columns: list[tuple[int, int]], width: int, lanes: int) -> list[i
     buf = bits.to_bytes(groups * w, "little")
     return [int.from_bytes(buf[(m & 7) * row + (m >> 3)::w], "little") << base
             for m in _lane_indices(lanes, width)]
+
+
+def _count(pairs: Sequence[tuple[int, int]], groups: Sequence[int], width: int,
+           lanes: int) -> list[int]:
+    """For each lane set in ``lanes``, a mask over ``width`` lanes, in
+    ascending order: how many of the ``(index, vector)`` pairs whose index
+    is in each of the disjoint masks ``groups`` set that lane, packed into
+    one integer, group g's count in the ``_fields(groups)[g]`` bits above
+    the fields of the groups before it.  An index occurs in one pair at most."""
+    return _transpose(_planes(pairs, groups), width, lanes)
+
+
+def _fields(groups: Sequence[int]) -> list[int]:
+    """The bits of each group's field in a packed count: enough for its size."""
+    return [g.bit_count().bit_length() for g in groups]
+
+
+def _planes(pairs: Sequence[tuple[int, int]], groups: Sequence[int]) -> list[tuple[int, int]]:
+    """The bit-sliced counters behind ``_count``, as ``_transpose`` columns:
+    lane m of the column at position ``offset + i`` is bit i of lane m's
+    count in the group whose field starts at ``offset``."""
+    counters = [[0] * b for b in _fields(groups)]
+    for k, vec in pairs:
+        for planes, mask in zip(counters, groups):
+            if mask >> k & 1:
+                i = 0
+                while vec:  # ripple-carry add of one bit per lane
+                    planes[i], vec = planes[i] ^ vec, planes[i] & vec
+                    i += 1
+                break
+    return list(enumerate(plane for planes in counters for plane in planes))
 
 
 def _lane_indices(lanes: int, width: int) -> Iterator[int]:

@@ -11,10 +11,15 @@ hard rules outright, ``"relaxed"`` lets them participate in the hard-tier
 ranking, which is what makes inconsistency diagnosis possible.
 
 ``_total`` adds every float sum and ``_scaled`` rounds every scaled weight.
-``_vector`` weighs every model: one popcount per distinct weight when the
-soft weights are whole numbers whose absolute values add up to less than
-2**53 (``_classes``), which gives the same float as adding the counted
-rules' weights one by one in rule order, and that walk otherwise.
+Every model gets a hard count and a soft total.  When the soft weights are
+whole numbers whose absolute values add up to less than 2**53
+(``_classes``), the counts come from the enumerator's bit-sliced counters,
+one per distinct weight and one for the hard rules, without reading a
+model back, and ``_by_class`` adds ``weight * count`` in class order: the
+same float as adding the counted rules' weights one by one in rule order,
+which ``_weights`` does otherwise and which stays the reference.  Callers
+read back only the models they print or return, and build a
+``WeightVector`` only where the public API returns one.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .engine import DEFAULT_ATOM_CAP, StableModelEnumerator, _bit_indices, _Compiled
+from .engine import DEFAULT_ATOM_CAP, StableModelEnumerator, _bit_indices, _Compiled, _fields
 from .grounder import GroundProgram, ground
 from .model import Atom, Interpretation, Program, merge_programs
 
@@ -115,15 +120,57 @@ def _classes(hard: int, weights: list[float]) -> list[tuple[float, int]] | None:
     return list(masks.items())
 
 
+def _by_class(classes: list[tuple[float, int]], counts) -> float:
+    """The soft total of ``counts[c]`` rules or formulas of each class c of
+    ``classes``, added in class order."""
+    return _total(w * n for (w, _), n in zip(classes, counts))
+
+
+def _weights(counted: list[int], hard: int, weights: list[float],
+             classes: list[tuple[float, int]] | None) -> tuple[list[int], list[float]]:
+    """The hard count and the soft total of the rules or formulas in each
+    mask of ``counted``, as two columns; ``classes`` is ``_classes(hard,
+    weights)``, and None walks the counted soft rules one by one."""
+    if classes is None:
+        soft = [_total(map(weights.__getitem__, _bit_indices(c & ~hard))) for c in counted]
+    else:
+        soft = [_by_class(classes, [(c & mask).bit_count() for _, mask in classes])
+                for c in counted]
+    return [(c & hard).bit_count() for c in counted], soft
+
+
 def _vector(counted: int, hard: int, weights: list[float],
             classes: list[tuple[float, int]] | None) -> WeightVector:
-    """The hard count and the soft total of the rules or formulas in the
-    mask ``counted``; ``classes`` is ``_classes(hard, weights)``."""
-    if classes is None:
-        soft = _total(map(weights.__getitem__, _bit_indices(counted & ~hard)))
-    else:
-        soft = _total(w * (counted & mask).bit_count() for w, mask in classes)
-    return WeightVector((counted & hard).bit_count(), soft)
+    """``_weights`` of the one mask ``counted``."""
+    (h,), (soft,) = _weights([counted], hard, weights, classes)
+    return WeightVector(h, soft)
+
+
+def _groups(hard: int, classes: list[tuple[float, int]]) -> list[int]:
+    """The groups ``engine._count`` counts for weighing: the hard mask, then
+    each class's mask."""
+    return [hard] + [mask for _, mask in classes]
+
+
+def _unpacked(counts: list[int], hard: int, classes: list[tuple[float, int]],
+              complement: bool) -> tuple[list[int], list[float]]:
+    """The columns of ``_weights`` from the packed counts ``counts`` of
+    ``engine._count`` over ``_groups(hard, classes)``; with ``complement``,
+    a group counts its rules minus the packed count (reward mode over
+    violations).  Each distinct packed count is weighed once."""
+    groups = _groups(hard, classes)
+    fields = list(zip(groups, _fields(groups)))
+
+    def weigh(packed: int) -> tuple[int, float]:
+        counts = []
+        for group, b in fields:
+            n = packed & (1 << b) - 1
+            counts.append(group.bit_count() - n if complement else n)
+            packed >>= b
+        return counts[0], _by_class(classes, counts[1:])
+
+    memo = {c: weigh(c) for c in set(counts)}
+    return [memo[c][0] for c in counts], [memo[c][1] for c in counts]
 
 
 def _weigh(gp: GroundProgram, interp: Interpretation, mode: str) -> WeightVector:
@@ -146,53 +193,60 @@ def weight_penalty(gp: GroundProgram, interp: Interpretation) -> WeightVector:
 
 @dataclass(frozen=True)
 class _Weighed:
-    """The stable models of one program as bitsets over ``comp``'s atoms,
-    with each model's violation mask, weight vector and probability at the
-    same position."""
+    """The stable models of one program, as ``enum`` enumerated them: each
+    model's hard count, soft total and probability at its position.
+    ``enum._read`` gives the bitsets and violation masks of the models
+    asked for, ``enum.models_bits()`` and ``enum.violations`` of all."""
 
-    comp: _Compiled
-    bits: list[int]
-    violations: list[int]
-    vectors: list[WeightVector]
+    enum: StableModelEnumerator
+    hard: list[int]
+    soft: list[float]
     probabilities: list[float]
 
 
 def _weigh_models(gp: GroundProgram, mode: str, hard_mode: str, cap: int) -> _Weighed:
+    """Integer-weight programs (``_classes``) are weighed from the slices'
+    counters, without reading a model back; the others by ``_weights`` over
+    every model's violation mask."""
     if mode not in ("reward", "penalty"):
         raise ValueError(f"unknown mode {mode!r}")
     enum = StableModelEnumerator(gp, hard_mode, cap)
-    bits_list = enum.models_bits()
-    if not bits_list:
-        raise NoStableModelsError("no probabilistic stable models")
-
     comp = enum.comp
+    reward = mode == "reward"
     classes = _classes(comp.hard, comp.weights)
-    vectors = [_vector(comp.counted(v, mode == "reward"), comp.hard, comp.weights, classes)
-               for v in enum.violations]
-    _, probabilities = _normalise(vectors, mode)
-    return _Weighed(comp, bits_list, enum.violations, vectors, probabilities)
+    if classes is None:
+        hard, soft = _weights([comp.counted(v, reward) for v in enum.violations],
+                              comp.hard, comp.weights, None)
+    else:
+        counts = enum._counts(_groups(comp.hard, classes))
+        hard, soft = _unpacked(counts, comp.hard, classes, reward)
+    if not hard:
+        raise NoStableModelsError("no probabilistic stable models")
+    _, probabilities = _normalise(hard, soft, mode)
+    return _Weighed(enum, hard, soft, probabilities)
 
 
-def _normalise(vectors: list[WeightVector], mode: str) -> tuple[int, list[float]]:
-    """The extremal hard tier of a non-empty list of weight vectors
-    (maximal for reward, minimal for penalty) and each vector's
-    probability: 0.0 off that tier; on it, the exponentiated signed soft
-    tier, shifted by the tier's largest exponent, over the tier's total.
-    ``ValueError`` when that total is undefined."""
+def _normalise(hard: list[int], soft: list[float], mode: str) -> tuple[int, list[float]]:
+    """The extremal hard count of a non-empty column ``hard`` (maximal for
+    reward, minimal for penalty) and each model's probability: 0.0 off
+    that tier; on it, the exponentiated signed soft total, shifted by the
+    tier's largest exponent, over the tier's total.  ``ValueError`` when
+    that total is undefined."""
     if mode == "reward":
-        best_hard = max(v.hard for v in vectors)
+        best_hard = max(hard)
         sign = 1.0
     else:
-        best_hard = min(v.hard for v in vectors)
+        best_hard = min(hard)
         sign = -1.0
 
-    exponents = [sign * v.soft for v in vectors if v.hard == best_hard]
-    shift = max(exponents)
-    total = _total(math.exp(e - shift) for e in exponents)
+    tier = [s for h, s in zip(hard, soft) if h == best_hard]
+    shift = max(sign * s for s in tier)
+    exp = {s: math.exp(sign * s - shift) for s in set(tier)}  # once per distinct total
+    total = _total(map(exp.__getitem__, tier))
     if math.isnan(total):  # an exponent of inf or nan, or every one -inf
         raise ValueError("soft weights add up past the float range")
-    return best_hard, [math.exp(sign * v.soft - shift) / total if v.hard == best_hard else 0.0
-                       for v in vectors]
+    p = {s: e / total for s, e in exp.items()}
+    return best_hard, [p[s] if h == best_hard else 0.0 for h, s in zip(hard, soft)]
 
 
 def distribution(gp: GroundProgram, mode: str = "penalty",
@@ -205,8 +259,8 @@ def distribution(gp: GroundProgram, mode: str = "penalty",
     """
     w = _weigh_models(gp, mode, hard_mode, cap)
     return Distribution(mode, tuple(
-        DistEntry(w.comp.interp_of(b), v, p)
-        for b, v, p in zip(w.bits, w.vectors, w.probabilities)))
+        DistEntry(w.enum.comp.interp_of(b), WeightVector(h, s), p)
+        for b, h, s, p in zip(w.enum.models_bits(), w.hard, w.soft, w.probabilities)))
 
 
 @dataclass(frozen=True)
@@ -224,8 +278,9 @@ def map_estimate(gp: GroundProgram, hard_mode: str = "strict",
     _check_scale(scale)
     w = _weigh_models(gp, "penalty", hard_mode, cap)
     tied = _most_probable(w)
-    return MapResult(tuple(w.comp.interp_of(w.bits[k]) for k in tied),
-                     tuple(_scaled(w.vectors[k].soft, scale) for k in tied), scale)
+    bits, _ = w.enum._read(tied)
+    return MapResult(tuple(map(w.enum.comp.interp_of, bits)),
+                     tuple(_scaled(w.soft[k], scale) for k in tied), scale)
 
 
 def _most_probable(w: _Weighed) -> list[int]:
@@ -246,9 +301,9 @@ def marginal(gp: GroundProgram, query_preds, mode: str = "penalty",
                       UnknownPredicateWarning, stacklevel=2)
     targets = [a for a in gp.atoms if a.predicate in preds]
     w = _weigh_models(gp, mode, hard_mode, cap)
-    probes = [(a, 1 << w.comp.index[a]) for a in targets]
+    probes = [(a, 1 << w.enum.comp.index[a]) for a in targets]
     result = {a: 0.0 for a in targets}
-    for b, p in zip(w.bits, w.probabilities):
+    for b, p in zip(w.enum.models_bits(), w.probabilities):
         if p == 0.0:
             continue
         for a, bit in probes:

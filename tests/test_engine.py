@@ -415,7 +415,9 @@ class TestBitSlicedKernel:
                 columns = _random_columns(rng, width, rng.randint(1, 12),
                                           base=rng.choice([0, rng.randint(1, 70)]),
                                           spread=rng.randint(1, 4), extra=extra)
-                for lanes in (rng.getrandbits(width), (1 << width) - 1):
+                picked = rng.sample(range(width), min(width, rng.randint(1, 8)))  # a few lanes
+                few = sum(1 << m for m in picked)
+                for lanes in (rng.getrandbits(width), (1 << width) - 1, few):
                     assert engine._transpose(columns, width, lanes) == \
                         _transpose_by_digits(columns, width, lanes), (width, extra)
 
@@ -430,6 +432,30 @@ class TestBitSlicedKernel:
             for lanes in (rng.getrandbits(width), 1 << (width - 1)):
                 assert engine._transpose(columns, width, lanes) == \
                     _transpose_by_digits(columns, width, lanes)
+
+    def test_count_matches_popcounts_of_the_read_masks(self):
+        rng = random.Random(21)
+        for width in range(1, 1101):
+            extra = rng.choice([0, rng.randint(1, 40)])  # bits above ``width``
+            pairs = _random_columns(rng, width, rng.randint(0, 12),
+                                    base=rng.choice([0, rng.randint(1, 70)]),
+                                    spread=rng.randint(1, 4), extra=extra)
+            # disjoint groups over the pairs' indices and some others; an
+            # index may be in no group, and a group may be empty
+            groups = [0] * rng.randint(1, 4)
+            for k in range(max((k for k, _ in pairs), default=0) + 8):
+                g = rng.randrange(len(groups) + 1)
+                if g < len(groups):
+                    groups[g] |= 1 << k
+            for lanes in (rng.getrandbits(width), (1 << width) - 1, 0):
+                want = []
+                for mask in engine._transpose(pairs, width, lanes):
+                    packed = offset = 0
+                    for group, bits in zip(groups, engine._fields(groups)):
+                        packed |= (mask & group).bit_count() << offset
+                        offset += bits
+                    want.append(packed)
+                assert engine._count(pairs, groups, width, lanes) == want, (width, extra)
 
     def test_slices_read_back_every_assignment_in_order(self, lane_bits):
         positions = [1, 3, 4]
@@ -479,6 +505,37 @@ class TestBitSlicedKernel:
             assert sm_sets(enumerate_sm(gp, hard_mode)) == \
                 sm_sets(naive_sm(gp, require_hard=hard_mode == "strict"))
         assert sm_sets(enumerate_sm(gp, "strict")) == strict_models
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_partial_read_back_is_the_full_read(self, lane_bits, seed):
+        rng = random.Random(2000 + seed)
+        disjunctive = 0
+        for _ in range(20):
+            text = random_text_with_facts(rng, rng.randint(2, 6), rng.randint(1, 7),
+                                          rng.randint(0, 2))
+            gp = ground(P(text))
+            for hard_mode in ("strict", "relaxed"):
+                full = StableModelEnumerator(gp, hard_mode)
+                bits, masks = full.models_bits(), full.violations
+                n = len(bits)
+                # a second enumerator, so that every read below is from its records
+                enum = StableModelEnumerator(gp, hard_mode)
+                records = enum._enumerate()
+                disjunctive += any(models is not None for *_, models in records)
+                for violated, width, stable, columns, models in records:
+                    assert all(lanes and not lanes & ~stable for _, lanes in violated)
+                    if not stable:
+                        assert (violated, columns, models) == ([], [], None)
+                subsets = [sorted(rng.sample(range(n), rng.randint(0, n))) for _ in range(4)]
+                for picked in [[], list(range(n))] + subsets:
+                    assert enum._read(picked) == ([bits[k] for k in picked],
+                                                  [masks[k] for k in picked]), (text, picked)
+                assert enum._decided is records
+                assert (enum.models_bits(), enum.violations) == (bits, masks)
+                assert enum._decided is None  # every model read: the records are dropped
+                assert enum._read(subsets[0]) == ([bits[k] for k in subsets[0]],
+                                                  [masks[k] for k in subsets[0]])
+        assert disjunctive >= 3  # slices decided by subset search keep their models
 
     def test_disjunctive_residual_uses_subset_search(self, lane_bits):
         text = "a ; b.\nc :- a.\nc :- b.\n1 d :- c.\n:- a, not c.\n{e} :- d.\n"

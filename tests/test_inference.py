@@ -6,12 +6,12 @@ from hypothesis import assume, given, settings
 
 from lpmln import fixture_path, ground, parse_evidence, parse_program
 from lpmln.asp_backend import phi_extend
-from lpmln.engine import EnumerationCapError, StableModelEnumerator
+from lpmln.engine import DEFAULT_ATOM_CAP, EnumerationCapError, StableModelEnumerator
 from lpmln.grounder import GroundingError
 from lpmln.inference import (
     InconsistentEvidenceError, NoStableModelsError, UnknownPredicateWarning,
-    WeightVector, _TIE_EPS, _classes, _vector, conditional, distribution, map_estimate,
-    marginal, weight_penalty, weight_reward,
+    WeightVector, _TIE_EPS, _classes, _vector, _weigh_models, conditional, distribution,
+    map_estimate, marginal, weight_penalty, weight_reward,
 )
 from lpmln.model import Atom, Term, atom, atom_sort_key
 from helpers import (
@@ -147,13 +147,17 @@ class TestExactWeighing:
         assert _classes(0, [-1e308, -1e308]) is None  # inf: test_cli's test_infinite_soft_total
         assert _classes(0, [1.0, 0.5]) is None
 
+    @staticmethod
+    def generated(seed):
+        rng = random.Random(1800 + seed)
+        for _ in range(15):
+            yield ground(P(random_program_text(rng, rng.randint(1, 5), rng.randint(1, 8),
+                                               allow_disjunction=True, weight=integer_weight)))
+
     @pytest.mark.parametrize("seed", range(4))
     def test_generated_programs_every_model(self, seed):
         # by class and rule by rule, sign of zero included, in both modes and hard modes
-        rng = random.Random(1800 + seed)
-        for _ in range(15):
-            gp = ground(P(random_program_text(rng, rng.randint(1, 5), rng.randint(1, 8),
-                                              allow_disjunction=True, weight=integer_weight)))
+        for gp in self.generated(seed):
             for hard_mode in ("strict", "relaxed"):
                 comp = (enum := StableModelEnumerator(gp, hard_mode)).comp
                 classes = _classes(comp.hard, comp.weights)
@@ -165,6 +169,28 @@ class TestExactWeighing:
                         want = _vector(counted, comp.hard, comp.weights, None)
                         assert got == want
                         assert math.copysign(1.0, got.soft) == math.copysign(1.0, want.soft)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_generated_programs_weighed_in_the_slice(self, lane_bits, seed):
+        # the hard and soft columns that _weigh_models takes from the slices'
+        # counters are the walk's, sign of zero included, in both modes and
+        # hard modes
+        for gp in self.generated(seed):
+            for hard_mode in ("strict", "relaxed"):
+                comp = (enum := StableModelEnumerator(gp, hard_mode)).comp
+                assert _classes(comp.hard, comp.weights) is not None
+                for mode in ("penalty", "reward"):
+                    walked = [_vector(comp.counted(v, mode == "reward"), comp.hard, comp.weights,
+                                      None) for v in enum.violations]
+                    if not walked:
+                        with pytest.raises(NoStableModelsError):
+                            _weigh_models(gp, mode, hard_mode, DEFAULT_ATOM_CAP)
+                        continue
+                    w = _weigh_models(gp, mode, hard_mode, DEFAULT_ATOM_CAP)
+                    assert w.hard == [v.hard for v in walked]
+                    assert w.soft == [v.soft for v in walked]
+                    assert [math.copysign(1.0, s) for s in w.soft] == \
+                        [math.copysign(1.0, v.soft) for v in walked]
 
 
 class TestDistribution:

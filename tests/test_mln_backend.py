@@ -260,6 +260,30 @@ class TestLaneWidths:
         assert len(d.entries) == 13
         assert d == _world_by_world(mln)
 
+    def test_best_hard_tier_only_in_the_last_world(self, lane_bits):
+        # no world satisfies a0 and !a0; the fallback's best tier rises
+        # slice by slice up to the last world, which satisfies the rest
+        names = [f"a{k}" for k in range(12)]
+        formulas = [MlnFormula(HARD, fa("a0")), MlnFormula(HARD, FNot(fa("a0")))]
+        formulas += [MlnFormula(HARD, fa(a)) for a in names]
+        formulas.append(MlnFormula(soft(1.5), FNot(fa("a3"))))
+        mln = MlnProgram(tuple(formulas))
+        d = mln_distribution(mln)
+        assert d.entries == ((frozenset(atom(a) for a in names), 1.0),)
+        assert d == _world_by_world(mln)
+
+    @pytest.mark.parametrize("weights", [(1.5, -0.5, 2.0), (3.0, -1.0, 2.0)])
+    def test_only_the_last_world_satisfies_every_hard_formula(self, lane_bits, weights):
+        # no slice before the last holds a world satisfying every hard formula
+        names = [f"a{k}" for k in range(12)]
+        formulas = [MlnFormula(HARD, fa("a0"))]
+        formulas += [MlnFormula(HARD, FImpl(fa(names[k]), fa(names[k + 1]))) for k in range(11)]
+        formulas += [MlnFormula(soft(w), FNot(fa(a))) for w, a in zip(weights, names)]
+        mln = MlnProgram(tuple(formulas))
+        d = mln_distribution(mln)
+        assert d.entries == ((frozenset(atom(a) for a in names), 1.0),)
+        assert d == _world_by_world(mln)
+
     # whole-number weights are weighed one popcount per distinct weight: -0.0
     # and a zero count of -5; a sum of 2**53 that a grouping would make
     # 2**53 + 2; a mixed program that a grouping would round differently
