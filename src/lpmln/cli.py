@@ -123,7 +123,8 @@ def _render_map(gp, hard_mode: str, cap: int, scale: int) -> str:
     w = inference._weigh_models(gp, "penalty", hard_mode, cap)
     show = _model_printer(gp, w.enum.comp, scale)
     tied = inference._most_probable(w)
-    lines = [line for k, b, v in zip(tied, *w.enum._read(tied)) for line in show(b, v, w.soft[k])]
+    bits, masks = w.enum._enumerate().read(tied)
+    lines = [line for k, b, v in zip(tied, bits, masks) for line in show(b, v, w.soft[k])]
     return "".join(l + "\n" for l in lines + ["OPTIMUM FOUND"])
 
 

@@ -42,22 +42,22 @@ that decides reducts, violation and minimality: a single interpretation,
 as in ``is_stable_model``, ``reduce_program`` and ``_Compiled.violated``,
 is one lane over the full program.
 
-Each slice with a stable lane keeps one record: the stable lanes, the
-rules they violate with those lanes, and the varying atoms' vectors (or the
-models subset search found); a slice without one keeps an empty record.  A
-model is read back, into one atom bitset and one violation mask that index,
-and agree with, the full program, only when a caller asks for it:
-``models_bits`` and ``violations`` read every model, and then the records
-are dropped; ``_read`` reads the models at some positions of the ascending
-candidate order.  ``_counts`` reads no model: ``_count``, a bit-sliced
-ripple-carry counter per group of rules over a slice's lanes, gives each
-model its packed number of violated rules per group, which is how
-``inference`` weighs whole-number weights.
+Each slice keeps one record (``_record``): its stable lanes, the rules
+they violate with those lanes, and the varying atoms' vectors; a slice
+without a stable lane keeps an empty one.  ``_Records``, the records in
+order, is the one owner of read-back and of the counters, here and for the
+worlds of ``mln_backend``.  A model is read back, into one atom bitset and
+one violation mask that index, and agree with, the full program, only when
+a caller asks for it: ``read()`` reads every model, and then the records are
+dropped; ``read(picks)`` reads the models at some positions of the
+ascending candidate order.  ``counts`` reads no model: ``_count``, a
+bit-sliced ripple-carry counter per group of rules over a slice's lanes,
+gives each model its packed number of violated rules per group, which is
+how ``inference`` weighs whole-number weights.
 
-``_transpose`` is the one read-back, here and in ``mln_backend``: it packs
-a slice's vectors as the rows of one bit matrix in one integer, transposes
-every 8x8 block with three delta swaps and reads each lane with one
-strided byte slice.
+``_transpose`` is the one read-back: it packs a slice's vectors as the rows
+of one bit matrix in one integer, transposes every 8x8 block with three
+delta swaps and reads each lane with one strided byte slice.
 
 Interpretations are manipulated as integer bitsets internally; the public
 functions speak frozensets of atoms.
@@ -211,14 +211,14 @@ def is_stable_model(rules: Iterable[GroundRule], interp: Interpretation) -> bool
     val, violated, reduct = comp.one_lane(bits)
     if violated:
         return False
-    return _stable_lanes(reduct, val, _bit_indices(bits), 1, 0)[0] == 1
+    return _stable_lanes(reduct, val, _bit_indices(bits), 1, 0) == 1
 
 
 class StableModelEnumerator:
     """Shared machinery behind ``enumerate_sm`` and the inference layer.
 
-    Once it has enumerated (``models_bits``, ``violations``, ``_read`` or
-    ``_counts``) the candidates it tried, ``2 ** len(free_positions)``,
+    Once it has enumerated (``models_bits``, ``violations`` or
+    ``_enumerate``) the candidates it tried, ``2 ** len(free_positions)``,
     split into the models, ``rejected_hard`` (strict mode: a hard rule is
     violated) and ``rejected_minimality`` (not a minimal model of its reduct).
     """
@@ -239,9 +239,7 @@ class StableModelEnumerator:
         self._live = [r for r in self.comp.rules if not (r.pos | r.neg2) & ~derivable]
         self._analyze()
         self._specialise()
-        self._decided: list[tuple] | None = None
-        self._models: list[int] | None = None
-        self._violations: list[int] = []
+        self._decided: _Records | None = None
         self.rejected_hard = 0
         self.rejected_minimality = 0
 
@@ -325,74 +323,33 @@ class StableModelEnumerator:
 
     def models_bits(self) -> list[int]:
         """The stable models as bitsets, in ascending candidate order (bit j
-        of a candidate's number is the value of free atom j).  Once every
-        model is read, the slices' records are dropped."""
-        if self._models is None:
-            self._models, self._violations = self._read()
-            self._decided = None
-        return self._models
+        of a candidate's number is the value of free atom j)."""
+        return self._enumerate().read()[0]
 
     @property
     def violations(self) -> list[int]:
         """Per model of ``models_bits``, the mask of the rules it violates."""
-        self.models_bits()
-        return self._violations
+        return self._enumerate().read()[1]
 
-    def _enumerate(self) -> list[tuple]:
-        """Decide every slice, once unless ``models_bits`` dropped the
-        records; ``_decide_slice`` gives each one's record."""
+    def _enumerate(self) -> _Records:
+        """Every slice, decided once by ``_decide_slice``: its lanes are the
+        models, its pairs the rules they violate."""
         if self._decided is None:
             k = len(self.free_positions)
             if k > self.cap:
                 raise EnumerationCapError(self.cap, k, self._free_atoms())
-            self.rejected_hard = self.rejected_minimality = 0
-            self._decided = [self._decide_slice(val, full)
-                             for val, full in _slices(self.free_positions, len(self.comp.atoms))]
+            self._decided = _Records(
+                [self._decide_slice(val, full)
+                 for val, full in _slices(self.free_positions, len(self.comp.atoms))],
+                self._varying, self.sure)
         return self._decided
-
-    def _read(self, positions: Sequence[int] | None = None) -> tuple[list[int], list[int]]:
-        """The bitsets and violation masks of the models at the ascending
-        ``positions`` of the model order, or of every model; each slice
-        reads back only the lanes asked of it."""
-        if self._models is not None:  # every model is read already
-            if positions is None:
-                return self._models, self._violations
-            return [self._models[k] for k in positions], [self._violations[k] for k in positions]
-        bits: list[int] = []
-        masks: list[int] = []
-        start = at = 0  # the slice's first model; the first position not yet read
-        for violated, width, stable, columns, models in self._enumerate():
-            lanes, picked = stable, None
-            if positions is not None:
-                end = bisect_left(positions, start + stable.bit_count(), at)
-                picked = [q - start for q in positions[at:end]]  # ranks among the slice's models
-                start, at = start + stable.bit_count(), end
-                if not picked:
-                    continue
-                order = list(_lane_indices(stable, width))
-                lanes = sum(1 << order[i] for i in picked)
-            masks += _transpose(violated, width, lanes)
-            if models is None:
-                bits += [b | self.sure for b in
-                         _transpose(list(zip(self._varying, columns)), width, lanes)]
-            else:
-                bits += models if picked is None else [models[i] for i in picked]
-        return bits, masks
-
-    def _counts(self, groups: Sequence[int]) -> list[int]:
-        """Per model, in model order, ``_count`` of the rules it violates over
-        the disjoint rule masks ``groups``."""
-        return [c for violated, width, stable, _, _ in self._enumerate()
-                for c in _count(violated, groups, width, stable)]
 
     def _decide_slice(self, val: list[int], full: int) -> tuple:
         """Decide every candidate of one slice at once.  ``val[p]`` is atom
         p's lane vector, set for the free atoms; bit m is its value in the
-        slice's candidate m.  Returns the slice's record: the ``(rule index,
-        stable lanes that violate it)`` pairs, the lane width, the stable
-        lanes, and the varying atoms' lane vectors or, when subset search
-        decided the slice, its models in lane order; with no stable lane,
-        nothing but the width."""
+        slice's candidate m.  Returns the slice's ``_record``: the stable
+        lanes, the ``(rule index, lanes that violate it)`` pairs and the
+        varying atoms' vectors."""
         for stage in self._lane_stages:
             _derive([(r, head, pos, _kept_lanes(neg1, neg2, val, full))
                      for r, head, pos, neg1, neg2 in stage], val)
@@ -404,16 +361,76 @@ class StableModelEnumerator:
                 if hard >> k & 1:
                     alive &= ~lanes
         self.rejected_hard += (full ^ alive).bit_count()
-        stable, models = _stable_lanes(reduct, val, self._varying, alive, self.sure)
+        stable = _stable_lanes(reduct, val, self._varying, alive, self.sure)
         self.rejected_minimality += (alive ^ stable).bit_count()
-        if not stable:
-            return [], full.bit_length(), 0, [], None
-        violated = [(k, lanes & stable) for k, lanes in violated if lanes & stable]
-        columns = [val[p] for p in self._varying] if models is None else []
-        return violated, full.bit_length(), stable, columns, models
+        return _record(violated, full.bit_length(), stable, [val[p] for p in self._varying])
 
     def models(self) -> list[Interpretation]:
         return [self.comp.interp_of(b) for b in self.models_bits()]
+
+
+def _record(pairs: Sequence[tuple[int, int]], width: int, lanes: int,
+            columns: list[int]) -> tuple:
+    """A decided slice of ``width`` lanes as ``(pairs, width, lanes,
+    columns)``: the ``(index, vector)`` pairs masked to the kept ``lanes``,
+    those left empty dropped, and the atoms' vectors ``columns``; with no
+    lane kept, an empty record."""
+    if not lanes:
+        return [], width, 0, []
+    return [(k, vec & lanes) for k, vec in pairs if vec & lanes], width, lanes, columns
+
+
+class _Records:
+    """Decided slices, in order, as ``_record``s, and the one owner of their
+    read-back.  A record's kept lanes, in ascending order, follow those of
+    the records before it; lane m's bitset holds ``sure`` and each atom
+    position ``positions[i]`` whose vector ``columns[i]`` has m set, and
+    its mask each index whose pair has m set.  Reading every lane caches
+    the result and drops the records."""
+
+    def __init__(self, records: list[tuple], positions: Sequence[int], sure: int):
+        self.records: list[tuple] | None = records
+        self.positions = positions
+        self.sure = sure
+        # a pair's row in the one transpose of a record: its index above the atoms
+        self._off = positions[-1] + 1 if positions else 0
+        self._atoms = (1 << self._off) - 1
+        self._all: tuple[list[int], list[int]] | None = None
+
+    def read(self, picks: Sequence[int] | None = None) -> tuple[list[int], list[int]]:
+        """The bitsets and masks of the lanes at the ascending positions
+        ``picks`` of the lane order, or of every lane; each record reads
+        back only the lanes asked of it, its columns and pairs in one
+        ``_transpose``."""
+        if self._all is not None:
+            bits, masks = self._all
+            if picks is None:
+                return bits, masks
+            return [bits[k] for k in picks], [masks[k] for k in picks]
+        bits, masks = [], []
+        start = at = 0  # the record's first lane; the first pick not yet read
+        for pairs, width, lanes, columns in self.records:
+            if picks is not None:
+                end = bisect_left(picks, start + lanes.bit_count(), at)
+                ranks = [q - start for q in picks[at:end]]  # among the record's lanes
+                start, at = start + lanes.bit_count(), end
+                if not ranks:
+                    continue
+                order = list(_lane_indices(lanes, width))
+                lanes = sum(1 << order[i] for i in ranks)
+            rows = list(zip(self.positions, columns)) + [(self._off + k, vec) for k, vec in pairs]
+            for both in _transpose(rows, width, lanes):
+                bits.append(both & self._atoms | self.sure)
+                masks.append(both >> self._off)
+        if picks is None:
+            self._all, self.records = (bits, masks), None
+        return bits, masks
+
+    def counts(self, groups: Sequence[int]) -> list[int]:
+        """Per lane, in order, ``_count`` of its pairs over the disjoint
+        index masks ``groups``; before every lane is read."""
+        return [c for pairs, width, lanes, _ in self.records
+                for c in _count(pairs, groups, width, lanes)]
 
 
 def _slices(positions: Sequence[int], n: int) -> Iterator[tuple[list[int], int]]:
@@ -498,29 +515,26 @@ def _derive(reduct: Sequence[tuple], derived: list[int]) -> list[int]:
 
 
 def _stable_lanes(reduct: Sequence[tuple], val: list[int], varying: list[int],
-                  alive: int, sure: int) -> tuple[int, list[int] | None]:
+                  alive: int, sure: int) -> int:
     """The lanes of ``alive`` whose candidate (``val`` over the positions
     ``varying``, plus ``sure``) is a minimal model of its reduct above
     ``sure``.  ``_derive`` decides every lane at once unless a rule of
     ``_rule_pass``'s ``reduct`` is disjunctive; then subset search runs per
-    lane on that lane's reduct, and the stable candidates, in lane order,
-    come second (None otherwise)."""
+    lane on that lane's reduct."""
     width = alive.bit_length()
     if any(len(head) > 1 for _, head, _, _ in reduct):
-        stable, models = 0, []
+        stable = 0
         atoms = [(p, val[p]) for p in varying]
         for m, bits in zip(_lane_indices(alive, width), _transpose(atoms, width, alive)):
-            bits |= sure
             lane_reduct = [(r.head, r.pos) for r, _, _, keep in reduct if keep >> m & 1]
-            if _minimal_subsets(lane_reduct, bits, sure):
+            if _minimal_subsets(lane_reduct, bits | sure, sure):
                 stable |= 1 << m
-                models.append(bits)
-        return stable, models
+        return stable
     derived = _derive(reduct, [0] * len(val))
     unfounded = 0
     for p in varying:
         unfounded |= val[p] & ~derived[p]
-    return alive & ~unfounded, None
+    return alive & ~unfounded
 
 
 def _transpose(columns: list[tuple[int, int]], width: int, lanes: int) -> list[int]:

@@ -11,15 +11,18 @@ hard rules outright, ``"relaxed"`` lets them participate in the hard-tier
 ranking, which is what makes inconsistency diagnosis possible.
 
 ``_total`` adds every float sum and ``_scaled`` rounds every scaled weight.
-Every model gets a hard count and a soft total.  When the soft weights are
-whole numbers whose absolute values add up to less than 2**53
-(``_classes``), the counts come from the enumerator's bit-sliced counters,
-one per distinct weight and one for the hard rules, without reading a
-model back, and ``_by_class`` adds ``weight * count`` in class order: the
-same float as adding the counted rules' weights one by one in rule order,
-which ``_weights`` does otherwise and which stays the reference.  Callers
-read back only the models they print or return, and build a
-``WeightVector`` only where the public API returns one.
+``_weighed`` is the one weighing: it gives every lane of a list of decided
+slices (``engine._Records``) a hard count and a soft total.  The lanes are
+the stable models of a program, the worlds of ``mln_backend`` or, for
+``weight_reward`` and ``weight_penalty``, one interpretation.  When the
+soft weights are whole numbers whose absolute values add up to less than
+2**53 (``_classes``), the counts come from the slices' bit-sliced counters,
+one per distinct weight and one for the hard rules, without reading a lane
+back, and ``_by_class`` adds ``weight * count`` in class order: the same
+float as adding the counted rules' weights one by one in rule order, which
+``_weights`` does otherwise and which stays the reference.  Callers read
+back only the models they print or return, and build a ``WeightVector``
+only where the public API returns one.
 """
 
 from __future__ import annotations
@@ -28,7 +31,8 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .engine import DEFAULT_ATOM_CAP, StableModelEnumerator, _bit_indices, _Compiled, _fields
+from .engine import (DEFAULT_ATOM_CAP, StableModelEnumerator, _bit_indices, _Compiled, _fields,
+                     _record, _Records)
 from .grounder import GroundProgram, ground
 from .model import Atom, Interpretation, Program, merge_programs
 
@@ -126,39 +130,19 @@ def _by_class(classes: list[tuple[float, int]], counts) -> float:
     return _total(w * n for (w, _), n in zip(classes, counts))
 
 
-def _weights(counted: list[int], hard: int, weights: list[float],
-             classes: list[tuple[float, int]] | None) -> tuple[list[int], list[float]]:
+def _weights(counted: list[int], hard: int, weights: list[float]) -> tuple[list[int], list[float]]:
     """The hard count and the soft total of the rules or formulas in each
-    mask of ``counted``, as two columns; ``classes`` is ``_classes(hard,
-    weights)``, and None walks the counted soft rules one by one."""
-    if classes is None:
-        soft = [_total(map(weights.__getitem__, _bit_indices(c & ~hard))) for c in counted]
-    else:
-        soft = [_by_class(classes, [(c & mask).bit_count() for _, mask in classes])
-                for c in counted]
-    return [(c & hard).bit_count() for c in counted], soft
+    mask of ``counted``, as two columns, the soft ones added one by one."""
+    return ([(c & hard).bit_count() for c in counted],
+            [_total(map(weights.__getitem__, _bit_indices(c & ~hard))) for c in counted])
 
 
-def _vector(counted: int, hard: int, weights: list[float],
-            classes: list[tuple[float, int]] | None) -> WeightVector:
-    """``_weights`` of the one mask ``counted``."""
-    (h,), (soft,) = _weights([counted], hard, weights, classes)
-    return WeightVector(h, soft)
-
-
-def _groups(hard: int, classes: list[tuple[float, int]]) -> list[int]:
-    """The groups ``engine._count`` counts for weighing: the hard mask, then
-    each class's mask."""
-    return [hard] + [mask for _, mask in classes]
-
-
-def _unpacked(counts: list[int], hard: int, classes: list[tuple[float, int]],
+def _unpacked(counts: list[int], groups: list[int], classes: list[tuple[float, int]],
               complement: bool) -> tuple[list[int], list[float]]:
     """The columns of ``_weights`` from the packed counts ``counts`` of
-    ``engine._count`` over ``_groups(hard, classes)``; with ``complement``,
-    a group counts its rules minus the packed count (reward mode over
-    violations).  Each distinct packed count is weighed once."""
-    groups = _groups(hard, classes)
+    ``engine._count`` over ``groups``, the hard mask and then each class's;
+    with ``complement``, a group counts its rules minus the packed count.
+    Each distinct packed count is weighed once."""
     fields = list(zip(groups, _fields(groups)))
 
     def weigh(packed: int) -> tuple[int, float]:
@@ -173,10 +157,28 @@ def _unpacked(counts: list[int], hard: int, classes: list[tuple[float, int]],
     return [memo[c][0] for c in counts], [memo[c][1] for c in counts]
 
 
+def _weighed(records: _Records, hard: int, weights: list[float],
+             complement: bool) -> tuple[list[int], list[float]]:
+    """Each lane's hard count and soft total, as two columns, of the rules
+    or formulas its pairs in ``records`` give or, with ``complement``, of
+    the others: ``_unpacked`` from the counters for whole-number weights
+    (``_classes``), else ``_weights`` over every lane's mask."""
+    classes = _classes(hard, weights)
+    if classes is None:
+        everything = (1 << len(weights)) - 1
+        return _weights([everything & ~m if complement else m for m in records.read()[1]],
+                        hard, weights)
+    groups = [hard] + [mask for _, mask in classes]
+    return _unpacked(records.counts(groups), groups, classes, complement)
+
+
 def _weigh(gp: GroundProgram, interp: Interpretation, mode: str) -> WeightVector:
+    """``_weighed`` with ``interp`` as the one lane of one record."""
     comp = _Compiled(gp)
-    return _vector(comp.counted(comp.violated(comp.bits_of(interp)), mode == "reward"),
-                   comp.hard, comp.weights, _classes(comp.hard, comp.weights))
+    _, violated, _ = comp.one_lane(comp.bits_of(interp))
+    (hard,), (soft,) = _weighed(_Records([_record(violated, 1, 1, [])], [], 0),
+                                comp.hard, comp.weights, mode == "reward")
+    return WeightVector(hard, soft)
 
 
 def weight_reward(gp: GroundProgram, interp: Interpretation) -> WeightVector:
@@ -195,8 +197,8 @@ def weight_penalty(gp: GroundProgram, interp: Interpretation) -> WeightVector:
 class _Weighed:
     """The stable models of one program, as ``enum`` enumerated them: each
     model's hard count, soft total and probability at its position.
-    ``enum._read`` gives the bitsets and violation masks of the models
-    asked for, ``enum.models_bits()`` and ``enum.violations`` of all."""
+    ``enum._enumerate().read`` gives the bitsets and violation masks of the
+    models asked for, ``enum.models_bits()`` and ``enum.violations`` of all."""
 
     enum: StableModelEnumerator
     hard: list[int]
@@ -205,21 +207,11 @@ class _Weighed:
 
 
 def _weigh_models(gp: GroundProgram, mode: str, hard_mode: str, cap: int) -> _Weighed:
-    """Integer-weight programs (``_classes``) are weighed from the slices'
-    counters, without reading a model back; the others by ``_weights`` over
-    every model's violation mask."""
     if mode not in ("reward", "penalty"):
         raise ValueError(f"unknown mode {mode!r}")
     enum = StableModelEnumerator(gp, hard_mode, cap)
-    comp = enum.comp
-    reward = mode == "reward"
-    classes = _classes(comp.hard, comp.weights)
-    if classes is None:
-        hard, soft = _weights([comp.counted(v, reward) for v in enum.violations],
-                              comp.hard, comp.weights, None)
-    else:
-        counts = enum._counts(_groups(comp.hard, classes))
-        hard, soft = _unpacked(counts, comp.hard, classes, reward)
+    hard, soft = _weighed(enum._enumerate(), enum.comp.hard, enum.comp.weights,
+                          mode == "reward")
     if not hard:
         raise NoStableModelsError("no probabilistic stable models")
     _, probabilities = _normalise(hard, soft, mode)
@@ -278,7 +270,7 @@ def map_estimate(gp: GroundProgram, hard_mode: str = "strict",
     _check_scale(scale)
     w = _weigh_models(gp, "penalty", hard_mode, cap)
     tied = _most_probable(w)
-    bits, _ = w.enum._read(tied)
+    bits, _ = w.enum._enumerate().read(tied)
     return MapResult(tuple(map(w.enum.comp.interp_of, bits)),
                      tuple(_scaled(w.soft[k], scale) for k in tied), scale)
 

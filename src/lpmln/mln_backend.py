@@ -8,10 +8,14 @@ worlds violating a hard formula carry no mass (falling back to the
 maximal count of satisfied hard formulas when nothing satisfies them
 all), and the rest weigh in at the exponentiated sum of their satisfied
 soft weights.  ``_lanes`` evaluates each formula once per slice of worlds
-(``engine._slices``), and one pass keeps the worlds on the best hard tier
-so far, by a bit-sliced count of satisfied hard formulas when no world of
-a slice satisfies them all; a soft total past the float range is a
-ValueError.
+(``engine._slices``).  A first pass keeps, per slice, the record
+(``engine._record``) of the worlds that satisfy every hard formula, with
+the satisfied formulas as its pairs and the atoms' vectors as its columns.
+When there is none, a second pass keeps the worlds on the best hard tier
+so far, by a bit-sliced count of satisfied hard formulas.  The kept
+records are weighed by ``inference._weighed`` and read back by
+``engine._Records``, as stable models are; a soft total past the float
+range is a ValueError.
 """
 
 from __future__ import annotations
@@ -20,10 +24,10 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import and_, or_
 
-from .engine import (DEFAULT_ATOM_CAP, EnumerationCapError, _bit_indices, _Compiled, _count,
-                     _lane_indices, _planes, _slices, _tarjan_scc, _transpose)
+from .engine import (DEFAULT_ATOM_CAP, EnumerationCapError, _bit_indices, _Compiled, _planes,
+                     _record, _Records, _slices, _tarjan_scc)
 from .grounder import GroundProgram
-from .inference import _classes, _groups, _normalise, _total, _unpacked, _weights
+from .inference import _normalise, _total, _weighed
 from .model import HARD, Atom, Interpretation, Weight, _choice_marker, atom_sort_key
 
 
@@ -333,40 +337,29 @@ def mln_distribution(mln: MlnProgram, cap: int = DEFAULT_ATOM_CAP) -> MlnDistrib
             (str(a), "aux atom" if a in mln.aux_atoms else "world atom") for a in atoms])
     hard = sum(1 << k for k, mf in enumerate(mln.formulas) if mf.weight.is_hard)
     weights = [0.0 if mf.weight.is_hard else mf.weight.value for mf in mln.formulas]
-    classes = _classes(hard, weights)
     required = _bit_indices(hard)
 
-    worlds: list[int] = []
-    read: list[int] = []  # per world, its packed counts (or satisfied-formula mask)
-
-    def take(base: int, width: int, lanes: int, sat: list[tuple[int, int]]) -> None:
-        worlds.extend(base | m for m in _lane_indices(lanes, width))
-        if classes is None:
-            read.extend(_transpose(sat, width, lanes))
-        else:
-            read.extend(_count(sat, _groups(hard, classes), width, lanes))
-
     def evaluated():
-        """Per slice of worlds, its base, width and formulas' lanes."""
-        for s, (val, full) in enumerate(_slices(range(n), n)):
-            width = full.bit_length()
+        """Per slice of worlds, its atoms' lane vectors, its lanes and its
+        formulas' lanes."""
+        for val, full in _slices(range(n), n):
             truth = dict(zip(atoms, val))
-            # lane m is the world whose bit i is atom i's value: ``s * width | m``
-            yield s * width, width, full, list(enumerate(
-                _lanes(mf.formula, truth, full) for mf in mln.formulas))
+            yield val, full, list(enumerate(_lanes(mf.formula, truth, full)
+                                            for mf in mln.formulas))
 
-    for base, width, full, sat in evaluated():
+    kept = []  # the records of the worlds that satisfy every hard formula
+    for val, full, sat in evaluated():
         lanes = full
         for k in required:
             lanes &= sat[k][1]
         if lanes:
-            take(base, width, lanes, sat)
-    if not worlds:
+            kept.append(_record(sat, full.bit_length(), lanes, val))
+    if not kept:
         # no world satisfies every hard formula: a second pass keeps the
         # slices with the most satisfied ones so far, with those worlds'
-        # lanes, and reads the best tier's after it
-        best, kept = -1, []
-        for base, width, full, sat in evaluated():
+        # lanes
+        best = -1
+        for val, full, sat in evaluated():
             # the count's planes, from the top, narrow the lanes down a bit at a time
             tier, lanes = 0, full
             for i, plane in reversed(_planes(sat, [hard])):
@@ -376,16 +369,13 @@ def mln_distribution(mln: MlnProgram, cap: int = DEFAULT_ATOM_CAP) -> MlnDistrib
             if tier > best:
                 best, kept = tier, []
             if tier == best:
-                kept.append((base, width, lanes, sat))
-        for record in kept:
-            take(*record)
-    if classes is None:
-        hards, softs = _weights(read, hard, weights, None)
-    else:
-        hards, softs = _unpacked(read, hard, classes, False)
+                kept.append(_record(sat, full.bit_length(), lanes, val))
+    # a world's bit i is atom i's value
+    worlds = _Records(kept, range(n), 0)
+    hards, softs = _weighed(worlds, hard, weights, False)
     _, probabilities = _normalise(hards, softs, "reward")
     entries = tuple((frozenset(atoms[i] for i in _bit_indices(bits)), p)
-                    for bits, p in zip(worlds, probabilities))
+                    for bits, p in zip(worlds.read()[0], probabilities))
     return MlnDistribution(atoms, entries)
 
 

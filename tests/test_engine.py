@@ -520,22 +520,24 @@ class TestBitSlicedKernel:
                 n = len(bits)
                 # a second enumerator, so that every read below is from its records
                 enum = StableModelEnumerator(gp, hard_mode)
-                records = enum._enumerate()
-                disjunctive += any(models is not None for *_, models in records)
-                for violated, width, stable, columns, models in records:
+                decided = enum._enumerate()
+                records = decided.records
+                disjunctive += any(r.disjunctive for r in enum.residual)
+                for violated, width, stable, columns in records:
                     assert all(lanes and not lanes & ~stable for _, lanes in violated)
                     if not stable:
-                        assert (violated, columns, models) == ([], [], None)
+                        assert (violated, columns) == ([], [])
                 subsets = [sorted(rng.sample(range(n), rng.randint(0, n))) for _ in range(4)]
                 for picked in [[], list(range(n))] + subsets:
-                    assert enum._read(picked) == ([bits[k] for k in picked],
-                                                  [masks[k] for k in picked]), (text, picked)
-                assert enum._decided is records
+                    assert decided.read(picked) == ([bits[k] for k in picked],
+                                                    [masks[k] for k in picked]), (text, picked)
+                assert decided.records is records
                 assert (enum.models_bits(), enum.violations) == (bits, masks)
-                assert enum._decided is None  # every model read: the records are dropped
-                assert enum._read(subsets[0]) == ([bits[k] for k in subsets[0]],
-                                                  [masks[k] for k in subsets[0]])
-        assert disjunctive >= 3  # slices decided by subset search keep their models
+                assert decided.records is None  # every model read: the records are dropped
+                assert enum._enumerate() is decided  # and nothing is decided again
+                assert decided.read(subsets[0]) == ([bits[k] for k in subsets[0]],
+                                                    [masks[k] for k in subsets[0]])
+        assert disjunctive >= 3  # programs whose residual rules need subset search
 
     def test_disjunctive_residual_uses_subset_search(self, lane_bits):
         text = "a ; b.\nc :- a.\nc :- b.\n1 d :- c.\n:- a, not c.\n{e} :- d.\n"

@@ -10,7 +10,7 @@ from lpmln.engine import DEFAULT_ATOM_CAP, EnumerationCapError, StableModelEnume
 from lpmln.grounder import GroundingError
 from lpmln.inference import (
     InconsistentEvidenceError, NoStableModelsError, UnknownPredicateWarning,
-    WeightVector, _TIE_EPS, _classes, _vector, _weigh_models, conditional, distribution,
+    WeightVector, _TIE_EPS, _classes, _weigh_models, _weights, conditional, distribution,
     map_estimate, marginal, weight_penalty, weight_reward,
 )
 from lpmln.model import Atom, Term, atom, atom_sort_key
@@ -156,19 +156,19 @@ class TestExactWeighing:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_generated_programs_every_model(self, seed):
-        # by class and rule by rule, sign of zero included, in both modes and hard modes
+        # weight_reward and weight_penalty, one lane of the counters, against
+        # the walk rule by rule, sign of zero included, in both hard modes
         for gp in self.generated(seed):
             for hard_mode in ("strict", "relaxed"):
                 comp = (enum := StableModelEnumerator(gp, hard_mode)).comp
-                classes = _classes(comp.hard, comp.weights)
-                assert classes is not None
-                for v in enum.violations:
-                    for reward in (False, True):
-                        counted = comp.counted(v, reward)
-                        got = _vector(counted, comp.hard, comp.weights, classes)
-                        want = _vector(counted, comp.hard, comp.weights, None)
-                        assert got == want
-                        assert math.copysign(1.0, got.soft) == math.copysign(1.0, want.soft)
+                assert _classes(comp.hard, comp.weights) is not None
+                for interp, v in zip(enum.models(), enum.violations):
+                    for reward, weigh in (False, weight_penalty), (True, weight_reward):
+                        got = weigh(gp, interp)
+                        (hard,), (soft,) = _weights([comp.counted(v, reward)], comp.hard,
+                                                    comp.weights)
+                        assert got == WeightVector(hard, soft)
+                        assert math.copysign(1.0, got.soft) == math.copysign(1.0, soft)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_generated_programs_weighed_in_the_slice(self, lane_bits, seed):
@@ -180,17 +180,17 @@ class TestExactWeighing:
                 comp = (enum := StableModelEnumerator(gp, hard_mode)).comp
                 assert _classes(comp.hard, comp.weights) is not None
                 for mode in ("penalty", "reward"):
-                    walked = [_vector(comp.counted(v, mode == "reward"), comp.hard, comp.weights,
-                                      None) for v in enum.violations]
-                    if not walked:
+                    hard, soft = _weights([comp.counted(v, mode == "reward")
+                                           for v in enum.violations], comp.hard, comp.weights)
+                    if not hard:
                         with pytest.raises(NoStableModelsError):
                             _weigh_models(gp, mode, hard_mode, DEFAULT_ATOM_CAP)
                         continue
                     w = _weigh_models(gp, mode, hard_mode, DEFAULT_ATOM_CAP)
-                    assert w.hard == [v.hard for v in walked]
-                    assert w.soft == [v.soft for v in walked]
+                    assert w.hard == hard
+                    assert w.soft == soft
                     assert [math.copysign(1.0, s) for s in w.soft] == \
-                        [math.copysign(1.0, v.soft) for v in walked]
+                        [math.copysign(1.0, s) for s in soft]
 
 
 class TestDistribution:

@@ -101,6 +101,32 @@ def test_floats_are_added_and_rounded_by_one_owner_each():
     assert len(rounds) == 1
 
 
+def _mentions(tree: ast.AST, name: str) -> list[ast.AST]:
+    """Every use of ``name``: as a name, an attribute or an imported name."""
+    return [n for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and n.id == name
+            or isinstance(n, ast.Attribute) and n.attr == name
+            or isinstance(n, ast.alias) and n.name == name]
+
+
+def test_slices_are_read_back_and_weighed_by_one_owner_each():
+    # engine._Records reads back and counts every slice record, of stable
+    # models, weighted-formula worlds or one interpretation alike, and
+    # inference._weighed, the one caller of _classes, weighs them
+    for path in sorted(Path(lpmln.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.name != "engine.py":
+            for name in ("_transpose", "_count", "_lane_indices"):
+                assert not _mentions(tree, name), (path.name, name)
+        if path.name != "inference.py":
+            assert not _mentions(tree, "_classes"), path.name
+            continue
+        weighed = next(n for n in tree.body
+                       if isinstance(n, ast.FunctionDef) and n.name == "_weighed")
+        calls = _calls_of(tree, "_classes")
+        assert len(calls) == 1 and calls[0] in list(ast.walk(weighed))
+
+
 def test_cli_output_matches_the_recorded_benchmark_digests(tmp_path, monkeypatch):
     # every CLI op the benchmark can ask for prints the bytes whose SHA-256
     # perfbench/digests.json holds; perfbench/ is only read, bytecode included
