@@ -120,10 +120,8 @@ def _model_printer(gp, comp, scale: int):
 
 def _render_map(gp, hard_mode: str, cap: int, scale: int) -> str:
     """The tied models only are read back from the enumeration."""
-    w = inference._weigh_models(gp, "penalty", hard_mode, cap)
+    w, tied, bits, masks = inference._map_models(gp, hard_mode, cap)
     show = _model_printer(gp, w.enum.comp, scale)
-    tied = inference._most_probable(w)
-    bits, masks = w.enum._enumerate().read(tied)
     lines = [line for k, b, v in zip(tied, bits, masks) for line in show(b, v, w.soft[k])]
     return "".join(l + "\n" for l in lines + ["OPTIMUM FOUND"])
 

@@ -37,10 +37,11 @@ atoms or, when a rule the slice keeps is disjunctive, by subset search per
 lane.  Minimality is decided above ``sure`` because every model of the
 reduct contains ``sure``, and a dropped rule is satisfied by every
 interpretation between ``sure`` and the candidate.  These functions, with
-``_kept_lanes`` as the one reader of ``not`` literals, are the only code
-that decides reducts, violation and minimality: a single interpretation,
-as in ``is_stable_model``, ``reduce_program`` and ``_Compiled.violated``,
-is one lane over the full program.
+``_kept_lanes`` as the one conjunction of lane literals (only the fixpoint
+``_derive`` keeps its own), are the only code that decides reducts,
+violation and minimality: a single interpretation, as in
+``is_stable_model``, ``reduce_program`` and ``_Compiled.violated``, is one
+lane over the full program.
 
 Each slice keeps one record (``_record``): its stable lanes, the rules
 they violate with those lanes, and the varying atoms' vectors; a slice
@@ -53,11 +54,14 @@ dropped; ``read(picks)`` reads the models at some positions of the
 ascending candidate order.  ``counts`` reads no model: ``_count``, a
 bit-sliced ripple-carry counter per group of rules over a slice's lanes,
 gives each model its packed number of violated rules per group, which is
-how ``inference`` weighs whole-number weights.
+how ``inference`` weighs whole-number weights.  The packing is private:
+``_unpack`` decodes a count, and ``_top_count`` narrows lanes to those with
+the most rules of one group, as ``mln_backend``'s best hard tier.
 
 ``_transpose`` is the one read-back: it packs a slice's vectors as the rows
 of one bit matrix in one integer, transposes every 8x8 block with three
 delta swaps and reads each lane with one strided byte slice.
+``_bit_indices`` is the one reader of set bits, lanes and atoms alike.
 
 Interpretations are manipulated as integer bitsets internally; the public
 functions speak frozensets of atoms.
@@ -67,7 +71,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import compress
 from typing import Iterable, Iterator, Sequence
 
 from .grounder import GroundProgram, GroundRule
@@ -416,7 +419,7 @@ class _Records:
                 start, at = start + lanes.bit_count(), end
                 if not ranks:
                     continue
-                order = list(_lane_indices(lanes, width))
+                order = _bit_indices(lanes)
                 lanes = sum(1 << order[i] for i in ranks)
             rows = list(zip(self.positions, columns)) + [(self._off + k, vec) for k, vec in pairs]
             for both in _transpose(rows, width, lanes):
@@ -470,11 +473,7 @@ def _rule_pass(rules: Sequence[tuple], val: list[int], full: int) -> tuple[list,
         ok = _kept_lanes(neg1, neg2, val, full)
         if not ok:
             continue
-        body = ok
-        for a in pos:
-            body &= val[a]
-        for a in head:
-            body &= ~val[a]
+        body = _kept_lanes(head, pos, val, ok)  # body true, every head atom false
         if body:
             violated.append((r.index, body))
         keep = ok & ~body
@@ -484,8 +483,8 @@ def _rule_pass(rules: Sequence[tuple], val: list[int], full: int) -> tuple[list,
 
 
 def _kept_lanes(neg1: Sequence[int], neg2: Sequence[int], val: list[int], full: int) -> int:
-    """The lanes of ``full`` whose reduct keeps a rule with the ``not`` atoms
-    ``neg1`` and the ``not not`` atoms ``neg2``: those false, these true."""
+    """The lanes of ``full`` where the atoms ``neg1`` are false and ``neg2``
+    true; with a rule's ``not`` and ``not not`` atoms, those whose reduct keeps it."""
     for a in neg2:
         full &= val[a]
     for a in neg1:
@@ -525,7 +524,7 @@ def _stable_lanes(reduct: Sequence[tuple], val: list[int], varying: list[int],
     if any(len(head) > 1 for _, head, _, _ in reduct):
         stable = 0
         atoms = [(p, val[p]) for p in varying]
-        for m, bits in zip(_lane_indices(alive, width), _transpose(atoms, width, alive)):
+        for m, bits in zip(_bit_indices(alive), _transpose(atoms, width, alive)):
             lane_reduct = [(r.head, r.pos) for r, _, _, keep in reduct if keep >> m & 1]
             if _minimal_subsets(lane_reduct, bits | sure, sure):
                 stable |= 1 << m
@@ -571,7 +570,7 @@ def _transpose(columns: list[tuple[int, int]], width: int, lanes: int) -> list[i
         bits ^= t | t << d
     buf = bits.to_bytes(groups * w, "little")
     return [int.from_bytes(buf[(m & 7) * row + (m >> 3)::w], "little") << base
-            for m in _lane_indices(lanes, width)]
+            for m in _bit_indices(lanes)]
 
 
 def _count(pairs: Sequence[tuple[int, int]], groups: Sequence[int], width: int,
@@ -579,14 +578,22 @@ def _count(pairs: Sequence[tuple[int, int]], groups: Sequence[int], width: int,
     """For each lane set in ``lanes``, a mask over ``width`` lanes, in
     ascending order: how many of the ``(index, vector)`` pairs whose index
     is in each of the disjoint masks ``groups`` set that lane, packed into
-    one integer, group g's count in the ``_fields(groups)[g]`` bits above
-    the fields of the groups before it.  An index occurs in one pair at most."""
+    one integer that ``_unpack`` reads.  An index occurs in one pair at most."""
     return _transpose(_planes(pairs, groups), width, lanes)
 
 
 def _fields(groups: Sequence[int]) -> list[int]:
-    """The bits of each group's field in a packed count: enough for its size."""
+    """The bits of each group's field in a packed count, above the ones before it."""
     return [g.bit_count().bit_length() for g in groups]
+
+
+def _unpack(packed: int, groups: Sequence[int]) -> list[int]:
+    """Each group's count in a packed count of ``_count`` over ``groups``."""
+    counts = []
+    for b in _fields(groups):
+        counts.append(packed & (1 << b) - 1)
+        packed >>= b
+    return counts
 
 
 def _planes(pairs: Sequence[tuple[int, int]], groups: Sequence[int]) -> list[tuple[int, int]]:
@@ -605,9 +612,16 @@ def _planes(pairs: Sequence[tuple[int, int]], groups: Sequence[int]) -> list[tup
     return list(enumerate(plane for planes in counters for plane in planes))
 
 
-def _lane_indices(lanes: int, width: int) -> Iterator[int]:
-    """The lanes set in ``lanes``, a mask over ``width`` lanes, in ascending order."""
-    return compress(range(width), map("1".__eq__, format(lanes, f"0{width}b")[::-1]))
+def _top_count(pairs: Sequence[tuple[int, int]], group: int, lanes: int) -> tuple[int, int]:
+    """The largest count, over the lanes of ``lanes``, of the pairs whose
+    index is in ``group`` that set a lane, and the lanes that reach it: the
+    counter's planes narrow ``lanes`` down from the top bit."""
+    top = 0
+    for i, plane in reversed(_planes(pairs, [group])):
+        if lanes & plane:
+            lanes &= plane
+            top |= 1 << i
+    return top, lanes
 
 
 def _propagate(rules: Sequence[_CompiledRule], bits: int, yes: int, no: int) -> int:

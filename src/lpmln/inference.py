@@ -18,8 +18,9 @@ the stable models of a program, the worlds of ``mln_backend`` or, for
 soft weights are whole numbers whose absolute values add up to less than
 2**53 (``_classes``), the counts come from the slices' bit-sliced counters,
 one per distinct weight and one for the hard rules, without reading a lane
-back, and ``_by_class`` adds ``weight * count`` in class order: the same
-float as adding the counted rules' weights one by one in rule order, which
+back (``engine._unpack`` decodes them, the layout is the engine's), and
+``_by_class`` adds ``weight * count`` in class order: the same float as
+adding the counted rules' weights one by one in rule order, which
 ``_weights`` does otherwise and which stays the reference.  Callers read
 back only the models they print or return, and build a ``WeightVector``
 only where the public API returns one.
@@ -31,8 +32,8 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .engine import (DEFAULT_ATOM_CAP, StableModelEnumerator, _bit_indices, _Compiled, _fields,
-                     _record, _Records)
+from .engine import (DEFAULT_ATOM_CAP, StableModelEnumerator, _bit_indices, _Compiled, _record,
+                     _Records, _unpack)
 from .grounder import GroundProgram, ground
 from .model import Atom, Interpretation, Program, merge_programs
 
@@ -137,39 +138,27 @@ def _weights(counted: list[int], hard: int, weights: list[float]) -> tuple[list[
             [_total(map(weights.__getitem__, _bit_indices(c & ~hard))) for c in counted])
 
 
-def _unpacked(counts: list[int], groups: list[int], classes: list[tuple[float, int]],
-              complement: bool) -> tuple[list[int], list[float]]:
-    """The columns of ``_weights`` from the packed counts ``counts`` of
-    ``engine._count`` over ``groups``, the hard mask and then each class's;
-    with ``complement``, a group counts its rules minus the packed count.
-    Each distinct packed count is weighed once."""
-    fields = list(zip(groups, _fields(groups)))
-
-    def weigh(packed: int) -> tuple[int, float]:
-        counts = []
-        for group, b in fields:
-            n = packed & (1 << b) - 1
-            counts.append(group.bit_count() - n if complement else n)
-            packed >>= b
-        return counts[0], _by_class(classes, counts[1:])
-
-    memo = {c: weigh(c) for c in set(counts)}
-    return [memo[c][0] for c in counts], [memo[c][1] for c in counts]
-
-
 def _weighed(records: _Records, hard: int, weights: list[float],
              complement: bool) -> tuple[list[int], list[float]]:
     """Each lane's hard count and soft total, as two columns, of the rules
     or formulas its pairs in ``records`` give or, with ``complement``, of
-    the others: ``_unpacked`` from the counters for whole-number weights
-    (``_classes``), else ``_weights`` over every lane's mask."""
+    the others.  For whole-number weights (``_classes``) they come from the
+    counters over the hard mask and each class, each distinct packed count
+    decoded (``engine._unpack``) and weighed once; else ``_weights`` walks
+    every lane's mask."""
     classes = _classes(hard, weights)
     if classes is None:
         everything = (1 << len(weights)) - 1
         return _weights([everything & ~m if complement else m for m in records.read()[1]],
                         hard, weights)
     groups = [hard] + [mask for _, mask in classes]
-    return _unpacked(records.counts(groups), groups, classes, complement)
+    counts = records.counts(groups)
+    memo = {}
+    for packed in set(counts):
+        n = [g.bit_count() - c if complement else c
+             for g, c in zip(groups, _unpack(packed, groups))]
+        memo[packed] = n[0], _by_class(classes, n[1:])
+    return [memo[c][0] for c in counts], [memo[c][1] for c in counts]
 
 
 def _weigh(gp: GroundProgram, interp: Interpretation, mode: str) -> WeightVector:
@@ -268,17 +257,20 @@ def map_estimate(gp: GroundProgram, hard_mode: str = "strict",
     """All most probable stable models (ties included), with each model's
     scaled integer penalty for display."""
     _check_scale(scale)
-    w = _weigh_models(gp, "penalty", hard_mode, cap)
-    tied = _most_probable(w)
-    bits, _ = w.enum._enumerate().read(tied)
+    w, tied, bits, _ = _map_models(gp, hard_mode, cap)
     return MapResult(tuple(map(w.enum.comp.interp_of, bits)),
                      tuple(_scaled(w.soft[k], scale) for k in tied), scale)
 
 
-def _most_probable(w: _Weighed) -> list[int]:
-    """Positions of the most probable models, ties within ``_TIE_EPS``."""
+def _map_models(gp: GroundProgram, hard_mode: str,
+                cap: int) -> tuple[_Weighed, list[int], list[int], list[int]]:
+    """The one MAP selection: the models weighed in penalty mode, the
+    positions of the most probable ones (ties within ``_TIE_EPS``), and
+    only those models' bitsets and violation masks, read back."""
+    w = _weigh_models(gp, "penalty", hard_mode, cap)
     best = max(w.probabilities)
-    return [k for k, p in enumerate(w.probabilities) if p >= best - _TIE_EPS]
+    tied = [k for k, p in enumerate(w.probabilities) if p >= best - _TIE_EPS]
+    return (w, tied, *w.enum._enumerate().read(tied))
 
 
 def marginal(gp: GroundProgram, query_preds, mode: str = "penalty",

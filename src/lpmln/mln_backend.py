@@ -9,10 +9,10 @@ maximal count of satisfied hard formulas when nothing satisfies them
 all), and the rest weigh in at the exponentiated sum of their satisfied
 soft weights.  ``_lanes`` evaluates each formula once per slice of worlds
 (``engine._slices``).  A first pass keeps, per slice, the record
-(``engine._record``) of the worlds that satisfy every hard formula, with
-the satisfied formulas as its pairs and the atoms' vectors as its columns.
-When there is none, a second pass keeps the worlds on the best hard tier
-so far, by a bit-sliced count of satisfied hard formulas.  The kept
+(``engine._record``) of the worlds that satisfy every hard formula
+(``engine._kept_lanes``), with the satisfied formulas as its pairs and the
+atoms' vectors as its columns.  When there is none, a second pass keeps
+the worlds on the best hard tier so far (``engine._top_count``).  The kept
 records are weighed by ``inference._weighed`` and read back by
 ``engine._Records``, as stable models are; a soft total past the float
 range is a ValueError.
@@ -20,12 +20,14 @@ range is a ValueError.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from itertools import count
 from operator import and_, or_
 
-from .engine import (DEFAULT_ATOM_CAP, EnumerationCapError, _bit_indices, _Compiled, _planes,
-                     _record, _Records, _slices, _tarjan_scc)
+from .engine import (DEFAULT_ATOM_CAP, EnumerationCapError, _bit_indices, _Compiled,
+                     _kept_lanes, _record, _Records, _slices, _tarjan_scc, _top_count)
 from .grounder import GroundProgram
 from .inference import _normalise, _total, _weighed
 from .model import HARD, Atom, Interpretation, Weight, _choice_marker, atom_sort_key
@@ -252,8 +254,11 @@ def complete(gp: GroundProgram) -> MlnProgram:
 
 # --- auxiliary-atom rewriting ----------------------------------------------
 
-def _fresh_aux(mln: MlnProgram, k: int) -> Atom:
-    return Atom(f"aux_{len(mln.aux_defs) + k}")
+def _fresh_aux(mln: MlnProgram) -> Iterator[Atom]:
+    """``aux_1``, ``aux_2``, ... skipping every predicate name of
+    ``mln.atoms``, whose earlier aux atoms are among them."""
+    taken = {a.predicate for a in mln.atoms}
+    return (Atom(f"aux_{k}") for k in count(1) if f"aux_{k}" not in taken)
 
 
 def tseytin(mln: MlnProgram) -> MlnProgram:
@@ -263,14 +268,14 @@ def tseytin(mln: MlnProgram) -> MlnProgram:
     memo: dict[Formula, Atom] = {}
     defs: list[tuple[Atom, Formula]] = []
     out: list[MlnFormula] = []
+    fresh = _fresh_aux(mln)
 
     def aux_for(f: Formula) -> Formula:
         if not isinstance(f, FAnd):
             return f
         if f not in memo:
-            a = _fresh_aux(mln, len(defs) + 1)
-            memo[f] = a
-            defs.append((a, f))
+            memo[f] = next(fresh)
+            defs.append((memo[f], f))
         return FAtom(memo[f])
 
     for mf in mln.formulas:
@@ -290,7 +295,7 @@ def aux_extract(mln: MlnProgram, target: Formula) -> MlnProgram:
     """Replace every occurrence of ``target`` with a fresh defined atom and
     add the hard biconditional defining it (the general one-subformula
     rewriting step)."""
-    a = _fresh_aux(mln, 1)
+    a = next(_fresh_aux(mln))
     out = [MlnFormula(mf.weight, _replace(mf.formula, target, FAtom(a)))
            for mf in mln.formulas]
     out.append(MlnFormula(HARD, FIff(FAtom(a), target)))
@@ -349,9 +354,7 @@ def mln_distribution(mln: MlnProgram, cap: int = DEFAULT_ATOM_CAP) -> MlnDistrib
 
     kept = []  # the records of the worlds that satisfy every hard formula
     for val, full, sat in evaluated():
-        lanes = full
-        for k in required:
-            lanes &= sat[k][1]
+        lanes = _kept_lanes((), required, [vec for _, vec in sat], full)
         if lanes:
             kept.append(_record(sat, full.bit_length(), lanes, val))
     if not kept:
@@ -360,12 +363,7 @@ def mln_distribution(mln: MlnProgram, cap: int = DEFAULT_ATOM_CAP) -> MlnDistrib
         # lanes
         best = -1
         for val, full, sat in evaluated():
-            # the count's planes, from the top, narrow the lanes down a bit at a time
-            tier, lanes = 0, full
-            for i, plane in reversed(_planes(sat, [hard])):
-                if lanes & plane:
-                    lanes &= plane
-                    tier |= 1 << i
+            tier, lanes = _top_count(sat, hard, full)
             if tier > best:
                 best, kept = tier, []
             if tier == best:

@@ -9,10 +9,13 @@ the dump does not depend on ``PYTHONHASHSEED``; floats are printed with
 
 The cases are generated programs in both hard modes, random weighted-formula
 programs, the completions of the generated tight programs and of the
-fixtures with their Tseytin forms, and the fixtures under their evidence
-files.  Each runs at lane widths (``engine._LANE_BITS``) 0, 1, 2 and 10,
-except where that would cost seconds: see ``FIXTURES``, ``WEIGHED_RULES``
-and ``_mln_cases``.
+fixtures with their Tseytin forms, the fixtures under their evidence
+files, and ``optimal_models`` of the fixtures' penalty and reward
+translations.  Each runs at lane widths (``engine._LANE_BITS``) 0, 1, 2 and
+10, except where that would cost seconds: see ``FIXTURES``,
+``WEIGHED_RULES``, ``_mln_cases`` and ``TRANSLATED``.  pcm_firing_squad's
+translations are left out of ``TRANSLATED``: ``optimal_models`` takes 1.2 to
+1.7 s per flavour on them at width 10, and minutes at width 2.
 
 Record the value from trusted output only, at a commit whose results are
 the reference::
@@ -26,7 +29,8 @@ import hashlib
 import random
 from pathlib import Path
 
-from lpmln import engine, fixture_path, ground, parse_evidence, parse_program
+from lpmln import (engine, fixture_path, ground, ground_to_program, optimal_models,
+                   parse_evidence, parse_program, translate_penalty, translate_reward)
 from lpmln.engine import DEFAULT_ATOM_CAP, StableModelEnumerator
 from lpmln.inference import (distribution, map_estimate, marginal, weight_penalty,
                              weight_reward)
@@ -53,6 +57,13 @@ FIXTURES = (("bird.lpmln", None, BOTH, LANE_BITS),
             ("pcm_firing_squad.lpmln", "pcm_evid.db", BOTH, LANE_BITS),
             ("clique10.lpmln", None, BOTH, (10,)),
             *(("fire_bayes.lpmln", e, ("strict",), (10,)) for e in FIRE_EVIDENCE))
+# (fixture, lane widths) whose translations optimal_models runs on.
+# smoke_mln's penalty translation is refused as unsafe, clique10's and
+# fire_bayes's translations at the cap, in well under 0.1 s: those two run
+# at the default width only.
+TRANSLATED = (("bird.lpmln", LANE_BITS), ("smoke.lpmln", LANE_BITS),
+              ("smoke_mln.lpmln", LANE_BITS), ("clique10.lpmln", (10,)),
+              ("fire_bayes.lpmln", (10,)))
 # weight_* compiles the program per call: every model is weighed one at a
 # time only up to this many ground rules and models
 WEIGHED_RULES, WEIGHED_MODELS = 100, 1024
@@ -97,6 +108,16 @@ def _map(gp, hard_mode: str) -> str:
 def _marginal(gp, hard_mode: str) -> str:
     preds = sorted({a.predicate for a in gp.atoms})
     return " ".join(f"{a}:{p!r}" for a, p in marginal(gp, preds, "penalty", hard_mode).items())
+
+
+def _optimal(program, flavor: str) -> str:
+    """``optimal_models`` of the penalty translation of ``program``, hard
+    rules translated too, or of the reward translation of its ground form."""
+    if flavor == "penalty":
+        tp = translate_penalty(program, 1000, translate_hard=True)
+    else:
+        tp = translate_reward(ground_to_program(ground(program)), 1000)
+    return " ".join(map(_atoms, optimal_models(tp)))
 
 
 def _program_line(gp, hard_mode: str) -> str:
@@ -161,6 +182,11 @@ def cases():
         label = name if evidence is None else f"{name}+{evidence}"
         yield from _program_cases(label, gp, hard_modes, widths)
         yield from _mln_cases(label, gp)
+    for name, widths in TRANSLATED:
+        program = parse_program(fixture_path(name).read_text())
+        for flavor in "penalty", "reward":
+            yield (f"{name}.optimal_{flavor}", widths,
+                   lambda program=program, flavor=flavor: _shown(_optimal, program, flavor))
 
 
 def lines():

@@ -250,6 +250,16 @@ class TestEmitModes:
         assert "Aux_1 <=> A ^ B" in sidecar.read_text()
         assert "// Aux_1 <=> A ^ B" in target.read_text()
 
+    def test_emit_mln_aux_atoms_avoid_the_programs_names(self, tmp_path):
+        prog = tmp_path / "clash.lpmln"
+        prog.write_text("{aux_1}. {a}. {c}. d :- a, c. d :- aux_1. 2 aux_1.\n")
+        code, out, _ = invoke("-i", str(prog), "--mode", "emit-mln")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines.count("Aux_1") == 1 and lines.count("Aux_2") == 1
+        assert "D => Aux_2 v Aux_1." in lines and "Aux_1 v Aux_1" not in out
+        assert "Aux_2 <=> A ^ C." in lines and "// Aux_2 <=> A ^ C" in lines
+
 
 class TestExitCodes:
     def test_syntax_error(self, tmp_path):

@@ -433,29 +433,41 @@ class TestBitSlicedKernel:
                 assert engine._transpose(columns, width, lanes) == \
                     _transpose_by_digits(columns, width, lanes)
 
-    def test_count_matches_popcounts_of_the_read_masks(self):
-        rng = random.Random(21)
+    @staticmethod
+    def _pairs_and_groups(rng):
+        """At every width up to 1 100: random ``(index, vector)`` pairs, disjoint
+        groups over their indices and some others (an index may be in no
+        group, and a group may be empty), and lane masks to read."""
         for width in range(1, 1101):
             extra = rng.choice([0, rng.randint(1, 40)])  # bits above ``width``
             pairs = _random_columns(rng, width, rng.randint(0, 12),
                                     base=rng.choice([0, rng.randint(1, 70)]),
                                     spread=rng.randint(1, 4), extra=extra)
-            # disjoint groups over the pairs' indices and some others; an
-            # index may be in no group, and a group may be empty
             groups = [0] * rng.randint(1, 4)
             for k in range(max((k for k, _ in pairs), default=0) + 8):
                 g = rng.randrange(len(groups) + 1)
                 if g < len(groups):
                     groups[g] |= 1 << k
-            for lanes in (rng.getrandbits(width), (1 << width) - 1, 0):
-                want = []
-                for mask in engine._transpose(pairs, width, lanes):
-                    packed = offset = 0
-                    for group, bits in zip(groups, engine._fields(groups)):
-                        packed |= (mask & group).bit_count() << offset
-                        offset += bits
-                    want.append(packed)
-                assert engine._count(pairs, groups, width, lanes) == want, (width, extra)
+            yield width, pairs, groups, (rng.getrandbits(width), (1 << width) - 1, 0)
+
+    def test_count_matches_popcounts_of_the_read_masks(self):
+        for width, pairs, groups, masks in self._pairs_and_groups(random.Random(21)):
+            for lanes in masks:
+                want = [[(mask & g).bit_count() for g in groups]
+                        for mask in engine._transpose(pairs, width, lanes)]
+                got = [engine._unpack(c, groups) for c in engine._count(pairs, groups, width, lanes)]
+                assert got == want, (width, groups)
+
+    def test_top_count_keeps_exactly_the_lanes_of_the_largest_count(self):
+        for width, pairs, groups, masks in self._pairs_and_groups(random.Random(21)):
+            for lanes in masks:
+                read = engine._transpose(pairs, width, lanes)
+                for g in groups + [0]:  # an empty group too
+                    counts = [(mask & g).bit_count() for mask in read]
+                    top = max(counts, default=0)
+                    reach = sum(1 << m for m, c in zip(engine._bit_indices(lanes), counts)
+                                if c == top)
+                    assert engine._top_count(pairs, g, lanes) == (top, reach), (width, g)
 
     def test_slices_read_back_every_assignment_in_order(self, lane_bits):
         positions = [1, 3, 4]

@@ -158,6 +158,21 @@ class TestTseytin:
             for w, p in base.entries:
                 assert projected.get(w, 0.0) == pytest.approx(p, abs=1e-9)
 
+    def test_aux_atoms_avoid_the_programs_names(self):
+        # the program's own aux_1 is a world atom: the defined atoms skip it
+        gp = ground(P("{aux_1}. {a}. {c}. d :- a, c. d :- aux_1. 2 aux_1.\n"))
+        rewritten = tseytin(complete(gp))
+        assert [str(a) for a, _ in rewritten.aux_defs] == ["aux_2"]
+        projected = mln_distribution(rewritten).project(rewritten.aux_atoms)
+        source = distribution(gp, "reward")
+        assert len(source.entries) == len(projected) == 8
+        for e in source.entries:
+            assert projected[e.interpretation] == pytest.approx(e.probability, abs=1e-9)
+        extracted = aux_extract(rewritten, FAnd((fa("a"), fa("d"))))
+        names = [str(a) for a, _ in extracted.aux_defs]
+        assert names == ["aux_2", "aux_3"]
+        assert not set(names) & {str(a) for a in gp.atoms}
+
 
 class TestMlnDistribution:
     def test_completed_bird_matches_closed_forms(self):

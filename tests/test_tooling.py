@@ -112,11 +112,12 @@ def _mentions(tree: ast.AST, name: str) -> list[ast.AST]:
 def test_slices_are_read_back_and_weighed_by_one_owner_each():
     # engine._Records reads back and counts every slice record, of stable
     # models, weighted-formula worlds or one interpretation alike, and
-    # inference._weighed, the one caller of _classes, weighs them
+    # inference._weighed, the one caller of _classes, weighs them; the
+    # packed-count layout (_fields, _planes) never leaves the engine
     for path in sorted(Path(lpmln.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         if path.name != "engine.py":
-            for name in ("_transpose", "_count", "_lane_indices"):
+            for name in ("_transpose", "_count", "_planes", "_fields"):
                 assert not _mentions(tree, name), (path.name, name)
         if path.name != "inference.py":
             assert not _mentions(tree, "_classes"), path.name
