@@ -27,7 +27,7 @@ index and lose their fixed literals and head atoms.
 Candidates are decided a slice at a time, bit-sliced: per slice of
 ``2 ** _LANE_BITS`` candidates every atom holds one integer whose bit m is
 its value in the slice's candidate m (``_slices`` gives the low free atoms
-fixed lane patterns, the others constants; ``mln_backend`` reads its worlds
+fixed lane patterns, the others constants; ``_worlds`` decides its worlds
 with it too).  Per slice, ``_derive`` closes every lane, one residual
 closure stage after another; ``_rule_pass`` gives each residual rule the
 lanes that violate it and the lanes whose reduct keeps it; strict mode
@@ -46,17 +46,19 @@ lane over the full program.
 Each slice keeps one record (``_record``): its stable lanes, the rules
 they violate with those lanes, and the varying atoms' vectors; a slice
 without a stable lane keeps an empty one.  ``_Records``, the records in
-order, is the one owner of read-back and of the counters, here and for the
-worlds of ``mln_backend``.  A model is read back, into one atom bitset and
-one violation mask that index, and agree with, the full program, only when
-a caller asks for it: ``read()`` reads every model, and then the records are
-dropped; ``read(picks)`` reads the models at some positions of the
-ascending candidate order.  ``counts`` reads no model: ``_count``, a
-bit-sliced ripple-carry counter per group of rules over a slice's lanes,
-gives each model its packed number of violated rules per group, which is
-how ``inference`` weighs whole-number weights.  The packing is private:
-``_unpack`` decodes a count, and ``_top_count`` narrows lanes to those with
-the most rules of one group, as ``mln_backend``'s best hard tier.
+order, is the one owner of read-back and of the counters.  A model is read
+back, into one atom bitset and one violation mask that index, and agree
+with, the full program, only when a caller asks for it: ``read()`` reads
+every model, and then the records are dropped; ``read(picks)`` reads the
+models at some positions of the ascending candidate order.  ``counts``
+reads no model: ``_count``, a bit-sliced ripple-carry counter per group of
+rules over a slice's lanes, gives each model its packed number of violated
+rules per group, which is how ``inference`` weighs whole-number weights.
+
+``_worlds`` keeps the worlds of ``mln_backend``'s formulas that satisfy
+every hard one or, when none does, the most, recording only the others.
+The record layout, the lane patterns and the packed counts, which
+``_unpack`` decodes, stay in the engine.
 
 ``_transpose`` is the one read-back: it packs a slice's vectors as the rows
 of one bit matrix in one integer, transposes every 8x8 block with three
@@ -71,7 +73,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .grounder import GroundProgram, GroundRule
 from .model import Atom, Interpretation
@@ -435,6 +437,44 @@ class _Records:
         return [c for pairs, width, lanes, _ in self.records
                 for c in _count(pairs, groups, width, lanes)]
 
+    @classmethod
+    def lane(cls, pairs: Sequence[tuple[int, int]]) -> _Records:
+        """One record of one lane and no atoms, with the ``(index, 1)`` ``pairs``."""
+        return cls([_record(pairs, 1, 1, [])], [], 0)
+
+
+def _worlds(n: int, satisfied: Callable[[list[int], int], list[int]], group: int) -> _Records:
+    """The records of the worlds over atoms ``0..n-1`` that satisfy every
+    index of ``group`` (``satisfied(val, full)``: each index's lanes in a
+    slice) or, if none does, in a second pass, the most of them.  Every
+    kept world satisfies equally many: a record's pairs are the others."""
+    required = _bit_indices(group)
+
+    def record(sat, val, full, lanes):
+        outside = [(k, vec) for k, vec in enumerate(sat) if not group >> k & 1]
+        return _record(outside, full.bit_length(), lanes, val)
+
+    kept = []
+    for val, full in _slices(range(n), n):
+        sat = satisfied(val, full)
+        lanes = _kept_lanes((), required, sat, full)
+        if lanes:
+            kept.append(record(sat, val, full, lanes))
+    if not kept:
+        best = -1
+        for val, full in _slices(range(n), n):
+            sat = satisfied(val, full)
+            top, lanes = 0, full
+            for i, plane in reversed(_planes(list(enumerate(sat)), [group])):
+                if lanes & plane:
+                    lanes &= plane
+                    top |= 1 << i
+            if top > best:
+                best, kept = top, []
+            if top == best:
+                kept.append(record(sat, val, full, lanes))
+    return _Records(kept, range(n), 0)
+
 
 def _slices(positions: Sequence[int], n: int) -> Iterator[tuple[list[int], int]]:
     """Every assignment to the atom positions ``positions`` of ``n``, in order, a slice
@@ -610,18 +650,6 @@ def _planes(pairs: Sequence[tuple[int, int]], groups: Sequence[int]) -> list[tup
                     i += 1
                 break
     return list(enumerate(plane for planes in counters for plane in planes))
-
-
-def _top_count(pairs: Sequence[tuple[int, int]], group: int, lanes: int) -> tuple[int, int]:
-    """The largest count, over the lanes of ``lanes``, of the pairs whose
-    index is in ``group`` that set a lane, and the lanes that reach it: the
-    counter's planes narrow ``lanes`` down from the top bit."""
-    top = 0
-    for i, plane in reversed(_planes(pairs, [group])):
-        if lanes & plane:
-            lanes &= plane
-            top |= 1 << i
-    return top, lanes
 
 
 def _propagate(rules: Sequence[_CompiledRule], bits: int, yes: int, no: int) -> int:

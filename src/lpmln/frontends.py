@@ -9,6 +9,7 @@ text format (documented in the README).
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
@@ -64,17 +65,29 @@ class MalformedNetworkError(ValueError):
     pass
 
 
+# a node names a predicate of the input language: a lowercase identifier
+_NODE_NAME = re.compile(r"[a-z][A-Za-z0-9_]*")
+
+
+def _check_node_name(name: str, where: str = "") -> None:
+    if not _NODE_NAME.fullmatch(name):
+        raise MalformedNetworkError(f"{where}node name {name!r} is not a lowercase identifier")
+
+
 @dataclass(frozen=True)
 class BayesNet:
     """Boolean-variable network: node declarations (with parents) and one
     CPT entry P(node=t | parent values) per parent-value combination, and
-    no other entry."""
+    no other entry.  A node's name is its atom's predicate: a lowercase
+    ASCII identifier (``_NODE_NAME``)."""
 
     nodes: tuple[tuple[str, tuple[str, ...]], ...]
     cpt: dict[tuple[str, tuple[bool, ...]], float]
 
     def __post_init__(self) -> None:
         names = [n for n, _ in self.nodes]
+        for name in names:
+            _check_node_name(name)
         if len(set(names)) != len(names):
             raise MalformedNetworkError("duplicate node")
         declared = set(names)
@@ -131,6 +144,7 @@ def parse_bayes_net(text: str) -> BayesNet:
             continue
         parts = line.split()
         if parts[0] == "node" and len(parts) >= 2:
+            _check_node_name(parts[1], f"line {lineno}: ")
             nodes.append((parts[1], tuple(parts[2:])))
         elif parts[0] == "cpt" and len(parts) >= 3:
             name = parts[1]

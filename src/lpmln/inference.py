@@ -13,8 +13,8 @@ ranking, which is what makes inconsistency diagnosis possible.
 ``_total`` adds every float sum and ``_scaled`` rounds every scaled weight.
 ``_weighed`` is the one weighing: it gives every lane of a list of decided
 slices (``engine._Records``) a hard count and a soft total.  The lanes are
-the stable models of a program, the worlds of ``mln_backend`` or, for
-``weight_reward`` and ``weight_penalty``, one interpretation.  When the
+the stable models of a program, the worlds ``engine._worlds`` keeps or,
+for ``weight_*``, one interpretation (``_Records.lane``).  When the
 soft weights are whole numbers whose absolute values add up to less than
 2**53 (``_classes``), the counts come from the slices' bit-sliced counters,
 one per distinct weight and one for the hard rules, without reading a lane
@@ -32,8 +32,8 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .engine import (DEFAULT_ATOM_CAP, StableModelEnumerator, _bit_indices, _Compiled, _record,
-                     _Records, _unpack)
+from .engine import (DEFAULT_ATOM_CAP, StableModelEnumerator, _bit_indices, _Compiled, _Records,
+                     _unpack)
 from .grounder import GroundProgram, ground
 from .model import Atom, Interpretation, Program, merge_programs
 
@@ -162,11 +162,10 @@ def _weighed(records: _Records, hard: int, weights: list[float],
 
 
 def _weigh(gp: GroundProgram, interp: Interpretation, mode: str) -> WeightVector:
-    """``_weighed`` with ``interp`` as the one lane of one record."""
+    """``_weighed`` with ``interp`` as the one lane (``_Records.lane``)."""
     comp = _Compiled(gp)
     _, violated, _ = comp.one_lane(comp.bits_of(interp))
-    (hard,), (soft,) = _weighed(_Records([_record(violated, 1, 1, [])], [], 0),
-                                comp.hard, comp.weights, mode == "reward")
+    (hard,), (soft,) = _weighed(_Records.lane(violated), comp.hard, comp.weights, mode == "reward")
     return WeightVector(hard, soft)
 
 

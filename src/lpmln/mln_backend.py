@@ -7,14 +7,9 @@ matches the program's own.  The evaluator enumerates worlds exactly:
 worlds violating a hard formula carry no mass (falling back to the
 maximal count of satisfied hard formulas when nothing satisfies them
 all), and the rest weigh in at the exponentiated sum of their satisfied
-soft weights.  ``_lanes`` evaluates each formula once per slice of worlds
-(``engine._slices``).  A first pass keeps, per slice, the record
-(``engine._record``) of the worlds that satisfy every hard formula
-(``engine._kept_lanes``), with the satisfied formulas as its pairs and the
-atoms' vectors as its columns.  When there is none, a second pass keeps
-the worlds on the best hard tier so far (``engine._top_count``).  The kept
-records are weighed by ``inference._weighed`` and read back by
-``engine._Records``, as stable models are; a soft total past the float
+soft weights.  ``_lanes`` evaluates each formula once per slice of worlds,
+and ``engine._worlds`` decides which worlds to keep; ``inference._weighed``
+weighs them as it weighs stable models, and a soft total past the float
 range is a ValueError.
 """
 
@@ -27,7 +22,7 @@ from itertools import count
 from operator import and_, or_
 
 from .engine import (DEFAULT_ATOM_CAP, EnumerationCapError, _bit_indices, _Compiled,
-                     _kept_lanes, _record, _Records, _slices, _tarjan_scc, _top_count)
+                     _tarjan_scc, _worlds)
 from .grounder import GroundProgram
 from .inference import _normalise, _total, _weighed
 from .model import HARD, Atom, Interpretation, Weight, _choice_marker, atom_sort_key
@@ -342,34 +337,12 @@ def mln_distribution(mln: MlnProgram, cap: int = DEFAULT_ATOM_CAP) -> MlnDistrib
             (str(a), "aux atom" if a in mln.aux_atoms else "world atom") for a in atoms])
     hard = sum(1 << k for k, mf in enumerate(mln.formulas) if mf.weight.is_hard)
     weights = [0.0 if mf.weight.is_hard else mf.weight.value for mf in mln.formulas]
-    required = _bit_indices(hard)
 
-    def evaluated():
-        """Per slice of worlds, its atoms' lane vectors, its lanes and its
-        formulas' lanes."""
-        for val, full in _slices(range(n), n):
-            truth = dict(zip(atoms, val))
-            yield val, full, list(enumerate(_lanes(mf.formula, truth, full)
-                                            for mf in mln.formulas))
+    def satisfied(val, full):
+        truth = dict(zip(atoms, val))
+        return [_lanes(mf.formula, truth, full) for mf in mln.formulas]
 
-    kept = []  # the records of the worlds that satisfy every hard formula
-    for val, full, sat in evaluated():
-        lanes = _kept_lanes((), required, [vec for _, vec in sat], full)
-        if lanes:
-            kept.append(_record(sat, full.bit_length(), lanes, val))
-    if not kept:
-        # no world satisfies every hard formula: a second pass keeps the
-        # slices with the most satisfied ones so far, with those worlds'
-        # lanes
-        best = -1
-        for val, full, sat in evaluated():
-            tier, lanes = _top_count(sat, hard, full)
-            if tier > best:
-                best, kept = tier, []
-            if tier == best:
-                kept.append(_record(sat, full.bit_length(), lanes, val))
-    # a world's bit i is atom i's value
-    worlds = _Records(kept, range(n), 0)
+    worlds = _worlds(n, satisfied, hard)
     hards, softs = _weighed(worlds, hard, weights, False)
     _, probabilities = _normalise(hards, softs, "reward")
     entries = tuple((frozenset(atoms[i] for i in _bit_indices(bits)), p)
@@ -380,8 +353,9 @@ def mln_distribution(mln: MlnProgram, cap: int = DEFAULT_ATOM_CAP) -> MlnDistrib
 # --- text emission -----------------------------------------------------------
 
 def _caps(name: str) -> str:
-    name = name.strip('"')
-    return name[:1].upper() + name[1:]
+    """A predicate or constant capitalised; a quoted constant as it is, so
+    that ``a``, ``"a"`` and ``"A"`` stay three constants."""
+    return name if name.startswith('"') else name[:1].upper() + name[1:]
 
 
 def _render_atom(a: Atom) -> str:

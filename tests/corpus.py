@@ -10,10 +10,12 @@ the dump does not depend on ``PYTHONHASHSEED``; floats are printed with
 The cases are generated programs in both hard modes, random weighted-formula
 programs, the completions of the generated tight programs and of the
 fixtures with their Tseytin forms, the fixtures under their evidence
-files, and ``optimal_models`` of the fixtures' penalty and reward
-translations.  Each runs at lane widths (``engine._LANE_BITS``) 0, 1, 2 and
-10, except where that would cost seconds: see ``FIXTURES``,
-``WEIGHED_RULES``, ``_mln_cases`` and ``TRANSLATED``.  pcm_firing_squad's
+files, ``optimal_models`` of the fixtures' penalty and reward
+translations, and the texts those translations and the Tseytin forms emit
+for the generated tight programs and the fixtures.  Each runs at lane widths
+(``engine._LANE_BITS``) 0, 1, 2 and 10, except where that would cost seconds
+or cannot matter: see ``FIXTURES``, ``WEIGHED_RULES``, ``_mln_cases``,
+``_emitted_cases`` and ``TRANSLATED``.  pcm_firing_squad's
 translations are left out of ``TRANSLATED``: ``optimal_models`` takes 1.2 to
 1.7 s per flavour on them at width 10, and minutes at width 2.
 
@@ -29,8 +31,9 @@ import hashlib
 import random
 from pathlib import Path
 
-from lpmln import (engine, fixture_path, ground, ground_to_program, optimal_models,
-                   parse_evidence, parse_program, translate_penalty, translate_reward)
+from lpmln import (emit_asp_text, emit_mln_text, engine, fixture_path, ground, ground_to_program,
+                   optimal_models, parse_evidence, parse_program, translate_penalty,
+                   translate_reward)
 from lpmln.engine import DEFAULT_ATOM_CAP, StableModelEnumerator
 from lpmln.inference import (distribution, map_estimate, marginal, weight_penalty,
                              weight_reward)
@@ -65,8 +68,9 @@ TRANSLATED = (("bird.lpmln", LANE_BITS), ("smoke.lpmln", LANE_BITS),
               ("smoke_mln.lpmln", LANE_BITS), ("clique10.lpmln", (10,)),
               ("fire_bayes.lpmln", (10,)))
 # weight_* compiles the program per call: every model is weighed one at a
-# time only up to this many ground rules and models
-WEIGHED_RULES, WEIGHED_MODELS = 100, 1024
+# time only up to this many ground rules and models; past either, a seeded
+# sample of this many models is
+WEIGHED_RULES, WEIGHED_MODELS, WEIGHED_SAMPLE = 100, 1024, 16
 
 
 def _atoms(interp) -> str:
@@ -86,10 +90,14 @@ def _enumerated(gp, hard_mode: str) -> str:
     bits, violations = enum.models_bits(), enum.violations
     line = (f"models_bits={bits} violations={violations} rejected_hard={enum.rejected_hard}"
             f" rejected_minimality={enum.rejected_minimality}")
+    models = enum.models()
     if len(gp.rules) > WEIGHED_RULES or len(bits) > WEIGHED_MODELS:
-        return line
+        picks = sorted(random.Random(WEIGHED_SAMPLE).sample(
+            range(len(models)), min(WEIGHED_SAMPLE, len(models))))
+        models = [models[k] for k in picks]
+        line += f" picks={picks}"
     weights = []
-    for interp in enum.models():
+    for interp in models:
         r, p = weight_reward(gp, interp), weight_penalty(gp, interp)
         weights.append(f"{r.hard},{r.soft!r},{p.hard},{p.soft!r}")
     return f"{line} weights=[{' '.join(weights)}]"
@@ -110,14 +118,31 @@ def _marginal(gp, hard_mode: str) -> str:
     return " ".join(f"{a}:{p!r}" for a, p in marginal(gp, preds, "penalty", hard_mode).items())
 
 
-def _optimal(program, flavor: str) -> str:
-    """``optimal_models`` of the penalty translation of ``program``, hard
-    rules translated too, or of the reward translation of its ground form."""
+def _translated(program, flavor: str):
+    """The penalty translation of ``program``, hard rules translated too, or
+    the reward translation of its ground form."""
     if flavor == "penalty":
-        tp = translate_penalty(program, 1000, translate_hard=True)
-    else:
-        tp = translate_reward(ground_to_program(ground(program)), 1000)
-    return " ".join(map(_atoms, optimal_models(tp)))
+        return translate_penalty(program, 1000, translate_hard=True)
+    return translate_reward(ground_to_program(ground(program)), 1000)
+
+
+def _optimal(program, flavor: str) -> str:
+    return " ".join(map(_atoms, optimal_models(_translated(program, flavor))))
+
+
+def _emitted(program, form: str) -> str:
+    """The text of a translation, or of the Tseytin form of the completion."""
+    if form == "mln":
+        return emit_mln_text(tseytin(complete(ground(program))))
+    return emit_asp_text(_translated(program, form))
+
+
+def _emitted_cases(name: str, program):
+    """The texts the translations emit, which a new grounder must keep, at
+    the default width only: they do not depend on it."""
+    for form in "penalty", "reward", "mln":
+        yield (f"{name}.emit_{form}", (10,),
+               lambda form=form: _shown(_emitted, program, form))
 
 
 def _program_line(gp, hard_mode: str) -> str:
@@ -167,9 +192,11 @@ def cases():
                                    allow_disjunction=True, weight=integer_weight)
         yield from _program_cases(f"whole{k}", ground(parse_program(text)), BOTH, LANE_BITS)
     for k in range(40):
-        gp = ground(parse_program(random_tight_text(rng, rng.randint(2, 6), rng.randint(1, 6))))
+        program = parse_program(random_tight_text(rng, rng.randint(2, 6), rng.randint(1, 6)))
+        gp = ground(program)
         yield from _program_cases(f"tight{k}", gp, BOTH, LANE_BITS)
         yield from _mln_cases(f"tight{k}", gp)
+        yield from _emitted_cases(f"tight{k}", program)
     for scale in (1000, 1):  # whole-number weights are weighed by class
         for k in range(80):
             mln = _random_mln(rng, scale)
@@ -182,6 +209,7 @@ def cases():
         label = name if evidence is None else f"{name}+{evidence}"
         yield from _program_cases(label, gp, hard_modes, widths)
         yield from _mln_cases(label, gp)
+        yield from _emitted_cases(label, program)
     for name, widths in TRANSLATED:
         program = parse_program(fixture_path(name).read_text())
         for flavor in "penalty", "reward":

@@ -458,16 +458,33 @@ class TestBitSlicedKernel:
                 got = [engine._unpack(c, groups) for c in engine._count(pairs, groups, width, lanes)]
                 assert got == want, (width, groups)
 
-    def test_top_count_keeps_exactly_the_lanes_of_the_largest_count(self):
-        for width, pairs, groups, masks in self._pairs_and_groups(random.Random(21)):
-            for lanes in masks:
-                read = engine._transpose(pairs, width, lanes)
-                for g in groups + [0]:  # an empty group too
-                    counts = [(mask & g).bit_count() for mask in read]
-                    top = max(counts, default=0)
-                    reach = sum(1 << m for m, c in zip(engine._bit_indices(lanes), counts)
-                                if c == top)
-                    assert engine._top_count(pairs, g, lanes) == (top, reach), (width, g)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_worlds_keep_exactly_the_worlds_of_the_largest_count(self, lane_bits, seed):
+        # _worlds keeps the worlds that satisfy every index of the group or,
+        # when none does, the most of them, and an empty group keeps every
+        # world; a kept world's pairs are its satisfied indices outside the
+        # group.  The reference counts each world's random mask.
+        rng = random.Random(40 + seed)
+        for _ in range(12):
+            n, m = rng.randint(0, 10), rng.randint(2, 8)
+            truth = [rng.getrandbits(m) for _ in range(1 << n)]  # world w's satisfied indices
+            if rng.random() < 0.5:  # indices 0 and 1 never hold together
+                truth = [t & ~2 | (~t & 1) << 1 for t in truth]
+
+            def satisfied(val, full):
+                worlds = [sum((v >> j & 1) << p for p, v in enumerate(val))
+                          for j in range(full.bit_length())]
+                return [sum((truth[w] >> k & 1) << j for j, w in enumerate(worlds))
+                        for k in range(m)]
+
+            for group in (rng.getrandbits(m) | 0b11, 0):
+                counts = [(t & group).bit_count() for t in truth]
+                kept = [w for w, c in enumerate(counts) if c == max(counts)]
+                bits, masks = engine._worlds(n, satisfied, group).read()
+                assert bits == kept, (n, group)
+                assert masks == [truth[w] & ~group for w in kept], (n, group)
+                if group == 0:
+                    assert bits == list(range(1 << n))
 
     def test_slices_read_back_every_assignment_in_order(self, lane_bits):
         positions = [1, 3, 4]

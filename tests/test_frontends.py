@@ -161,6 +161,9 @@ class TestBayesNet:
             parse_bayes_net("node a\n")  # missing CPT row
         with pytest.raises(MalformedNetworkError):
             BayesNet((("a", ()),), {("a", ()): 1.5})
+        with pytest.raises(MalformedNetworkError,
+                           match="^node name 'Fire' is not a lowercase identifier$"):
+            BayesNet((("Fire", ()),), {("Fire", ()): 0.5})
 
     @pytest.mark.parametrize("text, message", [
         ("node a\ncpt a abc\n", "line 2: cannot read probability 'abc'"),
@@ -176,6 +179,11 @@ class TestBayesNet:
         ("node a\ncpt a 0.5\ncpt a t 0.3\ncpt z 0.9\ncpt a 0.7\n",
          "line 5: duplicate CPT row for ('a', ())"),
         ("node a\ncpt a 0.5\ncpt z 0.9\n", "CPT entry ('z', ()) names an undeclared node"),
+        ("node Fire\ncpt Fire 0.5\n", "line 1: node name 'Fire' is not a lowercase identifier"),
+        ("node 1st\ncpt 1st 0.5\n", "line 1: node name '1st' is not a lowercase identifier"),
+        ("node a\nnode b_1\nnode _c\n", "line 3: node name '_c' is not a lowercase identifier"),
+        ("node a\nnode \u00e9t\u00e9 a\n",
+         "line 2: node name '\u00e9t\u00e9' is not a lowercase identifier"),
         ("node a\ncpt a 0.5\ncpt a t 0.3\n",
          "CPT entry ('a', (True,)) does not match the 0 parents of 'a'"),
         ("node a\nnode b a\ncpt a 0.5\ncpt b t 0.1\ncpt b f 0.2\ncpt b 0.3\n",

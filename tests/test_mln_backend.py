@@ -9,7 +9,7 @@ from lpmln.inference import NoStableModelsError, distribution
 from lpmln.mln_backend import (
     FALSE, FAnd, FAtom, FIff, FImpl, FNot, FOr, HARD, MlnDistribution, MlnFormula,
     MlnProgram, DisjunctiveProgramError, NotTightError, aux_extract, complete, disj,
-    emit_mln_text, evaluate, is_tight, mln_distribution, tseytin,
+    _render_atom, emit_mln_text, evaluate, is_tight, mln_distribution, tseytin,
 )
 from lpmln.model import atom, soft
 from helpers import P, random_tight_text
@@ -27,7 +27,7 @@ def hard_satisfiable(mln) -> bool:
     hard = [mf.formula for mf in mln.formulas if mf.weight.is_hard]
     atoms = mln.atoms
     for sub in chain.from_iterable(combinations(atoms, k) for k in range(len(atoms) + 1)):
-        if all(evaluate(f, frozenset(sub)) for f in hard):
+        if all(_holds(f, frozenset(sub)) for f in hard):
             return True
     return False
 
@@ -175,6 +175,16 @@ class TestTseytin:
 
 
 class TestMlnDistribution:
+    def test_evaluate_agrees_with_the_reference_in_every_world(self):
+        rng = random.Random(9)
+        for _ in range(40):
+            mln = _random_mln(rng)
+            atoms = mln.atoms
+            for mask in range(1 << len(atoms)):
+                world = frozenset(a for i, a in enumerate(atoms) if mask >> i & 1)
+                for mf in mln.formulas:
+                    assert evaluate(mf.formula, world) == _holds(mf.formula, world)
+
     def test_completed_bird_matches_closed_forms(self):
         d = mln_distribution(complete(BIRD_GP))
         e = math.e
@@ -322,7 +332,7 @@ class TestAuxExtract:
             d = mln_distribution(rewritten)
             for w, p in d.entries:
                 if p > 0:
-                    assert (aux_atom in w) == evaluate(definition, w)
+                    assert (aux_atom in w) == _holds(definition, w)
 
     def test_marginalizes_back_exactly(self):
         rng = random.Random(18)
@@ -409,6 +419,26 @@ class TestEmission:
             MlnFormula(HARD, FImpl(p, FOr((FAnd((a, b)), p)))),)))
         out = emit_mln_text(mln)
         assert "// Aux_1 <=> A ^ B" in out
+
+    def test_quoted_and_bare_constants_stay_distinct(self):
+        out = emit_mln_text(complete(ground(P('p(a). p("a"). 1 q(X) :- p(X).\n'))))
+        lines = out.splitlines()
+        assert lines[0] == 'entity={"a", A}'
+        formulas = lines[lines.index("Q(entity)") + 2:]
+        assert len(formulas) == 6 and len(set(formulas)) == 6, out
+        assert 'P("a").' in formulas and "P(A)." in formulas
+
+    def test_quoted_constant_with_a_space_is_rendered_quoted(self):
+        out = emit_mln_text(complete(ground(P('{p("x y")}.\n'))))
+        assert out.splitlines()[0] == 'entity={"x y"}'
+
+    def test_distinct_atoms_render_to_distinct_strings(self):
+        text = 'q(a). q("a"). q("x y"). q(0). q(b0). {p(X, Y)} :- q(X), q(Y).\n'
+        atoms = complete(ground(P(text))).atoms
+        assert len(atoms) == 5 + 25
+        assert len({_render_atom(a) for a in atoms}) == len(atoms)
+        assert {_render_atom(a) for a in atoms if a.predicate == "q"} == \
+            {"Q(A)", 'Q("a")', 'Q("x y")', "Q(0)", "Q(B0)"}
 
 
 def _random_formula(rng, atoms, depth):

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import lpmln
 import lpmln.cli
+import lpmln.engine
 
 ENGINE_SIDE = {"lpmln.engine", "lpmln.inference", "lpmln.asp_backend", "lpmln.mln_backend"}
 
@@ -113,11 +114,17 @@ def test_slices_are_read_back_and_weighed_by_one_owner_each():
     # engine._Records reads back and counts every slice record, of stable
     # models, weighted-formula worlds or one interpretation alike, and
     # inference._weighed, the one caller of _classes, weighs them; the
-    # packed-count layout (_fields, _planes) never leaves the engine
+    # packed-count layout (_fields, _planes), the record layout (_record)
+    # and the lane patterns (_slices, _kept_lanes) never leave the engine,
+    # and engine._worlds, not mln_backend, decides which worlds to keep
+    assert not hasattr(lpmln.engine, "_top_count")  # folded into _worlds
     for path in sorted(Path(lpmln.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.name == "mln_backend.py":
+            assert not _mentions(tree, "_Records"), path.name
         if path.name != "engine.py":
-            for name in ("_transpose", "_count", "_planes", "_fields"):
+            for name in ("_transpose", "_count", "_planes", "_fields", "_record", "_slices",
+                         "_kept_lanes"):
                 assert not _mentions(tree, name), (path.name, name)
         if path.name != "inference.py":
             assert not _mentions(tree, "_classes"), path.name
