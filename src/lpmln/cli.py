@@ -15,6 +15,13 @@ evidence / no stable models (the evidence is blamed only when the program
 alone has a stable model).  Every error is one "error:" line on run's
 stderr.  The environment variable LPMLN_ATOM_CAP overrides the
 enumeration cap; it and --scale are ASCII decimal numerals.
+
+-all and MAP print their models through one printer (``_model_printer``).
+Once per run it builds text tables: per byte of the atom bitset, a memo
+from the byte's value to the joined names of its atoms (bit order is print
+order), and the same over the sorted unsat markers of the rules the
+printed models violate.  Per model it reads the bytes of the violation
+mask, the bitset and the marker bits, looks them up and joins once.
 """
 
 from __future__ import annotations
@@ -24,6 +31,8 @@ import os
 import re
 import sys
 import warnings
+from functools import reduce
+from operator import or_
 from pathlib import Path
 
 from . import asp_backend, inference, mln_backend
@@ -94,26 +103,69 @@ def _fmt(p: float) -> str:
     return f"{p:.12g}"
 
 
-def _model_printer(gp, comp, scale: int):
-    """The lines of a model of ``gp`` from its bitset over ``comp``'s atoms,
-    its violation mask and its soft total: its atoms, then the unsat
-    markers of the rules it violates that it does not hold, each once,
-    sorted; then its scaled penalty.  The violation mask gives the
-    markers, so nothing is re-checked."""
-    # _Compiled numbers atoms in atom_sort_key order, so bit order is print order
-    names = [str(a) for a in comp.atoms]
-    markers = {}  # rule index -> (sort key, text, bit or None), made on first use
+class _Memo(dict):
+    """A dict that fills a missing key with ``make(key)``."""
 
-    def marker(r):
-        if r not in markers:
-            m = asp_backend._marker_of(gp.rules[r], asp_backend.UNSAT)
-            markers[r] = (atom_sort_key(m), str(m), comp.index.get(m))
-        return markers[r]
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+def _byte_tables(items: list, combine) -> list[_Memo]:
+    """Per byte position of a bitset over ``items``, a memo from the byte's
+    value to ``combine`` of the items of its set bits, in bit order."""
+    def table(chunk):
+        return _Memo(lambda x: combine(v for i, v in enumerate(chunk) if x >> i & 1))
+    return [table(items[p:p + 8]) for p in range(0, len(items), 8)]
+
+
+def _model_printer(gp, comp, scale: int, masks: list[int]):
+    """The lines of a model of ``gp`` from its bitset over ``comp``'s atoms,
+    its violation mask (one of ``masks``) and its soft total: its atoms,
+    then the unsat markers of the rules it violates that it does not hold,
+    each once, sorted; then its scaled penalty.  The violation mask gives
+    the markers, so nothing is re-checked.
+
+    Once per run: the markers of the rules in the union of ``masks`` only,
+    deduplicated and sorted by ``(atom_sort_key, text)``; per byte of a
+    violation mask, a memo to the bits of its markers in that order; and
+    per byte of the atom bitset and of the marker bits, a memo to the
+    joined text of its atoms or markers.  Per model: the bytes of its
+    violation mask, then of its bitset and marker bits, looked up in those
+    tables; the held test for the markers that occur in the program; and
+    one join."""
+    # _Compiled numbers atoms in atom_sort_key order, so bit order is print order
+    union = 0
+    for v in masks:
+        union |= v
+    marker_of = {r: asp_backend._marker_of(gp.rules[r], asp_backend.UNSAT)
+                 for r in _bit_indices(union)}
+    order = sorted(set(marker_of.values()), key=lambda m: (atom_sort_key(m), str(m)))
+    bit = {m: 1 << j for j, m in enumerate(order)}  # a marker's bit in print order
+    rule_bits = [0] * union.bit_length()
+    for r, m in marker_of.items():
+        rule_bits[r] = bit[m]
+    to_markers = _byte_tables(rule_bits, lambda bits: reduce(or_, bits, 0))
+    # a marker that occurs in the program prints only when the model does not hold it
+    held = [(bit[m], 1 << comp.index[m]) for m in order if m in comp.index]
+    atom_text = _byte_tables([str(a) for a in comp.atoms], " ".join)
+    text = atom_text + _byte_tables([str(m) for m in order], " ".join)
+    n_rule, n_atom, n_marker = len(to_markers), len(atom_text), len(text) - len(atom_text)
 
     def lines(b, violated, soft):
-        extra = sorted({m for m in map(marker, _bit_indices(violated))
-                        if m[2] is None or not b >> m[2] & 1})
-        return [" ".join([names[i] for i in _bit_indices(b)] + [t for _, t, _ in extra]),
+        on = 0
+        for table, x in zip(to_markers, violated.to_bytes(n_rule, "little")):
+            if x:
+                on |= table[x]
+        for j, a in held:
+            if on & j and b & a:
+                on ^= j
+        frags = b.to_bytes(n_atom, "little") + on.to_bytes(n_marker, "little")
+        return [" ".join([table[x] for table, x in zip(text, frags) if x]),
                 f"Optimization: {inference._scaled(soft, scale)}"]
     return lines
 
@@ -121,16 +173,17 @@ def _model_printer(gp, comp, scale: int):
 def _render_map(gp, hard_mode: str, cap: int, scale: int) -> str:
     """The tied models only are read back from the enumeration."""
     w, tied, bits, masks = inference._map_models(gp, hard_mode, cap)
-    show = _model_printer(gp, w.enum.comp, scale)
+    show = _model_printer(gp, w.enum.comp, scale, masks)
     lines = [line for k, b, v in zip(tied, bits, masks) for line in show(b, v, w.soft[k])]
     return "".join(l + "\n" for l in lines + ["OPTIMUM FOUND"])
 
 
 def _render_all(gp, hard_mode: str, cap: int, scale: int) -> str:
     w = inference._weigh_models(gp, "penalty", hard_mode, cap)
-    show = _model_printer(gp, w.enum.comp, scale)
+    masks = w.enum.violations
+    show = _model_printer(gp, w.enum.comp, scale, masks)
     lines = []
-    for k, (b, v, soft) in enumerate(zip(w.enum.models_bits(), w.enum.violations, w.soft)):
+    for k, (b, v, soft) in enumerate(zip(w.enum.models_bits(), masks, w.soft)):
         lines += [f"Answer: {k + 1}"] + show(b, v, soft)
     lines.append("")
     for k, p in enumerate(w.probabilities, start=1):

@@ -66,12 +66,15 @@ class MalformedNetworkError(ValueError):
 
 
 # a node names a predicate of the input language: a lowercase identifier
+# other than the body keyword "not"
 _NODE_NAME = re.compile(r"[a-z][A-Za-z0-9_]*")
 
 
 def _check_node_name(name: str, where: str = "") -> None:
     if not _NODE_NAME.fullmatch(name):
         raise MalformedNetworkError(f"{where}node name {name!r} is not a lowercase identifier")
+    if name == "not":
+        raise MalformedNetworkError(f"{where}node name {name!r} is a keyword of the input language")
 
 
 @dataclass(frozen=True)
@@ -79,7 +82,7 @@ class BayesNet:
     """Boolean-variable network: node declarations (with parents) and one
     CPT entry P(node=t | parent values) per parent-value combination, and
     no other entry.  A node's name is its atom's predicate: a lowercase
-    ASCII identifier (``_NODE_NAME``)."""
+    ASCII identifier (``_NODE_NAME``) other than ``not``."""
 
     nodes: tuple[tuple[str, tuple[str, ...]], ...]
     cpt: dict[tuple[str, tuple[bool, ...]], float]

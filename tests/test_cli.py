@@ -106,7 +106,15 @@ class TestAllMode:
         fixture_path("pcm_firing_squad.lpmln").read_text(),
         # up to eleven markers per model, whose numbers do not sort as text
         "".join(f"1.5 a({k}) :- not b.\n" for k in range(10)) + "0.5 b.\n",
-    ], ids=["bird", "smoke", "firing-squad", "many-markers"])
+        # 88 atoms; 84 facts, then 21 soft constraints that every model
+        # violates, so up to 23 markers a model print as 100..105, 106, 108
+        # | 85..99 across the first byte of the marker bits; unsat(106,..)
+        # is derived when a is false (an atom past the first byte that the
+        # model holds), and unsat(108,..) occurs only in a body
+        "".join(f"d({k}).\n" for k in range(1, 85))
+        + "".join(f"2 :- d({k}).\n" for k in range(1, 22))
+        + '0.5 a.\nunsat(106,"0.500000") :- not a.\n0.5 e.\ng :- unsat(108,"0.500000").\n',
+    ], ids=["bird", "smoke", "firing-squad", "many-markers", "multi-byte"])
     def test_lines_match_sorted_atoms_and_markers(self, tmp_path, text):
         # the listings print in bit order; each model's sorted atoms, then
         # its sorted witness markers, must give the same lines, for every
@@ -129,6 +137,14 @@ class TestAllMode:
         code, out, _ = invoke("-i", str(src), "-map")
         assert code == 0
         assert out.splitlines()[0:2 * len(tied):2] == [reference(m) for m in tied]
+
+    def test_a_marker_of_two_rules_prints_once(self):
+        # markers are deduplicated by marker, not by rule: two ground rules
+        # with one origin and one substitution share their marker
+        rule = grounder.GroundRule(1, lpmln.soft(1.0), (lpmln.Atom("a"),), ())
+        gp = grounder.GroundProgram((rule, rule))
+        show = cli._model_printer(gp, engine._Compiled(gp), 1000, [0b11])
+        assert show(0, 0b11, 2.0) == ['unsat(1,"1.000000")', "Optimization: 2000"]
 
 
 class TestQueryModes:

@@ -164,6 +164,9 @@ class TestBayesNet:
         with pytest.raises(MalformedNetworkError,
                            match="^node name 'Fire' is not a lowercase identifier$"):
             BayesNet((("Fire", ()),), {("Fire", ()): 0.5})
+        with pytest.raises(MalformedNetworkError,
+                           match="^node name 'not' is a keyword of the input language$"):
+            BayesNet((("not", ()),), {("not", ()): 0.5})
 
     @pytest.mark.parametrize("text, message", [
         ("node a\ncpt a abc\n", "line 2: cannot read probability 'abc'"),
@@ -182,6 +185,8 @@ class TestBayesNet:
         ("node Fire\ncpt Fire 0.5\n", "line 1: node name 'Fire' is not a lowercase identifier"),
         ("node 1st\ncpt 1st 0.5\n", "line 1: node name '1st' is not a lowercase identifier"),
         ("node a\nnode b_1\nnode _c\n", "line 3: node name '_c' is not a lowercase identifier"),
+        ("node not\ncpt not 0.5\nnode b not\ncpt b t 0.3\ncpt b f 0.6\n",
+         "line 1: node name 'not' is a keyword of the input language"),
         ("node a\nnode \u00e9t\u00e9 a\n",
          "line 2: node name '\u00e9t\u00e9' is not a lowercase identifier"),
         ("node a\ncpt a 0.5\ncpt a t 0.3\n",
