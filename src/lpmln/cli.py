@@ -6,7 +6,10 @@
 Mode resolution for --mode infer: -q without -e computes marginals, -q
 with -e conditionals, -all lists every stable model with its probability,
 otherwise a MAP estimate is printed.  --mode emit-asp-pnt / emit-asp-rwd /
-emit-mln export the translations instead of running inference.
+emit-mln export the translations instead of running inference.  Inference
+weighs in penalty mode, where an instance that cannot fire is never
+violated, so it grounds only the instances that can (``_ground_live``);
+the translations ground every instance.
 
 Exit codes: 0 success (-h too, its help on run's stdout), 1 parse, safety
 or usage error (an LPMLN_ATOM_CAP that is not a non-negative integer and
@@ -37,7 +40,7 @@ from pathlib import Path
 
 from . import asp_backend, inference, mln_backend
 from .engine import DEFAULT_ATOM_CAP, EnumerationCapError, _bit_indices
-from .grounder import GroundingCapError, ground
+from .grounder import GroundingCapError, _ground_live, ground
 from .model import atom_sort_key, merge_programs
 from .parser import parse_evidence, parse_program, parse_query_spec
 
@@ -247,7 +250,8 @@ def run(argv, stdout=None, stderr=None) -> int:
                     mln_backend.aux_mapping_text(mln), encoding="utf-8")
         else:
             merged = merge_programs(program, evidence) if evidence else program
-            gp = ground(merged)
+            # penalty weighing: an instance that cannot fire is never violated
+            gp = _ground_live(merged)
             try:
                 if args.map_mode or not (preds is not None or args.all_models):
                     text = _render_map(gp, hard_mode, cap, args.scale)

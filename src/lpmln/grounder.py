@@ -1,22 +1,37 @@
 """Universe-product grounder: substitute universe constants for global
 variables.
 
-Every rule is instantiated under every tuple of universe constants for its
-variables; choice rules are desugared before grounding, inequalities are
-evaluated and removed, and the output order is deterministic (source rule
-index, then lexicographic substitution).  Each rule is compiled once: a
-variable becomes its position in a substitution, inequalities are decided
-on those positions before any object is built, and each atom occurrence
-keeps its instances by the values of the variables it uses.  Ground atoms
-and literals are pooled, so one ground atom is one object throughout the
-program.
+``ground`` instantiates every rule under every tuple of universe constants
+for its variables; choice rules are desugared before grounding,
+inequalities are evaluated and removed, and the output order is
+deterministic (source rule index, then lexicographic substitution).  Each
+rule is compiled once: a variable becomes its position in a substitution,
+inequalities are decided on those positions before any object is built,
+and each atom occurrence keeps its instances by the values of the
+variables it uses.  Ground atoms and literals are pooled, so one ground
+atom is one object throughout the program.
+
+``_ground_live``, which the CLI's inference calls, builds only the
+instances that can fire: those whose positive body atoms are derivable
+with negation ignored, the bound the engine puts on every stable model.
+It finds them semi-naively, joining each rule's positive body literals
+against the atoms derived so far, one literal over the atoms new in the
+last round, on indexes of the bound argument positions; a rule without
+variables waits on a count of its underived positive atoms instead.  It
+shares the desugaring, ``_compile``, ``_Pool`` and the instance build
+(``_instances``) with ``ground``, keeps ``ground``'s order, errors and
+cap, and has ``ground``'s atoms, built as keys and made objects only when
+some instance was not built.  An instance that cannot fire is satisfied
+by every candidate and never counted in penalty mode, so inference gives
+the same output from either; reward mode would count it, so the library
+keeps ``ground``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import islice, product
 from operator import itemgetter
 
 from .model import (
@@ -149,18 +164,406 @@ def ground(program: Program, cap: int = DEFAULT_GROUND_CAP,
         # each substitution as its terms and as their universe positions
         combos = zip(product(universe, repeat=len(variables)),
                      product(range(len(universe)), repeat=len(variables)))
-        for subst, ids in combos:
-            if unequal and any(ids[i] == (ids[j] if j >= 0 else ~j) for i, j in unequal):
-                continue
-            out.append(GroundRule(rule.index, rule.weight,
-                                  tuple([made[key(ids)] for key, made in heads]),
-                                  tuple([made[key(ids)] for key, made in body]), subst))
-            if len(out) > cap:
-                raise GroundingCapError(cap)
+        if unequal:
+            combos = ((subst, ids) for subst, ids in combos
+                      if not any(ids[i] == (ids[j] if j >= 0 else ~j) for i, j in unequal))
+        out += _instances(rule, heads, body, islice(combos, cap + 1 - len(out)))
+        if len(out) > cap:
+            raise GroundingCapError(cap)
     gp = GroundProgram(tuple(out))
     # every pooled atom occurs in a rule: this is what the property computes
     gp.__dict__["atoms"] = tuple(sorted(pool.atoms.values(), key=atom_sort_key))
     return gp
+
+
+def _instances(rule: Rule, heads, body, combos) -> list[GroundRule]:
+    """The instances of a rule compiled by ``_compile``, one per ``(subst,
+    ids)`` of ``combos``: the terms substituted and their universe positions."""
+    return [GroundRule(rule.index, rule.weight, tuple([made[key(ids)] for key, made in heads]),
+                       tuple([made[key(ids)] for key, made in body]), subst)
+            for subst, ids in combos]
+
+
+def _ground_live(program: Program, cap: int = DEFAULT_GROUND_CAP) -> GroundProgram:
+    """The instances of ``ground(program)`` that can fire, in its order, and
+    all of its atoms.
+
+    An atom is derivable when it heads an instance whose positive body
+    atoms are derivable, negation ignored: the least model by which the
+    engine bounds every stable model.  A rule without variables fires once
+    its positive body atoms are derived; the others join their positive
+    body literals against the atoms derived so far, round by round, each
+    join with one literal over the atoms new in the last round, so every
+    substitution is joined once.  Of the instances found, one with a ``not
+    not`` atom outside that model is left out too, unless it has a head
+    atom: the engine then derives the same atoms from the instances kept as
+    from ``ground``'s, keeps the same rules of both and finds the same free
+    atoms.  ``cap`` bounds each level of each join and the substitutions
+    found in all.
+    """
+    program = _desugar_safe(program)
+    universe = program.universe
+    pool = _Pool(universe)
+    at = {t.name: i for i, t in enumerate(universe)}
+    waiting = _Waiting()
+    plans: list = []  # per rule with instances: its _Join, or its number in ``waiting``
+    for rule in program.rules:
+        variables = rule.variables()
+        if not variables:
+            if all(isinstance(el, Literal) or el.lhs != el.rhs for el in rule.body):
+                plans.append(waiting.add(rule, at))
+            continue
+        if not universe:
+            raise EmptyUniverseError(rule.index)
+        compiled = _compile(rule, variables, pool)
+        if compiled is not None:
+            plans.append(_Join(rule, variables, compiled, at))
+    known = _derive([plan for plan in plans if type(plan) is _Join], waiting, cap)
+
+    def derived(src, ids):
+        return all(tuple([ids[s] if s >= 0 else ~s for s in args]) in known.get(p, ())
+                   for p, args in src)
+    out: list[GroundRule] = []
+    every = True  # whether every instance is built, and with it every atom
+    for plan in plans:
+        if type(plan) is int:
+            rule = waiting.rules[plan]
+            if not waiting.need[plan] and (rule.head or all(
+                    t in known.get(p, ()) for p, t in waiting.neg2(plan, at))):
+                out.append(GroundRule(
+                    rule.index, rule.weight,
+                    tuple([pool.get(a.predicate, a.args, None) for a in rule.head]),
+                    tuple([pool.get(el.atom.predicate, el.atom.args, el.negation)
+                           for el in rule.body if isinstance(el, Literal)])))
+            else:
+                every = False
+            continue
+        rule, (heads, body, unequal) = plan.rule, plan.compiled
+        k = len(plan.variables)
+        if len(plan.found) == len(universe) ** k:  # every substitution, in product order
+            combos = zip(product(universe, repeat=k), product(range(len(universe)), repeat=k))
+        else:
+            combos = ((tuple([universe[i] for i in ids]), ids) for ids in sorted(plan.found))
+        if not rule.head and plan.neg2:
+            combos = ((subst, ids) for subst, ids in combos if derived(plan.neg2, ids))
+        before = len(out)
+        out += _instances(rule, heads, body, combos)
+        every = every and not unequal and len(out) - before == len(universe) ** k
+    gp = GroundProgram(tuple(out))
+    if every:
+        gp.__dict__["atoms"] = tuple(sorted(pool.atoms.values(), key=atom_sort_key))
+    else:
+        gp.__dict__["atoms"] = _atoms(plans, waiting, pool, at, cap)
+    return gp
+
+
+def _derive(joins: list[_Join], waiting: _Waiting, cap: int) -> dict[tuple, set]:
+    """The derivable atoms, per ``(predicate, arity)`` as tuples of universe
+    positions; each join keeps its substitutions in ``found``."""
+    facts = _Facts()
+    delta: dict = {}
+    found = 0
+    for plan in joins:
+        if not plan.positives:
+            found += plan.emit(plan.complete([[-1] * len(plan.variables)], cap), delta)
+    while True:
+        found += waiting.settle(delta, facts.known)
+        if found > cap:
+            raise GroundingCapError(cap)
+        if not delta:
+            return facts.known
+        facts.add(delta)
+        fresh: dict = {}
+        for plan in joins:
+            for i, (predicate, _) in enumerate(plan.positives):
+                if predicate in delta:
+                    found += plan.emit(plan.join(i, facts, delta, cap), fresh)
+        delta = {}
+        for p, tuples in fresh.items():
+            tuples.difference_update(facts.known.get(p, ()))
+            if tuples:
+                delta[p] = tuples
+
+
+def _atoms(plans: list, waiting: _Waiting, pool: _Pool, at: dict, cap: int) -> tuple[Atom, ...]:
+    """``ground``'s atoms, from keys: the pooled atom where there is one."""
+    keys: set[tuple] = set()
+    for plan in plans:
+        if type(plan) is int:
+            rule = waiting.rules[plan]
+            for a in list(rule.head) + [el.atom for el in rule.body if isinstance(el, Literal)]:
+                (predicate, n), ids = _key(a, at)
+                keys.add((predicate, n, ids))
+        else:
+            _atom_keys(plan, len(pool.universe), cap, keys)
+    pooled = {(a.predicate, len(a.args), tuple([at[t.name] for t in a.args])): a
+              for a in pool.atoms.values()}
+    # atom_sort_key order: the universe is sorted, so positions sort as names do
+    return tuple([pooled.get(key) or Atom(key[0], tuple([pool.universe[i] for i in key[2]]))
+                  for key in sorted(keys)])
+
+
+def _atom_keys(plan: _Join, size: int, cap: int, keys: set) -> None:
+    """Add to ``keys`` the atoms of every instance of the rule that
+    ``ground`` builds, each as ``(predicate, arity, universe positions)``.
+
+    An atom occurrence's instances are the values of its own variables
+    under the inequalities among them and against constants: each other
+    variable can still take a value as long as the universe has more
+    values than it has inequalities.  Otherwise every substitution is
+    tried, as ``ground`` does."""
+    unequal = plan.compiled[2]
+    occurrences = plan.heads + plan.literals
+    shapes = set()
+    for (predicate, n), src in occurrences:
+        own = list(dict.fromkeys(s for s in src if s >= 0))
+        if any(sum(1 for x, c in unequal if s in (x, c)) >= size
+               for s in range(len(plan.variables)) if s not in own):
+            break
+        # the occurrence with its variables renumbered by first argument
+        spec = tuple([own.index(s) if s >= 0 else s for s in src])
+        within = tuple([(own.index(x), c if c < 0 else own.index(c)) for x, c in unequal
+                        if x in own and (c < 0 or c in own)])
+        if (predicate, spec, within) in shapes:
+            continue
+        shapes.add((predicate, spec, within))
+        for combo in product(range(size), repeat=len(own)):
+            if all(combo[x] != (combo[c] if c >= 0 else ~c) for x, c in within):
+                keys.add((predicate, n, tuple([combo[s] if s >= 0 else ~s for s in spec])))
+    else:
+        return
+    count = 0
+    for ids in product(range(size), repeat=len(plan.variables)):
+        if all(ids[x] != (ids[c] if c >= 0 else ~c) for x, c in unequal):
+            count += 1
+            if count > cap:
+                raise GroundingCapError(cap)
+            for (predicate, n), src in occurrences:
+                keys.add((predicate, n, tuple([ids[s] if s >= 0 else ~s for s in src])))
+
+
+def _key(a: Atom, at: dict) -> tuple:
+    """A ground atom as ``((predicate, arity), universe positions of its arguments)``."""
+    return (a.predicate, len(a.args)), tuple([at[t.name] for t in a.args])
+
+
+class _Waiting:
+    """The rules without variables, each with the number of its positive
+    body atoms not derived yet: a rule fires when that number reaches 0."""
+
+    def __init__(self):
+        self.rules: list[Rule] = []
+        self.need: list[int] = []
+        self.heads: list[list[tuple]] = []
+        self.watch: dict[tuple, dict[tuple, list[int]]] = {}  # by atom key, as in ``delta``
+        self.ready: list[int] = []  # fired, head atoms not yet derived
+
+    def add(self, rule: Rule, at: dict) -> int:
+        k = len(self.rules)
+        self.rules.append(rule)
+        self.heads.append([_key(a, at) for a in rule.head])
+        if not rule.body:
+            self.need.append(0)
+            self.ready.append(k)
+            return k
+        positives = {_key(el.atom, at) for el in rule.body
+                     if isinstance(el, Literal) and el.negation == 0}
+        self.need.append(len(positives))
+        if not positives:
+            self.ready.append(k)
+        for p, t in positives:
+            self.watch.setdefault(p, {}).setdefault(t, []).append(k)
+        return k
+
+    def neg2(self, k: int, at: dict) -> list[tuple]:
+        """The keys of rule ``k``'s ``not not`` atoms."""
+        return [_key(el.atom, at) for el in self.rules[k].body
+                if isinstance(el, Literal) and el.negation == 2]
+
+    def settle(self, delta: dict, known: dict) -> int:
+        """Fire the rules that wait on no atom outside ``known`` and
+        ``delta``, adding their new head atoms to ``delta``; the number of
+        rules fired."""
+        fired = 0
+        queue = [(p, t) for p in delta if p in self.watch for t in delta[p]]
+        while queue or self.ready:
+            for k in self.ready:
+                fired += 1
+                for p, t in self.heads[k]:
+                    if t not in known.get(p, ()) and t not in delta.get(p, ()):
+                        delta.setdefault(p, set()).add(t)
+                        if p in self.watch:
+                            queue.append((p, t))
+            self.ready = []
+            while queue and not self.ready:
+                p, t = queue.pop()
+                for k in self.watch[p].pop(t, ()):
+                    self.need[k] -= 1
+                    if not self.need[k]:
+                        self.ready.append(k)
+        return fired
+
+
+class _Facts:
+    """The atoms derived so far: per ``(predicate, arity)``, their argument
+    tuples of universe positions as a set and in derivation order, and
+    indexes on the argument positions a join has bound, each brought up to
+    date when it is read."""
+
+    def __init__(self):
+        self.known: dict[tuple, set] = {}
+        self.order: dict[tuple, list] = {}
+        self.indexes: dict[tuple, list] = {}
+
+    def add(self, new: dict) -> None:
+        for p, tuples in new.items():
+            self.known.setdefault(p, set()).update(tuples)
+            self.order.setdefault(p, []).extend(tuples)
+
+    def matches(self, p: tuple, positions: tuple, key: tuple):
+        """The tuples of ``p`` that hold ``key`` at ``positions``."""
+        if len(positions) == p[1]:
+            return (key,) if key in self.known.get(p, ()) else ()
+        tuples = self.order.get(p, [])
+        if not positions:
+            return tuples
+        entry = self.indexes.get((p, positions))
+        if entry is None:
+            entry = self.indexes[p, positions] = [{}, 0]
+        table, done = entry
+        for t in tuples[done:]:
+            table.setdefault(tuple([t[k] for k in positions]), []).append(t)
+        entry[1] = len(tuples)
+        return table.get(key, ())
+
+
+class _Join:
+    """The substitutions of one rule under which its positive body atoms are
+    derived.  An atom occurrence is ``((predicate, arity), src)``, with per
+    argument the slot of its variable or ``~p`` for the constant at
+    universe position ``p``.  A substitution is a list of universe
+    positions by slot, -1 while unbound.  ``steps[i]`` joins positive
+    literal ``i`` first, over the atoms new in the last round, then the
+    others, each next the one with the most arguments bound, those before
+    ``i`` in the body over the older atoms only; a step tests each
+    inequality as soon as it binds both sides."""
+
+    def __init__(self, rule: Rule, variables: tuple[str, ...], compiled, at: dict):
+        self.rule = rule
+        self.variables = variables
+        self.compiled = compiled
+        self.size = len(at)
+        slot = {v: i for i, v in enumerate(variables)}
+
+        def occurrence(a: Atom):
+            return ((a.predicate, len(a.args)),
+                    tuple([slot[t.name] if t.name in slot else ~at[t.name] for t in a.args]))
+        self.heads = [occurrence(a) for a in rule.head]
+        self.literals, self.positives, self.neg2 = [], [], []
+        for el in rule.body:
+            if isinstance(el, Literal):
+                self.literals.append(occurrence(el.atom))
+                if el.negation != 1:
+                    (self.neg2 if el.negation else self.positives).append(self.literals[-1])
+        self.found: list[list[int]] = []
+        self.steps = [self._steps(i) for i in range(len(self.positives))]
+        bound = {s for _, src in self.positives for s in src if s >= 0}
+        self.free = [s for s in range(len(variables)) if s not in bound]
+        # the inequalities on free slots
+        self.rest = [(a, b) for a, b in compiled[2] if a not in bound or b >= 0 and b not in bound]
+
+    def _steps(self, i: int) -> list[tuple]:
+        """Per positive literal in join order: its predicate, the argument
+        positions already bound and where their values come from, pairs of
+        positions that bind one slot twice, the slots it binds, the
+        inequalities it completes, and whether it reads the new atoms
+        (None), the older ones (True) or all (False)."""
+        bound: set[int] = set()
+        unequal = self.compiled[2]
+        steps = []
+        rest = [j for j in range(len(self.positives)) if j != i]
+        j = i
+        while True:
+            p, src = self.positives[j]
+            probe = [k for k, s in enumerate(src) if s < 0 or s in bound]
+            first: dict[int, int] = {}  # an unbound slot -> its first argument here
+            same = []
+            for k, s in enumerate(src):
+                if s >= 0 and s not in bound:
+                    if s in first:
+                        same.append((k, first[s]))
+                    else:
+                        first[s] = k
+            bound.update(first)
+            checks = [(a, b) for a, b in unequal if a in bound and (b < 0 or b in bound)]
+            if checks:
+                unequal = [pair for pair in unequal if pair not in checks]
+            steps.append((p, tuple(probe), [src[k] for k in probe], same,
+                          [(k, s) for s, k in first.items()], checks,
+                          None if j == i else j < i))
+            if not rest:
+                return steps
+            # next, the literal with the most arguments bound
+            j = max(rest, key=lambda j: sum(1 for s in self.positives[j][1]
+                                            if s < 0 or s in bound))
+            rest.remove(j)
+
+    def join(self, i: int, facts: _Facts, delta: dict, cap: int) -> list[list[int]]:
+        """The substitutions that join positive literal ``i`` over ``delta``,
+        the atoms new in the last round, and the others over ``facts``."""
+        subs = [[-1] * len(self.variables)]
+        for p, positions, probe, same, binds, checks, older in self.steps[i]:
+            new = delta.get(p, ()) if older else ()
+            out = []
+            for b in subs:
+                key = tuple([b[s] if s >= 0 else ~s for s in probe])
+                if older is not None:
+                    candidates = facts.matches(p, positions, key)
+                elif positions:  # the first step: only constants are bound
+                    candidates = [t for t in delta[p] if tuple([t[k] for k in positions]) == key]
+                else:
+                    candidates = delta[p]
+                for t in candidates:
+                    if older and t in new or same and any(t[k] != t[f] for k, f in same):
+                        continue
+                    nb = b.copy()
+                    for k, s in binds:
+                        nb[s] = t[k]
+                    if not checks or all(nb[a] != (nb[c] if c >= 0 else ~c) for a, c in checks):
+                        out.append(nb)
+                if len(out) > cap:
+                    raise GroundingCapError(cap)
+            subs = out
+        return self.complete(subs, cap)
+
+    def complete(self, subs: list[list[int]], cap: int) -> list[list[int]]:
+        """``subs`` with each free slot (a choice head's variable) bound to
+        every universe position, under the inequalities on free slots."""
+        if not self.free:
+            return subs
+        out = []
+        for b in subs:
+            for combo in product(range(self.size), repeat=len(self.free)):
+                nb = b.copy()
+                for s, v in zip(self.free, combo):
+                    nb[s] = v
+                if all(nb[a] != (nb[c] if c >= 0 else ~c) for a, c in self.rest):
+                    out.append(nb)
+            if len(out) > cap:
+                raise GroundingCapError(cap)
+        return out
+
+    def emit(self, subs: list[list[int]], fresh: dict) -> int:
+        """Record the substitutions, add their head atoms to ``fresh``, and
+        count them."""
+        self.found += subs
+        for p, src in self.heads:
+            if len(src) > 1 and min(src) >= 0:  # only variables: one C call a key
+                keys = map(itemgetter(*src), subs)
+            else:
+                keys = [tuple([b[s] if s >= 0 else ~s for s in src]) for b in subs]
+            fresh.setdefault(p, set()).update(keys)
+        return len(subs)
 
 
 class _Pool:

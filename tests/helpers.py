@@ -60,6 +60,27 @@ def naive_ground(program: Program, universe=None) -> GroundProgram:
     return GroundProgram(tuple(out))
 
 
+def naive_live(program: Program) -> GroundProgram:
+    """The instances of ``naive_ground(program)`` that can fire: every
+    positive body atom lies in the least model of all instances with ``not``
+    and ``not not`` ignored, and so does every ``not not`` atom of an
+    instance without a head atom."""
+    gp = naive_ground(program)
+    model = set()
+    grew = True
+    while grew:
+        grew = False
+        for r in gp.rules:
+            if all(l.atom in model for l in r.body if l.negation == 0) \
+                    and not set(r.head) <= model:
+                model.update(r.head)
+                grew = True
+    return GroundProgram(tuple(
+        r for r in gp.rules
+        if all(l.atom in model for l in r.body
+               if l.negation == 0 or l.negation == 2 and not r.head)))
+
+
 def naive_atoms(gp: GroundProgram) -> tuple:
     """The atoms of the ground rules, sorted by predicate, arity, argument names."""
     seen = {a for r in gp.rules for a in r.head} | {l.atom for r in gp.rules for l in r.body}

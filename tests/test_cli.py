@@ -1,3 +1,4 @@
+import functools
 import io
 import os
 import subprocess
@@ -189,6 +190,34 @@ class TestQueryModes:
         code, _, err = invoke("-i", BIRD, "-q", "residentbird", "-clingo", "--opt-mode=enum")
         assert code == 0
         assert "ignored" in err
+
+    @pytest.mark.parametrize("program, evidence, expected", [
+        # q(b) heads an instance that cannot fire: still printed, at 0
+        ("1 p(a).\nq(X) :- p(X).\nq(b) :- r.\n", None,
+         (0, "q(a) 0.73105857863\nq(b) 0\n", "")),
+        # no instance of q can be built: q does not occur
+        ("p(a).\nq(X) :- p(X), X != a.\n", None,
+         (0, "", "warning: query predicate 'q' does not occur in the program\n")),
+        # the evidence adds c to the universe: q(c) occurs, at 0
+        ("1 p(a).\nq(X) :- p(X).\n", "r(c).\n", (0, "q(a) 0.73105857863\nq(c) 0\n", "")),
+    ])
+    def test_query_atoms_of_instances_that_cannot_fire(self, tmp_path, program, evidence,
+                                                        expected):
+        (tmp_path / "p.lpmln").write_text(program)
+        argv = ["-i", str(tmp_path / "p.lpmln"), "-q", "q"]
+        if evidence is not None:
+            (tmp_path / "e.db").write_text(evidence)
+            argv += ["-e", str(tmp_path / "e.db")]
+        assert invoke(*argv) == expected
+
+    def test_model_order_with_an_atom_derived_only_under_not_not(self, tmp_path):
+        # a is derived only by rule 1, whose not not b cannot hold, so rule 2
+        # cannot fire; q stays a free atom and {p} comes before {q}
+        (tmp_path / "p.lpmln").write_text("a :- not not b.\n1 q :- a.\nq :- not p.\n{p}.\n:- b.\n")
+        code, out, _ = invoke("-i", str(tmp_path / "p.lpmln"), "-all")
+        assert code == 0
+        assert out == ("Answer: 1\np\nOptimization: 0\nAnswer: 2\nq\nOptimization: 0\n\n"
+                       "Probability of Answer 1 : 0.5\nProbability of Answer 2 : 0.5\n")
 
 
 class TestHardRelax:
@@ -386,12 +415,30 @@ class TestExitCodes:
         assert (code, out, err) == (1, "", f"error: {message.format(tmp=tmp_path)}\n")
 
     def test_grounding_cap(self, monkeypatch):
-        # a GroundingCapError is a ValueError, and still exits 2
+        # a GroundingCapError is a ValueError, and still exits 2; inference
+        # grounds through _ground_live
         def capped(program):
             raise grounder.GroundingCapError(5)
-        monkeypatch.setattr(cli, "ground", capped)
+        monkeypatch.setattr(cli, "_ground_live", capped)
         code, out, err = invoke("-i", BIRD)
         assert (code, out, err) == (2, "", "error: grounding exceeds the cap of 5 rules\n")
+
+    def test_grounding_cap_counts_only_instances_that_can_fire(self, monkeypatch, tmp_path):
+        # 260 ground instances, 11 of which can fire: inference fits under a
+        # cap of 100 and prints what it prints uncapped; the reward
+        # translation grounds every instance and is refused
+        src = tmp_path / "path.lpmln"
+        src.write_text("".join(f"node(n{i}).\n" for i in range(6)) +
+                       "edge(n0, n1).\n1 edge(n1, n2).\n"
+                       "path(X, Y) :- edge(X, Y).\npath(X, Y) :- path(X, Z), path(Z, Y).\n")
+        uncapped = invoke("-i", str(src), "-q", "path")
+        assert uncapped[0] == 0 and "path(n0,n2) 0.73105857863\n" in uncapped[1]
+        for cap, code in ((100, 0), (10, 2)):
+            monkeypatch.setattr(cli, "_ground_live", functools.partial(grounder._ground_live, cap=cap))
+            monkeypatch.setattr(cli, "ground", functools.partial(grounder.ground, cap=cap))
+            refused = (2, "", f"error: grounding exceeds the cap of {cap} rules\n")
+            assert invoke("-i", str(src), "-q", "path") == (uncapped if code == 0 else refused)
+            assert invoke("-i", str(src), "--mode", "emit-asp-rwd") == refused
 
     def test_unsafe_program(self, tmp_path):
         bad = tmp_path / "unsafe.lpmln"
@@ -529,20 +576,25 @@ class TestInputContract:
 
 
 class TestGroundOnce:
-    @pytest.mark.parametrize("flags", [(), ("-all",)])
+    @pytest.mark.parametrize("flags", [(), ("-all",), ("-q", "residentbird")])
     def test_one_ground_call_per_run(self, monkeypatch, flags):
+        # inference grounds through _ground_live, the translations through
+        # ground; either counts as the one grounding of a run
+        printed = "residentbird(jo) 0.665240955775\n" if "-q" in flags else 'unsat(5,"1.000000")'
         calls = []
-        real = cli.ground
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
+        def counting(real):
+            def call(*args, **kwargs):
+                calls.append(real.__name__)
+                return real(*args, **kwargs)
+            return call
 
         for module in (cli, asp_backend, inference):
-            monkeypatch.setattr(module, "ground", counting)
+            monkeypatch.setattr(module, "ground", counting(grounder.ground))
+        monkeypatch.setattr(cli, "_ground_live", counting(grounder._ground_live))
         code, out, _ = invoke("-i", BIRD, *flags)
-        assert code == 0 and 'unsat(5,"1.000000")' in out
-        assert len(calls) == 1
+        assert code == 0 and printed in out
+        assert calls == ["_ground_live"]
 
     @pytest.mark.parametrize("flags", [(), ("-all",)])
     def test_one_compiled_program_per_run(self, monkeypatch, flags):

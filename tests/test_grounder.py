@@ -4,13 +4,14 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lpmln import check_safety, ground
+from lpmln import check_safety, fixture_path, ground, parse_evidence, parse_program
 from lpmln.grounder import (
-    EmptyUniverseError, GroundingCapError, UnsafeRuleError,
+    EmptyUniverseError, GroundingCapError, GroundingError, UnsafeRuleError, _ground_live,
 )
 from lpmln.inference import distribution
-from lpmln.model import Term
-from helpers import P, naive_atoms, naive_ground
+from lpmln.model import Term, merge_programs
+from helpers import P, naive_atoms, naive_ground, naive_live
+from strategies import programs, safe_programs
 
 
 class TestCheckSafety:
@@ -191,3 +192,127 @@ class TestAgainstNaiveGrounder:
         assert len({id(a) for a in atoms}) == len(set(atoms)) == len(gp.atoms)
         assert len({id(l) for l in literals}) == len(set(literals))
         assert all(any(a is b for b in gp.atoms) for a in atoms)
+
+
+def _reach_text(index: int, n: int = 14) -> str:
+    """Transitive closure over a chain of ``n`` nodes with five cuts, plus
+    five soft edges."""
+    rng = random.Random(f"reach{n}/{index}")
+    cuts = set(rng.sample(range(n - 1), 5))
+    lines = [f"node(n{i})." for i in range(n)]
+    lines += [f"edge(n{i}, n{i + 1})." for i in range(n - 1) if i not in cuts]
+    lines += [f"{rng.uniform(-2, 2):.4f} edge(n{rng.randrange(n)}, n{rng.randrange(n)})."
+              for _ in range(5)]
+    return ("path(X, Y) :- edge(X, Y).\npath(X, Y) :- path(X, Z), path(Z, Y).\n"
+            "reach(X) :- path(n0, X).\n" + "\n".join(lines) + "\n")
+
+
+def _clique_text(index: int, n: int = 10) -> str:
+    rng = random.Random(f"clique{n}/{index}")
+    rules = "".join(l + "\n" for l in fixture_path("clique10.lpmln").read_text(
+        encoding="utf-8").splitlines() if not l.startswith(("node", "edge")))
+    return rules + "".join(f"node(n{i}).\n" for i in range(n)) + "".join(
+        f"edge(n{i}, n{j}).\n" for i in range(n) for j in range(n)
+        if i == j or rng.random() < 0.5)
+
+
+def _fixture_programs():
+    """Every fixture program, alone and merged with each of its evidence
+    files (``bird_evid.db`` goes with ``bird.*``, ``fire_evid_*`` with
+    ``fire_bayes``)."""
+    folder = fixture_path("bird.lpmln").parent
+    evidence = sorted(folder.glob("*_evid*.db"))
+    for path in sorted(folder.glob("*.lp*")):
+        if ".golden." in path.name:
+            continue
+        program = parse_program(path.read_text(encoding="utf-8"))
+        yield path.name, program
+        for ev in evidence:
+            if path.stem.startswith(ev.name.split("_evid")[0]):
+                yield f"{path.name}+{ev.name}", merge_programs(
+                    program, parse_evidence(ev.read_text(encoding="utf-8")))
+
+
+_FACTS = ("q(a).", 'q("c d").', "r(a, b1).", "r(b1, 0).", "r(0, a).", "z.")
+
+
+class TestGroundLive:
+    """``_ground_live`` keeps exactly the instances ``naive_live`` keeps, in
+    ``ground``'s order, with ``ground``'s atoms, and fails as ``ground``
+    fails."""
+
+    @staticmethod
+    def check(program):
+        try:
+            full = ground(program)
+        except GroundingError as e:
+            with pytest.raises(type(e)) as caught:
+                _ground_live(program)
+            assert str(caught.value) == str(e)
+            return
+        live = _ground_live(program)
+        assert live.rules == naive_live(program).rules
+        assert live.atoms == full.atoms
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(safe_programs(5), st.sets(st.sampled_from(_FACTS)))
+    def test_property_generated_programs(self, program, facts):
+        # choices, not not, != against variables and constants, recursion
+        # through q/1 and r/2, constraints; the facts make bodies derivable
+        self.check(merge_programs(program, P("".join(sorted(facts)))))
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(programs(4))
+    def test_property_unsafe_and_empty_universe_programs(self, program):
+        self.check(program)
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(st.data())
+    def test_property_rules_over_a_domain(self, data):
+        lines = ["dom(a).", "dom(b)."]
+        lines += [_draw_rule(data) for _ in range(data.draw(st.integers(1, 4)))]
+        self.check(P("\n".join(lines) + "\n"))
+
+    def test_fixtures_under_each_evidence_file(self):
+        names = []
+        for name, program in _fixture_programs():
+            self.check(program)
+            names.append(name)
+        assert "fire_bayes.lpmln+fire_evid_diagnostic.db" in names
+        assert "bird.lpmln+bird_evid.db" in names
+
+    @pytest.mark.parametrize("name", ["reach14/0", "reach14/3", "clique10/0", "clique10.lpmln"])
+    def test_reach_and_clique_instances(self, name):
+        family, _, index = name.partition("/")
+        if not index:
+            text = fixture_path(name).read_text(encoding="utf-8")
+        else:
+            text = (_reach_text if family == "reach14" else _clique_text)(int(index))
+        self.check(P(text))
+
+    def test_errors_match_ground(self):
+        for text in ("p(a).\nq(X) :- not p(X).\n", "p(X) :- q(X).\n", "{p(X)} :- not q(X).\n"):
+            self.check(P(text))
+
+    def test_a_not_not_instance_with_a_head_is_kept(self):
+        # a derives q only through the first rule, which its not not atom
+        # kills; kept, it leaves the engine the same derivable atoms and so
+        # the same free atoms and model order as ground's instances
+        gp = _ground_live(P("a :- not not b.\n1 q :- a.\nq :- not p.\n{p}.\n:- not not b.\n"))
+        assert [r.origin_index for r in gp.rules] == [1, 2, 3, 4]
+
+    def test_cap_bounds_every_join_level(self):
+        # no instance of rule 5 can fire, but the join of p(X), p(Y) holds 16
+        # bindings before s(Y) rules them all out
+        text = "p(a). p(b). p(c). p(d).\nr :- p(X), p(Y), s(Y).\n"
+        assert len(_ground_live(P(text), cap=16).rules) == 4
+        with pytest.raises(GroundingCapError):
+            _ground_live(P(text), cap=15)
+
+    def test_cap_bounds_the_substitutions_found(self):
+        # 1 + 2 + ... + 6 path instances can fire on a chain of seven nodes
+        text = "".join(f"e({i}, {i + 1}).\n" for i in range(6)) + \
+            "p(X, Y) :- e(X, Y).\np(X, Z) :- p(X, Y), e(Y, Z).\n"
+        assert len(_ground_live(P(text), cap=6 + 21).rules) == 27
+        with pytest.raises(GroundingCapError):
+            _ground_live(P(text), cap=26)
