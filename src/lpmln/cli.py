@@ -8,8 +8,10 @@ with -e conditionals, -all lists every stable model with its probability,
 otherwise a MAP estimate is printed.  --mode emit-asp-pnt / emit-asp-rwd /
 emit-mln export the translations instead of running inference.  Inference
 weighs in penalty mode, where an instance that cannot fire is never
-violated, so it grounds only the instances that can (``_ground_live``);
-the translations ground every instance.
+violated, so it grounds only the instances that can (``_ground_live``),
+over the atoms of those instances and, under -q, every atom of a queried
+predicate, so that an underivable one prints at 0; the translations
+ground every instance.
 
 Exit codes: 0 success (-h too, its help on run's stdout), 1 parse, safety
 or usage error (an LPMLN_ATOM_CAP that is not a non-negative integer and
@@ -251,7 +253,7 @@ def run(argv, stdout=None, stderr=None) -> int:
         else:
             merged = merge_programs(program, evidence) if evidence else program
             # penalty weighing: an instance that cannot fire is never violated
-            gp = _ground_live(merged)
+            gp = _ground_live(merged, query=preds or ())
             try:
                 if args.map_mode or not (preds is not None or args.all_models):
                     text = _render_map(gp, hard_mode, cap, args.scale)

@@ -239,7 +239,12 @@ class StableModelEnumerator:
         # so propagation under the empty assignment, which ignores negation,
         # derives it.  A rule with a positive or double-negated body atom
         # outside that set is satisfied by every model and never fires in
-        # its reduct: the analysis and the specialisation skip it.
+        # its reduct: the analysis and the specialisation skip it.  The
+        # CLI's grounder (_ground_live) has bounded derivability already,
+        # but this pass stays: library callers hand in all of ground's
+        # instances, and _ground_live keeps an instance with a head atom and
+        # an underivable ``not not`` atom on purpose, so that this set, and
+        # with it the free atoms, is the same from either grounder.
         derivable = _propagate(self.comp.rules, 0, -1, 0)
         self._live = [r for r in self.comp.rules if not (r.pos | r.neg2) & ~derivable]
         self._analyze()

@@ -19,12 +19,14 @@ against the atoms derived so far, one literal over the atoms new in the
 last round, on indexes of the bound argument positions; a rule without
 variables waits on a count of its underived positive atoms instead.  It
 shares the desugaring, ``_compile``, ``_Pool`` and the instance build
-(``_instances``) with ``ground``, keeps ``ground``'s order, errors and
-cap, and has ``ground``'s atoms, built as keys and made objects only when
-some instance was not built.  An instance that cannot fire is satisfied
-by every candidate and never counted in penalty mode, so inference gives
-the same output from either; reward mode would count it, so the library
-keeps ``ground``.
+(``_instances``) with ``ground``, and keeps ``ground``'s order, errors
+and cap.  Its atoms are those of the instances it keeps, which are all
+that can be true in a stable model, and ``ground``'s atoms of the
+predicates queried, so that an underivable query atom prints at 0.  An
+instance that cannot fire is satisfied by every candidate and never
+counted in penalty mode, and an atom of none kept is false in every
+candidate, so inference gives the same output from either; reward mode
+would count such an instance, so the library keeps ``ground``.
 """
 
 from __future__ import annotations
@@ -172,6 +174,7 @@ def ground(program: Program, cap: int = DEFAULT_GROUND_CAP,
             raise GroundingCapError(cap)
     gp = GroundProgram(tuple(out))
     # every pooled atom occurs in a rule: this is what the property computes
+    # (not so in _ground_live, whose pool holds its query's atoms too)
     gp.__dict__["atoms"] = tuple(sorted(pool.atoms.values(), key=atom_sort_key))
     return gp
 
@@ -184,9 +187,11 @@ def _instances(rule: Rule, heads, body, combos) -> list[GroundRule]:
             for subst, ids in combos]
 
 
-def _ground_live(program: Program, cap: int = DEFAULT_GROUND_CAP) -> GroundProgram:
-    """The instances of ``ground(program)`` that can fire, in its order, and
-    all of its atoms.
+def _ground_live(program: Program, cap: int = DEFAULT_GROUND_CAP,
+                 query: tuple[str, ...] = ()) -> GroundProgram:
+    """The instances of ``ground(program)`` that can fire, in its order,
+    with their atoms and, for each predicate name in ``query``, all of
+    ``ground``'s atoms of that name.
 
     An atom is derivable when it heads an instance whose positive body
     atoms are derivable, negation ignored: the least model by which the
@@ -198,8 +203,9 @@ def _ground_live(program: Program, cap: int = DEFAULT_GROUND_CAP) -> GroundProgr
     not`` atom outside that model is left out too, unless it has a head
     atom: the engine then derives the same atoms from the instances kept as
     from ``ground``'s, keeps the same rules of both and finds the same free
-    atoms.  ``cap`` bounds each level of each join and the substitutions
-    found in all.
+    atoms.  An atom of no instance kept is false in every stable model; the
+    query's are listed so that they print at 0.  ``cap`` bounds each level
+    of each join and the substitutions found in all.
     """
     program = _desugar_safe(program)
     universe = program.universe
@@ -224,7 +230,6 @@ def _ground_live(program: Program, cap: int = DEFAULT_GROUND_CAP) -> GroundProgr
         return all(tuple([ids[s] if s >= 0 else ~s for s in args]) in known.get(p, ())
                    for p, args in src)
     out: list[GroundRule] = []
-    every = True  # whether every instance is built, and with it every atom
     for plan in plans:
         if type(plan) is int:
             rule = waiting.rules[plan]
@@ -235,10 +240,11 @@ def _ground_live(program: Program, cap: int = DEFAULT_GROUND_CAP) -> GroundProgr
                     tuple([pool.get(a.predicate, a.args, None) for a in rule.head]),
                     tuple([pool.get(el.atom.predicate, el.atom.args, el.negation)
                            for el in rule.body if isinstance(el, Literal)])))
-            else:
-                every = False
+            for a in list(rule.head) + [el.atom for el in rule.body if isinstance(el, Literal)]:
+                if a.predicate in query:  # pooled, kept or not, to print at 0
+                    pool.get(a.predicate, a.args, None)
             continue
-        rule, (heads, body, unequal) = plan.rule, plan.compiled
+        rule, (heads, body, _) = plan.rule, plan.compiled
         k = len(plan.variables)
         if len(plan.found) == len(universe) ** k:  # every substitution, in product order
             combos = zip(product(universe, repeat=k), product(range(len(universe)), repeat=k))
@@ -246,14 +252,12 @@ def _ground_live(program: Program, cap: int = DEFAULT_GROUND_CAP) -> GroundProgr
             combos = ((tuple([universe[i] for i in ids]), ids) for ids in sorted(plan.found))
         if not rule.head and plan.neg2:
             combos = ((subst, ids) for subst, ids in combos if derived(plan.neg2, ids))
-        before = len(out)
         out += _instances(rule, heads, body, combos)
-        every = every and not unequal and len(out) - before == len(universe) ** k
+        for predicate, ids in _atom_keys(plan, query, len(universe), cap):
+            pool.get(predicate, tuple([universe[i] for i in ids]), None)
     gp = GroundProgram(tuple(out))
-    if every:
-        gp.__dict__["atoms"] = tuple(sorted(pool.atoms.values(), key=atom_sort_key))
-    else:
-        gp.__dict__["atoms"] = _atoms(plans, waiting, pool, at, cap)
+    # the atoms of the instances kept and the query's: those in the pool
+    gp.__dict__["atoms"] = tuple(sorted(pool.atoms.values(), key=atom_sort_key))
     return gp
 
 
@@ -285,27 +289,9 @@ def _derive(joins: list[_Join], waiting: _Waiting, cap: int) -> dict[tuple, set]
                 delta[p] = tuples
 
 
-def _atoms(plans: list, waiting: _Waiting, pool: _Pool, at: dict, cap: int) -> tuple[Atom, ...]:
-    """``ground``'s atoms, from keys: the pooled atom where there is one."""
-    keys: set[tuple] = set()
-    for plan in plans:
-        if type(plan) is int:
-            rule = waiting.rules[plan]
-            for a in list(rule.head) + [el.atom for el in rule.body if isinstance(el, Literal)]:
-                (predicate, n), ids = _key(a, at)
-                keys.add((predicate, n, ids))
-        else:
-            _atom_keys(plan, len(pool.universe), cap, keys)
-    pooled = {(a.predicate, len(a.args), tuple([at[t.name] for t in a.args])): a
-              for a in pool.atoms.values()}
-    # atom_sort_key order: the universe is sorted, so positions sort as names do
-    return tuple([pooled.get(key) or Atom(key[0], tuple([pool.universe[i] for i in key[2]]))
-                  for key in sorted(keys)])
-
-
-def _atom_keys(plan: _Join, size: int, cap: int, keys: set) -> None:
-    """Add to ``keys`` the atoms of every instance of the rule that
-    ``ground`` builds, each as ``(predicate, arity, universe positions)``.
+def _atom_keys(plan: _Join, query: tuple[str, ...], size: int, cap: int) -> set[tuple]:
+    """The atoms named in ``query`` of every instance of the rule that
+    ``ground`` builds, each as ``(predicate, universe positions)``.
 
     An atom occurrence's instances are the values of its own variables
     under the inequalities among them and against constants: each other
@@ -313,9 +299,10 @@ def _atom_keys(plan: _Join, size: int, cap: int, keys: set) -> None:
     values than it has inequalities.  Otherwise every substitution is
     tried, as ``ground`` does."""
     unequal = plan.compiled[2]
-    occurrences = plan.heads + plan.literals
+    occurrences = [(p, src) for (p, _), src in plan.heads + plan.literals if p in query]
+    keys: set[tuple] = set()
     shapes = set()
-    for (predicate, n), src in occurrences:
+    for predicate, src in occurrences:
         own = list(dict.fromkeys(s for s in src if s >= 0))
         if any(sum(1 for x, c in unequal if s in (x, c)) >= size
                for s in range(len(plan.variables)) if s not in own):
@@ -329,17 +316,18 @@ def _atom_keys(plan: _Join, size: int, cap: int, keys: set) -> None:
         shapes.add((predicate, spec, within))
         for combo in product(range(size), repeat=len(own)):
             if all(combo[x] != (combo[c] if c >= 0 else ~c) for x, c in within):
-                keys.add((predicate, n, tuple([combo[s] if s >= 0 else ~s for s in spec])))
+                keys.add((predicate, tuple([combo[s] if s >= 0 else ~s for s in spec])))
     else:
-        return
+        return keys
     count = 0
     for ids in product(range(size), repeat=len(plan.variables)):
         if all(ids[x] != (ids[c] if c >= 0 else ~c) for x, c in unequal):
             count += 1
             if count > cap:
                 raise GroundingCapError(cap)
-            for (predicate, n), src in occurrences:
-                keys.add((predicate, n, tuple([ids[s] if s >= 0 else ~s for s in src])))
+            for predicate, src in occurrences:
+                keys.add((predicate, tuple([ids[s] if s >= 0 else ~s for s in src])))
+    return keys
 
 
 def _key(a: Atom, at: dict) -> tuple:

@@ -417,7 +417,7 @@ class TestExitCodes:
     def test_grounding_cap(self, monkeypatch):
         # a GroundingCapError is a ValueError, and still exits 2; inference
         # grounds through _ground_live
-        def capped(program):
+        def capped(program, query=()):
             raise grounder.GroundingCapError(5)
         monkeypatch.setattr(cli, "_ground_live", capped)
         code, out, err = invoke("-i", BIRD)

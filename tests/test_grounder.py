@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lpmln import check_safety, fixture_path, ground, parse_evidence, parse_program
+from lpmln.engine import StableModelEnumerator, _bit_indices
 from lpmln.grounder import (
     EmptyUniverseError, GroundingCapError, GroundingError, UnsafeRuleError, _ground_live,
 )
@@ -233,13 +234,25 @@ def _fixture_programs():
                     program, parse_evidence(ev.read_text(encoding="utf-8")))
 
 
+def _engine_view(gp, hard_mode: str) -> tuple:
+    """The enumerator's free atoms in order, its sure atoms and its live
+    rules as ``(origin_index, subst)``."""
+    enum = StableModelEnumerator(gp, hard_mode)
+    atoms = enum.comp.atoms
+    return ([atoms[p] for p in enum.free_positions],
+            {atoms[p] for p in _bit_indices(enum.sure)},
+            [(gp.rules[r.index].origin_index, gp.rules[r.index].subst) for r in enum._live])
+
+
 _FACTS = ("q(a).", 'q("c d").', "r(a, b1).", "r(b1, 0).", "r(0, a).", "z.")
 
 
 class TestGroundLive:
     """``_ground_live`` keeps exactly the instances ``naive_live`` keeps, in
-    ``ground``'s order, with ``ground``'s atoms, and fails as ``ground``
-    fails."""
+    ``ground``'s order, with their atoms and ``ground``'s atoms of each
+    predicate queried, and fails as ``ground`` fails.  The engine finds the
+    same free and sure atoms and the same live rules in it as in
+    ``ground``'s."""
 
     @staticmethod
     def check(program):
@@ -252,7 +265,17 @@ class TestGroundLive:
             return
         live = _ground_live(program)
         assert live.rules == naive_live(program).rules
-        assert live.atoms == full.atoms
+        assert live.atoms == naive_atoms(live)
+        names = sorted({a.predicate for a in full.atoms})
+        every = _ground_live(program, query=tuple(names))
+        assert (every.rules, every.atoms) == (live.rules, full.atoms)
+        for q in names:
+            atoms = _ground_live(program, query=(q,)).atoms
+            assert [a for a in atoms if a.predicate == q] == \
+                [a for a in full.atoms if a.predicate == q]
+            assert all(a.predicate == q for a in set(atoms) - set(live.atoms))
+        for hard_mode in ("strict", "relaxed"):
+            assert _engine_view(live, hard_mode) == _engine_view(full, hard_mode)
 
     @settings(derandomize=True, database=None, max_examples=300, deadline=None)
     @given(safe_programs(5), st.sets(st.sampled_from(_FACTS)))

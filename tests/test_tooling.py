@@ -110,6 +110,23 @@ def _mentions(tree: ast.AST, name: str) -> list[ast.AST]:
             or isinstance(n, ast.alias) and n.name == name]
 
 
+def test_every_private_top_level_definition_has_a_use():
+    # a private function or class that nothing else in the package names
+    # is dead code: a helper whose last caller went, say
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(Path(lpmln.__file__).parent.glob("*.py"))}
+    unused = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
+                    or not node.name.startswith("_") or node.name.startswith("__"):
+                continue
+            own = {id(n) for n in ast.walk(node)}
+            if all(id(n) in own for t in trees.values() for n in _mentions(t, node.name)):
+                unused.append((module, node.name))
+    assert unused == []
+
+
 def test_slices_are_read_back_and_weighed_by_one_owner_each():
     # engine._Records reads back and counts every slice record, of stable
     # models, weighted-formula worlds or one interpretation alike, and
