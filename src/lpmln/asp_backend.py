@@ -16,10 +16,14 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .engine import DEFAULT_ATOM_CAP, StableModelEnumerator, _bit_indices, _Compiled
-from .grounder import GroundProgram, GroundRule, UnsafeRuleError, _desugar_safe, ground
+from .grounder import (
+    DEFAULT_GROUND_CAP, GroundProgram, GroundRule, UnsafeRuleError, _desugar_safe, _Pool, _walk,
+    ground,
+)
 from .inference import _check_scale, _scaled
 from .model import (
-    HARD, Atom, Interpretation, Literal, Program, Rule, Term, Weight, _rule_line, format_rule,
+    HARD, Atom, Interpretation, Literal, Program, Rule, Term, Weight, _Memo, _rule_line,
+    format_rule,
 )
 
 UNSAT = "unsat"
@@ -97,44 +101,14 @@ def _negate(lit: Literal) -> Literal:
     return Literal(lit.atom, 1 if lit.negation != 1 else 2)
 
 
-def _reward_parts(indexed: Iterable[tuple[int, GroundRule]], scale: int):
-    """The reward translation of ``(index, ground rule)`` pairs, one rule at
-    a time: ``(index, marker, sat_bodies, head, body, weight, level)``, that
-    is the rule's index term, its marker ``sat(index, w)``, the one-literal
-    bodies of its sat rules (each head atom, then the negation of each body
-    literal), its head, its body, and its weak constraint's weight and
-    level.  ``ground`` has desugared choices and decided inequalities."""
-    # built once per distinct object: the sat-rule body ``(h,)`` of a head
-    # atom, ``(negation,)`` of a body literal, and a weight's token
-    holds: dict[Atom, tuple[Literal]] = {}
-    negated: dict[Literal, tuple[Literal]] = {}
-    tokens: dict[float | None, Term] = {}
-
-    for i, r in indexed:
-        sat_bodies = []
-        for h in r.head:
-            b = holds.get(h)
-            if b is None:
-                b = holds[h] = (Literal(h, 0),)
-            sat_bodies.append(b)
-        for lit in r.body:
-            b = negated.get(lit)
-            if b is None:
-                b = negated[lit] = (_negate(lit),)
-            sat_bodies.append(b)
-
-        w = r.weight
-        token = tokens.get(w.value)
-        if token is None:
-            token = _weight_token(w)
-            if w.value != 0:  # 0.0 and -0.0 are one key but two tokens
-                tokens[w.value] = token
-        marker = _marker(SAT, i, token, ())
-        if w.is_hard:
-            weight, level = -scale, 1
-        else:
-            weight, level = -_scaled(w.value, scale), 0
-        yield marker.args[0], marker, sat_bodies, r.head, r.body, weight, level
+def _reward_rule(w: Weight, scale: int) -> tuple[Term, int, int]:
+    """The reward translation's decisions for a rule of weight ``w``: the
+    weight token of its ``sat`` markers, and its weak constraint's weight
+    and level.  The sat bodies are each head atom, then ``_negate`` of each
+    body literal."""
+    if w.is_hard:
+        return _weight_token(w), -scale, 1
+    return _weight_token(w), -_scaled(w.value, scale), 0
 
 
 def translate_reward(program: Program, scale: int = 1000) -> TranslatedProgram:
@@ -155,30 +129,68 @@ def translate_reward(program: Program, scale: int = 1000) -> TranslatedProgram:
     gp = ground(program, cap=len(program.rules))
     rules: list[Rule] = []
     weak: list[WeakConstraint] = []
-    parts = _reward_parts(((g.origin_index, g) for g in gp.rules), scale)
-    for index, marker, sat_bodies, head, body, weight, level in parts:
+    for g in gp.rules:
+        token, weight, level = _reward_rule(g.weight, scale)
+        marker = _marker(SAT, g.origin_index, token, ())
         sat_head = (marker,)
-        for b in sat_bodies:
-            rules.append(Rule(len(rules) + 1, HARD, sat_head, b))
-        rules.append(Rule(len(rules) + 1, HARD, head, (*body, Literal(marker, 2))))
-        weak.append(WeakConstraint((Literal(marker, 0),), weight, level, (index,)))
+        for b in [Literal(h, 0) for h in g.head] + [_negate(lit) for lit in g.body]:
+            rules.append(Rule(len(rules) + 1, HARD, sat_head, (b,)))
+        rules.append(Rule(len(rules) + 1, HARD, g.head, (*g.body, Literal(marker, 2))))
+        weak.append(WeakConstraint((Literal(marker, 0),), weight, level, (marker.args[0],)))
     return TranslatedProgram(tuple(rules), tuple(weak), scale, "reward",
                              program.universe)
 
 
-def _reward_text(gp: GroundProgram, scale: int) -> str:
-    """``emit_asp_text(translate_reward(ground_to_program(gp), scale))``,
-    rendered from the ground rules, numbered from 1, without building the
-    translated records; ``scale`` is checked by the caller."""
+def _body_texts(lit: Literal) -> tuple[str, str]:
+    """A body literal's text, and the text of its negation (its sat body)."""
+    return str(lit), str(_negate(lit))
+
+
+def _reward_template(n_head: int, n_body: int) -> str:
+    """The format string of the rules of one instance of a rule with
+    ``n_head`` head atoms and ``n_body`` body literals, one per line: field
+    0 is the instance's marker, the next ``n_head`` the head atoms' texts
+    and the rest the body literals' ``_body_texts``."""
+    heads = [f"{{{i}}}" for i in range(1, n_head + 1)]
+    body = range(n_head + 1, n_head + n_body + 1)
+    sat_bodies = heads + [f"{{{j}[1]}}" for j in body]
+    # the guard is the marker under ``not not``
+    guarded = [f"{{{j}[0]}}" for j in body] + ["not not {0}"]
+    return "\n".join([_rule_line(("{0}",), (b,)) for b in sat_bodies]
+                     + [_rule_line(heads, guarded)])
+
+
+def _reward_text(program: Program, scale: int, cap: int = DEFAULT_GROUND_CAP) -> str:
+    """``emit_asp_text(translate_reward(ground_to_program(ground(program,
+    cap)), scale))``, with ``ground``'s errors, rendered per source rule
+    from its compiled occurrences: the rule's decisions and line template
+    are made once, each occurrence's texts once per instance key, and each
+    substitution fills the template with its marker, numbered from 1 in
+    ``ground``'s order.  No ground rule, marker atom or translated record
+    is built; ``scale`` is checked by the caller."""
     lines: list[str] = []
     weak: list[str] = []
-    for index, marker, sat_bodies, head, body, weight, level in _reward_parts(
-            enumerate(gp.rules, start=1), scale):
-        m = str(marker)
-        lines += [_rule_line((m,), (str(lit),)) for (lit,) in sat_bodies]
-        # the guard is the marker under ``not not``
-        lines.append(_rule_line(map(str, head), [*map(str, body), "not not " + m]))
-        weak.append(_weak_line((m,), weight, level, (index.name,)))
+    n = 0
+    # per _Instances, which _walk shares among alike occurrences, the texts
+    # of ``form`` of its instances, by the same key
+    memos: dict[int, _Memo] = {}
+
+    def memo(made, form) -> _Memo:
+        texts = memos.get(id(made))
+        if texts is None:
+            texts = memos[id(made)] = _Memo(lambda key: form(made[key]))
+        return texts
+    for rule, heads, body, combos in _walk(program, _Pool(program.universe), cap):
+        token, weight, level = _reward_rule(rule.weight, scale)
+        fill = _reward_template(len(heads), len(body)).format
+        fill_weak = _weak_line(("{0}",), weight, level, ("{1}",)).format
+        slots = ([(key, memo(made, str)) for key, made in heads]
+                 + [(key, memo(made, _body_texts)) for key, made in body])
+        for _, ids in combos:
+            n += 1
+            m = f"{SAT}({n},{token})"  # the marker sat(n, token), as Atom.__str__ writes it
+            lines.append(fill(m, *[texts[key(ids)] for key, texts in slots]))
+            weak.append(fill_weak(m, n))
     lines += weak
     lines.append("")  # every line ends in a newline
     return "\n".join(lines)

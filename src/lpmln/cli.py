@@ -10,8 +10,10 @@ emit-mln export the translations instead of running inference.  Inference
 weighs in penalty mode, where an instance that cannot fire is never
 violated, so it grounds only the instances that can (``_ground_live``),
 over the atoms of those instances and, under -q, every atom of a queried
-predicate, so that an underivable one prints at 0; the translations
-ground every instance.
+predicate, so that an underivable one prints at 0.  The translations
+cover every instance: emit-asp-rwd renders its text straight from each
+source rule's substitutions (``asp_backend._reward_text``), without
+grounding the program first; emit-mln grounds it.
 
 Exit codes: 0 success (-h too, its help on run's stdout), 1 parse, safety
 or usage error (an LPMLN_ATOM_CAP that is not a non-negative integer and
@@ -43,7 +45,7 @@ from pathlib import Path
 from . import asp_backend, inference, mln_backend
 from .engine import DEFAULT_ATOM_CAP, EnumerationCapError, _bit_indices
 from .grounder import GroundingCapError, _ground_live, ground
-from .model import atom_sort_key, merge_programs
+from .model import _Memo, atom_sort_key, merge_programs
 from .parser import parse_evidence, parse_program, parse_query_spec
 
 EXIT_OK = 0
@@ -106,18 +108,6 @@ def _decimal(text: str) -> int:
 
 def _fmt(p: float) -> str:
     return f"{p:.12g}"
-
-
-class _Memo(dict):
-    """A dict that fills a missing key with ``make(key)``."""
-
-    def __init__(self, make):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        value = self[key] = self.make(key)
-        return value
 
 
 def _byte_tables(items: list, combine) -> list[_Memo]:
@@ -243,7 +233,7 @@ def run(argv, stdout=None, stderr=None) -> int:
                                                translate_hard=args.relax_hard)
             text = asp_backend.emit_asp_text(tp)
         elif args.mode == "emit-asp-rwd":
-            text = asp_backend._reward_text(ground(program), args.scale)
+            text = asp_backend._reward_text(program, args.scale)
         elif args.mode == "emit-mln":
             mln = mln_backend.tseytin(mln_backend.complete(ground(program)))
             text = mln_backend.emit_mln_text(mln)

@@ -184,6 +184,16 @@ class _Compiled:
         return ((1 << len(self.rules)) - 1) & ~violated if reward else violated
 
 
+def _compiled(gp: GroundProgram) -> _Compiled:
+    """``gp``'s ``_Compiled``, built on first use and kept on ``gp``, as
+    ``ground`` keeps its atoms: it is never changed once built.  Pickles and
+    copies of ``gp`` leave it behind (``GroundProgram.__getstate__``)."""
+    comp = gp.__dict__.get("_compiled")
+    if comp is None:
+        comp = gp.__dict__["_compiled"] = _Compiled(gp)
+    return comp
+
+
 def _minimal_subsets(reduct, bits: int, fixed: int = 0) -> bool:
     """Minimality by subset search: no proper subset of I that keeps the
     atoms ``fixed`` models the reduct."""

@@ -8,8 +8,13 @@ deterministic (source rule index, then lexicographic substitution).  Each
 rule is compiled once: a variable becomes its position in a substitution,
 inequalities are decided on those positions before any object is built,
 and each atom occurrence keeps its instances by the values of the
-variables it uses.  Ground atoms and literals are pooled, so one ground
-atom is one object throughout the program.
+variables it uses (occurrences alike but for their variables' names share
+them).  Ground atoms and literals are pooled, so one ground atom is one
+object throughout the program.  The substitutions are walked in one place,
+``_walk``, with the universe product, the inequality filter, the cap and
+the walk's errors: ``ground`` builds its instances from it, and the reward
+translation's text (``asp_backend._reward_text``) is rendered from it
+without building any.
 
 ``_ground_live``, which the CLI's inference calls, builds only the
 instances that can fire: those whose positive body atoms are derivable
@@ -33,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice, product
+from itertools import count, islice, product
 from operator import itemgetter
 
 from .model import (
@@ -95,6 +100,11 @@ class GroundProgram:
     def __len__(self) -> int:
         return len(self.rules)
 
+    def __getstate__(self) -> dict:
+        # the engine's compiled form (engine._compiled) is a cache: it stays
+        # out of pickles and copies, as Atom's hash does
+        return {k: v for k, v in self.__dict__.items() if k != "_compiled"}
+
     @cached_property
     def atoms(self) -> tuple[Atom, ...]:
         """All atoms occurring in the ground rules, deterministically ordered."""
@@ -150,33 +160,51 @@ def ground(program: Program, cap: int = DEFAULT_GROUND_CAP,
     program's own constant set (used when grounding generated programs whose
     bookkeeping terms must not enter the substitution domain).
     """
-    program = _desugar_safe(program)
-    if universe is None:
-        universe = program.universe
-    pool = _Pool(universe)
+    pool = _Pool(program.universe if universe is None else universe)
     out: list[GroundRule] = []
-    for rule in program.rules:
-        variables = rule.variables()
-        if variables and not universe:
-            raise EmptyUniverseError(rule.index)
-        compiled = _compile(rule, variables, pool)
-        if compiled is None:
-            continue  # an inequality fails under every substitution
-        heads, body, unequal = compiled
-        # each substitution as its terms and as their universe positions
-        combos = zip(product(universe, repeat=len(variables)),
-                     product(range(len(universe)), repeat=len(variables)))
-        if unequal:
-            combos = ((subst, ids) for subst, ids in combos
-                      if not any(ids[i] == (ids[j] if j >= 0 else ~j) for i, j in unequal))
-        out += _instances(rule, heads, body, islice(combos, cap + 1 - len(out)))
-        if len(out) > cap:
-            raise GroundingCapError(cap)
+    for rule, heads, body, combos in _walk(program, pool, cap):
+        out += _instances(rule, heads, body, combos)
     gp = GroundProgram(tuple(out))
     # every pooled atom occurs in a rule: this is what the property computes
     # (not so in _ground_live, whose pool holds its query's atoms too)
     gp.__dict__["atoms"] = tuple(sorted(pool.atoms.values(), key=atom_sort_key))
     return gp
+
+
+def _walk(program: Program, pool: _Pool, cap: int):
+    """``ground``'s instances of ``program`` over ``pool``'s universe, one
+    source rule at a time: per desugared rule that an inequality does not
+    rule out, ``(rule, heads, body, combos)``, its occurrences as
+    ``_compile`` gives them and an iterator over its substitutions, each as
+    ``(subst, ids)``, the terms substituted and their universe positions,
+    in product order under its inequalities.  The caller takes all of
+    ``combos`` before the next rule.  Raises ``EmptyUniverseError`` for a
+    rule with variables over an empty universe and ``GroundingCapError``
+    once the rules so far have more than ``cap`` instances."""
+    program = _desugar_safe(program)
+    universe = pool.universe
+    shared: dict = {}
+    left = cap + 1  # instances to take before the cap is exceeded
+    for rule in program.rules:
+        variables = rule.variables()
+        if variables and not universe:
+            raise EmptyUniverseError(rule.index)
+        compiled = _compile(rule, variables, pool, shared)
+        if compiled is None:
+            continue  # an inequality fails under every substitution
+        heads, body, unequal = compiled
+        combos = zip(product(universe, repeat=len(variables)),
+                     product(range(len(universe)), repeat=len(variables)))
+        if unequal:
+            combos = ((subst, ids) for subst, ids in combos
+                      if not any(ids[i] == (ids[j] if j >= 0 else ~j) for i, j in unequal))
+        # lazily, so that product can reuse its tuples; ``taken`` counts the
+        # substitutions the caller took, as zip draws on it after each one
+        taken = count()
+        yield rule, heads, body, islice(map(_first, zip(combos, taken)), left)
+        left -= next(taken)
+        if not left:
+            raise GroundingCapError(cap)
 
 
 def _instances(rule: Rule, heads, body, combos) -> list[GroundRule]:
@@ -210,6 +238,7 @@ def _ground_live(program: Program, cap: int = DEFAULT_GROUND_CAP,
     program = _desugar_safe(program)
     universe = program.universe
     pool = _Pool(universe)
+    shared: dict = {}
     at = {t.name: i for i, t in enumerate(universe)}
     waiting = _Waiting()
     plans: list = []  # per rule with instances: its _Join, or its number in ``waiting``
@@ -221,7 +250,7 @@ def _ground_live(program: Program, cap: int = DEFAULT_GROUND_CAP,
             continue
         if not universe:
             raise EmptyUniverseError(rule.index)
-        compiled = _compile(rule, variables, pool)
+        compiled = _compile(rule, variables, pool, shared)
         if compiled is not None:
             plans.append(_Join(rule, variables, compiled, at))
     known = _derive([plan for plan in plans if type(plan) is _Join], waiting, cap)
@@ -599,9 +628,14 @@ class _Instances(dict):
         return made
 
 
-def _occurrence(a: Atom, negation: int | None, slot: dict[str, int], pool: _Pool):
+def _occurrence(a: Atom, negation: int | None, slot: dict[str, int], pool: _Pool,
+                shared: dict):
     """``(key, instances)`` for one atom occurrence: ``key`` picks the
-    occurrence's key from a substitution's universe positions."""
+    occurrence's key from a substitution's universe positions.  The
+    instances are ``shared``'s by ``(predicate, spec, negation)``:
+    occurrences alike but for their variables' names share them.  (Not the
+    pool's: an ``_Instances`` refers to its pool, and a cycle would keep
+    every pooled atom until the next collection.)"""
     spec: list = []
     used: list[int] = []
     for t in a.args:
@@ -611,26 +645,34 @@ def _occurrence(a: Atom, negation: int | None, slot: dict[str, int], pool: _Pool
             spec.append(len(used))
             used.append(slot[t.name])
     key = itemgetter(*used) if used else _no_key
-    return key, _Instances(a, negation, tuple(spec), pool)
+    shape = (a.predicate, tuple(spec), negation)
+    made = shared.get(shape)
+    if made is None:
+        made = shared[shape] = _Instances(a, negation, shape[1], pool)
+    return key, made
 
 
 def _no_key(ids: tuple) -> tuple:
     return ()
 
 
-def _compile(rule: Rule, variables: tuple[str, ...], pool: _Pool):
+_first = itemgetter(0)
+
+
+def _compile(rule: Rule, variables: tuple[str, ...], pool: _Pool, shared: dict):
     """``(head occurrences, body occurrences, inequalities)`` of a rule, or
     ``None`` when an inequality fails under every substitution.  An
     inequality is a pair of variable positions ``(i, j)``, or ``(i, ~p)``
     against the constant at universe position ``p``; the ones every
-    substitution satisfies are left out."""
+    substitution satisfies are left out.  ``shared`` holds the occurrences'
+    instances (``_occurrence``)."""
     slot = {v: i for i, v in enumerate(variables)}
-    heads = [_occurrence(a, None, slot, pool) for a in rule.head]
+    heads = [_occurrence(a, None, slot, pool, shared) for a in rule.head]
     body = []
     unequal = []
     for el in rule.body:
         if isinstance(el, Literal):
-            body.append(_occurrence(el.atom, el.negation, slot, pool))
+            body.append(_occurrence(el.atom, el.negation, slot, pool, shared))
             continue
         a, b = (el.rhs, el.lhs) if el.lhs.is_constant else (el.lhs, el.rhs)
         if a == b:

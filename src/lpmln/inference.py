@@ -32,7 +32,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .engine import (DEFAULT_ATOM_CAP, StableModelEnumerator, _bit_indices, _Compiled, _Records,
+from .engine import (DEFAULT_ATOM_CAP, StableModelEnumerator, _bit_indices, _compiled, _Records,
                      _unpack)
 from .grounder import GroundProgram, ground
 from .model import Atom, Interpretation, Program, merge_programs
@@ -163,7 +163,7 @@ def _weighed(records: _Records, hard: int, weights: list[float],
 
 def _weigh(gp: GroundProgram, interp: Interpretation, mode: str) -> WeightVector:
     """``_weighed`` with ``interp`` as the one lane (``_Records.lane``)."""
-    comp = _Compiled(gp)
+    comp = _compiled(gp)
     _, violated, _ = comp.one_lane(comp.bits_of(interp))
     (hard,), (soft,) = _weighed(_Records.lane(violated), comp.hard, comp.weights, mode == "reward")
     return WeightVector(hard, soft)

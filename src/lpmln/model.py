@@ -326,6 +326,19 @@ def format_weight(w: Weight) -> str:
     return format(Decimal(text), "f")
 
 
+class _Memo(dict):
+    """A dict that fills a missing key with ``make(key)``: the rendering
+    memos of ``cli`` and ``asp_backend``."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
 def _rule_line(head: Iterable[str], body: Iterable[str]) -> str:
     """The line of an unweighted rule from the texts of its head atoms and
     body elements: ``h1 ; h2 :- b1, b2.``, ``h1.`` or ``:- b1.``."""

@@ -1,3 +1,4 @@
+import functools
 import random
 from pathlib import Path
 
@@ -12,7 +13,7 @@ from lpmln.asp_backend import (
 )
 from lpmln.engine import EnumerationCapError, StableModelEnumerator, enumerate_sm
 from lpmln.grounder import (
-    EmptyUniverseError, GroundingError, UnsafeRuleError, ground_to_program,
+    EmptyUniverseError, GroundingCapError, GroundingError, UnsafeRuleError, ground_to_program,
 )
 from lpmln.inference import map_estimate, weight_penalty, weight_reward
 from lpmln.model import HARD, Literal, Program, Rule, Term, atom
@@ -22,6 +23,14 @@ from strategies import programs, safe_programs
 BIRD = parse_program(fixture_path("bird.lpmln").read_text())
 BIRD_RB = frozenset([atom("bird", "jo"), atom("residentbird", "jo")])
 GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _outcome(emit, prog, scale):
+    """``emit(prog, scale)``'s text, or the type and message of its error."""
+    try:
+        return emit(prog, scale)
+    except GroundingError as e:
+        return type(e), str(e)
 
 
 def translated_models(tp, cap=24):
@@ -313,13 +322,29 @@ class TestEmission:
     @settings(derandomize=True, database=None, max_examples=150, deadline=None)
     @given(programs(), st.sampled_from([1, 7, 1000]))
     def test_property_direct_reward_text_matches_records(self, prog, scale):
-        # the text emit-asp-rwd renders from the ground rules is the records'
-        try:
-            gp = ground(prog)
-        except GroundingError:
-            assume(False)
-        expected = emit_asp_text(translate_reward(ground_to_program(gp), scale))
-        assert asp_backend._reward_text(gp, scale) == expected
+        # the text emit-asp-rwd renders from the source rules is the records',
+        # and a program ground refuses it refuses alike
+        assert _outcome(asp_backend._reward_text, prog, scale) == _outcome(
+            lambda p, s: emit_asp_text(translate_reward(ground_to_program(ground(p)), s)),
+            prog, scale)
+
+    @pytest.mark.parametrize("text, cap, kind", [
+        ("p(a).\nq(X) :- not p(X).\n", 100, UnsafeRuleError),
+        ("p(X) :- q(X).\n", 100, EmptyUniverseError),
+        ("n(a). n(b). n(c).\np(X, Y) :- n(X), n(Y).\n", 5, GroundingCapError),  # mid-rule
+        ("n(a). n(b). n(c).\np(X, Y) :- n(X), n(Y).\n", 12, str),  # the cap met exactly
+        # an inequality false under every substitution, and one false under one
+        ("n(a). n(b).\np(X) :- n(X), X != X.\nq(X) :- n(X), X != a.\n", 100, str),
+    ])
+    def test_reward_text_errors_and_cap_match_ground(self, text, cap, kind):
+        # the text path walks ground's substitutions: the same instances,
+        # errors and cap
+        prog = P(text)
+        for scale in (1, 1000):
+            got = _outcome(functools.partial(asp_backend._reward_text, cap=cap), prog, scale)
+            assert got == _outcome(lambda p, s: emit_asp_text(translate_reward(
+                ground_to_program(ground(p, cap=cap)), s)), prog, scale)
+            assert type(got) is str if kind is str else got[0] is kind
 
     def test_empty_program(self):
         assert emit_asp_text(translate_penalty(P(""), 1000)) == ""

@@ -264,13 +264,17 @@ class TestEmitModes:
         assert out == (GOLDEN / "edge_rwd.golden.lp").read_text()
 
     def test_emit_reward_builds_no_records(self, monkeypatch):
-        # the text is rendered from the ground rules: no translated Rule or
-        # WeakConstraint, and no re-packaged ground program
+        # the text is rendered from the source rules' substitutions: no
+        # translated Rule or WeakConstraint, no re-packaged ground program,
+        # no ground rule or marker atom, and no call to ground
         def refuse(*args, **kwargs):
             raise AssertionError("emit-asp-rwd built a record")
         monkeypatch.setattr(asp_backend, "Rule", refuse)
         monkeypatch.setattr(asp_backend, "WeakConstraint", refuse)
+        monkeypatch.setattr(asp_backend, "_marker", refuse)
+        monkeypatch.setattr(grounder, "GroundRule", refuse)
         monkeypatch.setattr(grounder, "ground_to_program", refuse)
+        monkeypatch.setattr(cli, "ground", refuse)
         monkeypatch.setattr(cli, "ground_to_program", refuse, raising=False)
         for path, scale, golden in ((BIRD, "1000", "bird_rwd.golden.lp"),
                                     (str(GOLDEN / "edge.lpmln"), "3", "edge_rwd.golden.lp")):
@@ -433,9 +437,11 @@ class TestExitCodes:
                        "path(X, Y) :- edge(X, Y).\npath(X, Y) :- path(X, Z), path(Z, Y).\n")
         uncapped = invoke("-i", str(src), "-q", "path")
         assert uncapped[0] == 0 and "path(n0,n2) 0.73105857863\n" in uncapped[1]
+        reward_text = asp_backend._reward_text
         for cap, code in ((100, 0), (10, 2)):
             monkeypatch.setattr(cli, "_ground_live", functools.partial(grounder._ground_live, cap=cap))
-            monkeypatch.setattr(cli, "ground", functools.partial(grounder.ground, cap=cap))
+            monkeypatch.setattr(asp_backend, "_reward_text",
+                                functools.partial(reward_text, cap=cap))
             refused = (2, "", f"error: grounding exceeds the cap of {cap} rules\n")
             assert invoke("-i", str(src), "-q", "path") == (uncapped if code == 0 else refused)
             assert invoke("-i", str(src), "--mode", "emit-asp-rwd") == refused

@@ -1,10 +1,12 @@
+import copy
 import math
+import pickle
 import random
 
 import pytest
 from hypothesis import assume, given, settings
 
-from lpmln import fixture_path, ground, parse_evidence, parse_program
+from lpmln import engine, fixture_path, ground, parse_evidence, parse_program
 from lpmln.asp_backend import phi_extend
 from lpmln.engine import DEFAULT_ATOM_CAP, EnumerationCapError, StableModelEnumerator
 from lpmln.grounder import GroundingError
@@ -54,6 +56,23 @@ class TestWeightVectors:
     def test_empty_program(self):
         gp = ground(P(""))
         assert weight_reward(gp, frozenset()) == weight_penalty(gp, frozenset())
+
+    def test_single_interpretation_weighing_compiles_once(self, monkeypatch):
+        # the compiled form is kept on the ground program, and never travels
+        gp = bird_gp()
+        uncached = [weight_reward(copy.copy(gp), BIRD_RB), weight_penalty(copy.copy(gp), BIRD_RB)]
+        built = []
+
+        class Counting(engine._Compiled):
+            def __init__(self, g):
+                built.append(g)
+                super().__init__(g)
+        monkeypatch.setattr(engine, "_Compiled", Counting)
+        assert [weight_reward(gp, BIRD_RB), weight_penalty(gp, BIRD_RB)] == uncached
+        assert built == [gp] and "_compiled" in gp.__dict__
+        for clone in (pickle.loads(pickle.dumps(gp)), copy.copy(gp), copy.deepcopy(gp)):
+            assert "_compiled" not in clone.__dict__
+            assert clone == gp and clone.atoms == gp.atoms
 
 
 class TestWeightsAndMarkersAgainstOracle:

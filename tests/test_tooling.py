@@ -152,6 +152,34 @@ def test_slices_are_read_back_and_weighed_by_one_owner_each():
         assert len(calls) == 1 and calls[0] in list(ast.walk(weighed))
 
 
+def test_the_substitution_walk_has_one_owner():
+    # grounder._walk takes the universe product, filters the inequalities,
+    # cuts at the cap and raises the walk's errors, for ground and for the
+    # reward text alike: no other module re-walks, and ground calls _walk
+    raised = {"GroundingCapError", "EmptyUniverseError"}
+    for path in sorted(Path(lpmln.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.name == "grounder.py":
+            islices = _calls_of(tree, "islice")
+            walk = next(n for n in tree.body
+                        if isinstance(n, ast.FunctionDef) and n.name == "_walk")
+            assert len(islices) == 1 and islices[0] in list(ast.walk(walk))
+            ground = next(n for n in tree.body
+                          if isinstance(n, ast.FunctionDef) and n.name == "ground")
+            assert _calls_of(ground, "_walk") and not _calls_of(ground, "product")
+            continue
+        assert not _mentions(tree, "islice"), path.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                assert ast.unparse(exc).split(".")[-1] not in raised, (path.name, node.lineno)
+        if path.name == "asp_backend.py":
+            assert not _mentions(tree, "product"), path.name
+            reward_text = next(n for n in tree.body
+                               if isinstance(n, ast.FunctionDef) and n.name == "_reward_text")
+            assert _calls_of(reward_text, "_walk")
+
+
 def test_cli_output_matches_the_recorded_benchmark_digests(tmp_path, monkeypatch):
     # every CLI op the benchmark can ask for prints the bytes whose SHA-256
     # perfbench/digests.json holds; perfbench/ is only read, bytecode included
