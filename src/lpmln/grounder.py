@@ -19,14 +19,15 @@ without building any.
 ``_ground_live``, which the CLI's inference calls, builds only the
 instances that can fire: those whose positive body atoms are derivable
 with negation ignored, the bound the engine puts on every stable model.
-It finds them semi-naively, joining each rule's positive body literals
-against the atoms derived so far, one literal over the atoms new in the
-last round, on indexes of the bound argument positions; a rule without
-variables waits on a count of its underived positive atoms instead.  It
-shares the desugaring, ``_compile``, ``_Pool`` and the instance build
-(``_instances``) with ``ground``, and keeps ``ground``'s order, errors
-and cap.  Its atoms are those of the instances it keeps, which are all
-that can be true in a stable model, and ``ground``'s atoms of the
+It finds them semi-naively.  Facts are built at once, and their head
+atoms are the first round's new atoms.  Every other rule is one join of
+its positive body literals against the atoms derived so far, one literal
+over the atoms new in the last round, on indexes of the bound argument
+positions; a rule without variables probes its atoms whole and so fires
+once.  It shares the desugaring, ``_compile``, ``_Pool`` and the instance
+build (``_instances``) with ``ground``, and keeps ``ground``'s order,
+errors and cap.  Its atoms are those of the instances it keeps, which are
+all that can be true in a stable model, and ``ground``'s atoms of the
 predicates queried, so that an underivable query atom prints at 0.  An
 instance that cannot fire is satisfied by every candidate and never
 counted in penalty mode, and an atom of none kept is false in every
@@ -223,65 +224,65 @@ def _ground_live(program: Program, cap: int = DEFAULT_GROUND_CAP,
 
     An atom is derivable when it heads an instance whose positive body
     atoms are derivable, negation ignored: the least model by which the
-    engine bounds every stable model.  A rule without variables fires once
-    its positive body atoms are derived; the others join their positive
-    body literals against the atoms derived so far, round by round, each
-    join with one literal over the atoms new in the last round, so every
-    substitution is joined once.  Of the instances found, one with a ``not
-    not`` atom outside that model is left out too, unless it has a head
-    atom: the engine then derives the same atoms from the instances kept as
-    from ``ground``'s, keeps the same rules of both and finds the same free
-    atoms.  An atom of no instance kept is false in every stable model; the
-    query's are listed so that they print at 0.  ``cap`` bounds each level
-    of each join and the substitutions found in all.
+    engine bounds every stable model.  Facts are built at once and their
+    head atoms are the first round's new atoms; every other rule is a
+    ``_Join`` that ``_derive`` runs round by round.  Of the instances
+    found, one with a ``not not`` atom outside that model is left out too,
+    unless it has a head atom: the engine then derives the same atoms from
+    the instances kept as from ``ground``'s, keeps the same rules of both
+    and finds the same free atoms.  An atom of no instance kept is false in
+    every stable model; the query's are listed so that they print at 0.
+    ``cap`` bounds each level of each join and the facts and substitutions
+    found in all.
     """
     program = _desugar_safe(program)
     universe = program.universe
     pool = _Pool(universe)
     shared: dict = {}
     at = {t.name: i for i, t in enumerate(universe)}
-    waiting = _Waiting()
-    plans: list = []  # per rule with instances: its _Join, or its number in ``waiting``
+    plans: list = []  # per rule with instances: a fact's instance, or the rule's _Join
+    delta: dict = {}  # the facts' head atoms
     for rule in program.rules:
-        variables = rule.variables()
-        if not variables:
-            if all(isinstance(el, Literal) or el.lhs != el.rhs for el in rule.body):
-                plans.append(waiting.add(rule, at))
+        if not rule.body:  # a fact: safe, so without variables
+            plans.append(_instance(rule, pool))
+            for p, t in [_key(a, at) for a in rule.head]:
+                delta.setdefault(p, set()).add(t)
             continue
-        if not universe:
-            raise EmptyUniverseError(rule.index)
-        compiled = _compile(rule, variables, pool, shared)
-        if compiled is not None:
-            plans.append(_Join(rule, variables, compiled, at))
-    known = _derive([plan for plan in plans if type(plan) is _Join], waiting, cap)
+        variables = rule.variables()
+        compiled = None
+        if variables:
+            if not universe:
+                raise EmptyUniverseError(rule.index)
+            compiled = _compile(rule, variables, pool, shared)
+            if compiled is None:
+                continue
+        elif any(not isinstance(el, Literal) and el.lhs == el.rhs for el in rule.body):
+            continue  # an inequality between equal constants
+        plans.append(_Join(rule, variables, compiled, at))
+    joins = [plan for plan in plans if type(plan) is _Join]
+    known = _derive(joins, delta, len(plans) - len(joins), cap)
 
     def derived(src, ids):
         return all(tuple([ids[s] if s >= 0 else ~s for s in args]) in known.get(p, ())
                    for p, args in src)
     out: list[GroundRule] = []
     for plan in plans:
-        if type(plan) is int:
-            rule = waiting.rules[plan]
-            if not waiting.need[plan] and (rule.head or all(
-                    t in known.get(p, ()) for p, t in waiting.neg2(plan, at))):
-                out.append(GroundRule(
-                    rule.index, rule.weight,
-                    tuple([pool.get(a.predicate, a.args, None) for a in rule.head]),
-                    tuple([pool.get(el.atom.predicate, el.atom.args, el.negation)
-                           for el in rule.body if isinstance(el, Literal)])))
-            for a in list(rule.head) + [el.atom for el in rule.body if isinstance(el, Literal)]:
-                if a.predicate in query:  # pooled, kept or not, to print at 0
-                    pool.get(a.predicate, a.args, None)
+        if type(plan) is GroundRule:
+            out.append(plan)
             continue
-        rule, (heads, body, _) = plan.rule, plan.compiled
+        rule = plan.rule
         k = len(plan.variables)
-        if len(plan.found) == len(universe) ** k:  # every substitution, in product order
-            combos = zip(product(universe, repeat=k), product(range(len(universe)), repeat=k))
+        if not k:  # it fired once or never
+            if plan.found and (rule.head or derived(plan.neg2, ())):
+                out.append(_instance(rule, pool))
         else:
-            combos = ((tuple([universe[i] for i in ids]), ids) for ids in sorted(plan.found))
-        if not rule.head and plan.neg2:
-            combos = ((subst, ids) for subst, ids in combos if derived(plan.neg2, ids))
-        out += _instances(rule, heads, body, combos)
+            if len(plan.found) == len(universe) ** k:  # every substitution, in product order
+                combos = zip(product(universe, repeat=k), product(range(len(universe)), repeat=k))
+            else:
+                combos = ((tuple([universe[i] for i in ids]), ids) for ids in sorted(plan.found))
+            if not rule.head and plan.neg2:
+                combos = ((subst, ids) for subst, ids in combos if derived(plan.neg2, ids))
+            out += _instances(rule, *plan.compiled[:2], combos)
         for predicate, ids in _atom_keys(plan, query, len(universe), cap):
             pool.get(predicate, tuple([universe[i] for i in ids]), None)
     gp = GroundProgram(tuple(out))
@@ -290,18 +291,25 @@ def _ground_live(program: Program, cap: int = DEFAULT_GROUND_CAP,
     return gp
 
 
-def _derive(joins: list[_Join], waiting: _Waiting, cap: int) -> dict[tuple, set]:
+def _instance(rule: Rule, pool: _Pool) -> GroundRule:
+    """The one instance of a rule without variables, its inequalities left out."""
+    return GroundRule(rule.index, rule.weight,
+                      tuple([pool.get(a.predicate, a.args, None) for a in rule.head]),
+                      tuple([pool.get(el.atom.predicate, el.atom.args, el.negation)
+                             for el in rule.body if isinstance(el, Literal)]))
+
+
+def _derive(joins: list[_Join], delta: dict, fired: int, cap: int) -> dict[tuple, set]:
     """The derivable atoms, per ``(predicate, arity)`` as tuples of universe
-    positions; each join keeps its substitutions in ``found``."""
+    positions, from ``delta``, the head atoms of the ``fired`` facts.  Each
+    join keeps its substitutions in ``found``; ``cap`` bounds them and the
+    facts in all."""
     facts = _Facts()
-    delta: dict = {}
-    found = 0
     for plan in joins:
         if not plan.positives:
-            found += plan.emit(plan.complete([[-1] * len(plan.variables)], cap), delta)
+            fired += plan.emit(plan.complete([[-1] * len(plan.variables)], cap), delta)
     while True:
-        found += waiting.settle(delta, facts.known)
-        if found > cap:
+        if fired > cap:
             raise GroundingCapError(cap)
         if not delta:
             return facts.known
@@ -310,7 +318,7 @@ def _derive(joins: list[_Join], waiting: _Waiting, cap: int) -> dict[tuple, set]
         for plan in joins:
             for i, (predicate, _) in enumerate(plan.positives):
                 if predicate in delta:
-                    found += plan.emit(plan.join(i, facts, delta, cap), fresh)
+                    fired += plan.emit(plan.join(i, facts, delta, cap), fresh)
         delta = {}
         for p, tuples in fresh.items():
             tuples.difference_update(facts.known.get(p, ()))
@@ -327,7 +335,7 @@ def _atom_keys(plan: _Join, query: tuple[str, ...], size: int, cap: int) -> set[
     variable can still take a value as long as the universe has more
     values than it has inequalities.  Otherwise every substitution is
     tried, as ``ground`` does."""
-    unequal = plan.compiled[2]
+    unequal = plan.unequal
     occurrences = [(p, src) for (p, _), src in plan.heads + plan.literals if p in query]
     keys: set[tuple] = set()
     shapes = set()
@@ -362,63 +370,6 @@ def _atom_keys(plan: _Join, query: tuple[str, ...], size: int, cap: int) -> set[
 def _key(a: Atom, at: dict) -> tuple:
     """A ground atom as ``((predicate, arity), universe positions of its arguments)``."""
     return (a.predicate, len(a.args)), tuple([at[t.name] for t in a.args])
-
-
-class _Waiting:
-    """The rules without variables, each with the number of its positive
-    body atoms not derived yet: a rule fires when that number reaches 0."""
-
-    def __init__(self):
-        self.rules: list[Rule] = []
-        self.need: list[int] = []
-        self.heads: list[list[tuple]] = []
-        self.watch: dict[tuple, dict[tuple, list[int]]] = {}  # by atom key, as in ``delta``
-        self.ready: list[int] = []  # fired, head atoms not yet derived
-
-    def add(self, rule: Rule, at: dict) -> int:
-        k = len(self.rules)
-        self.rules.append(rule)
-        self.heads.append([_key(a, at) for a in rule.head])
-        if not rule.body:
-            self.need.append(0)
-            self.ready.append(k)
-            return k
-        positives = {_key(el.atom, at) for el in rule.body
-                     if isinstance(el, Literal) and el.negation == 0}
-        self.need.append(len(positives))
-        if not positives:
-            self.ready.append(k)
-        for p, t in positives:
-            self.watch.setdefault(p, {}).setdefault(t, []).append(k)
-        return k
-
-    def neg2(self, k: int, at: dict) -> list[tuple]:
-        """The keys of rule ``k``'s ``not not`` atoms."""
-        return [_key(el.atom, at) for el in self.rules[k].body
-                if isinstance(el, Literal) and el.negation == 2]
-
-    def settle(self, delta: dict, known: dict) -> int:
-        """Fire the rules that wait on no atom outside ``known`` and
-        ``delta``, adding their new head atoms to ``delta``; the number of
-        rules fired."""
-        fired = 0
-        queue = [(p, t) for p in delta if p in self.watch for t in delta[p]]
-        while queue or self.ready:
-            for k in self.ready:
-                fired += 1
-                for p, t in self.heads[k]:
-                    if t not in known.get(p, ()) and t not in delta.get(p, ()):
-                        delta.setdefault(p, set()).add(t)
-                        if p in self.watch:
-                            queue.append((p, t))
-            self.ready = []
-            while queue and not self.ready:
-                p, t = queue.pop()
-                for k in self.watch[p].pop(t, ()):
-                    self.need[k] -= 1
-                    if not self.need[k]:
-                        self.ready.append(k)
-        return fired
 
 
 class _Facts:
@@ -463,12 +414,15 @@ class _Join:
     literal ``i`` first, over the atoms new in the last round, then the
     others, each next the one with the most arguments bound, those before
     ``i`` in the body over the older atoms only; a step tests each
-    inequality as soon as it binds both sides."""
+    inequality as soon as it binds both sides.  A rule without variables
+    has no ``compiled`` and no steps: it probes its positive atoms whole,
+    so it fires once, in the round its last one is derived."""
 
     def __init__(self, rule: Rule, variables: tuple[str, ...], compiled, at: dict):
         self.rule = rule
         self.variables = variables
         self.compiled = compiled
+        self.unequal = compiled[2] if compiled else []
         self.size = len(at)
         slot = {v: i for i, v in enumerate(variables)}
 
@@ -483,11 +437,15 @@ class _Join:
                 if el.negation != 1:
                     (self.neg2 if el.negation else self.positives).append(self.literals[-1])
         self.found: list[list[int]] = []
+        self.free = self.rest = []
+        if not variables:  # its positive atoms as keys of ``delta``
+            self.whole = [(p, tuple([~s for s in src])) for p, src in self.positives]
+            return
         self.steps = [self._steps(i) for i in range(len(self.positives))]
         bound = {s for _, src in self.positives for s in src if s >= 0}
         self.free = [s for s in range(len(variables)) if s not in bound]
         # the inequalities on free slots
-        self.rest = [(a, b) for a, b in compiled[2] if a not in bound or b >= 0 and b not in bound]
+        self.rest = [(a, b) for a, b in self.unequal if a not in bound or b >= 0 and b not in bound]
 
     def _steps(self, i: int) -> list[tuple]:
         """Per positive literal in join order: its predicate, the argument
@@ -496,7 +454,7 @@ class _Join:
         inequalities it completes, and whether it reads the new atoms
         (None), the older ones (True) or all (False)."""
         bound: set[int] = set()
-        unequal = self.compiled[2]
+        unequal = self.unequal
         steps = []
         rest = [j for j in range(len(self.positives)) if j != i]
         j = i
@@ -528,6 +486,11 @@ class _Join:
     def join(self, i: int, facts: _Facts, delta: dict, cap: int) -> list[list[int]]:
         """The substitutions that join positive literal ``i`` over ``delta``,
         the atoms new in the last round, and the others over ``facts``."""
+        if not self.variables:  # those before i older, those after it any
+            p, t = self.whole[i]
+            return [[]] if t in delta[p] and all(
+                u in facts.known.get(q, ()) and (j >= i or u not in delta.get(q, ()))
+                for j, (q, u) in enumerate(self.whole)) else []
         subs = [[-1] * len(self.variables)]
         for p, positions, probe, same, binds, checks, older in self.steps[i]:
             new = delta.get(p, ()) if older else ()

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 from .engine import (DEFAULT_ATOM_CAP, StableModelEnumerator, _bit_indices, _compiled, _Records,
                      _unpack)
-from .grounder import GroundProgram, ground
+from .grounder import GroundProgram, _ground_live, ground
 from .model import Atom, Interpretation, Program, merge_programs
 
 DEFAULT_SCALE = 1000
@@ -317,7 +317,9 @@ def conditional(program: Program, evidence: Program, query_preds,
 def _blame_evidence(program: Program, hard_mode: str, cap: int) -> None:
     """Raise the error for a program that has no stable model once evidence
     is added: ``InconsistentEvidenceError`` when the program alone has one,
-    ``NoStableModelsError`` when it has none either."""
-    if StableModelEnumerator(ground(program), hard_mode, cap).models_bits():
+    ``NoStableModelsError`` when it has none either.  Whether a stable
+    model exists does not depend on the instances that cannot fire, so only
+    the others are grounded."""
+    if StableModelEnumerator(_ground_live(program), hard_mode, cap).models_bits():
         raise InconsistentEvidenceError("evidence is inconsistent with the program")
     raise NoStableModelsError("no probabilistic stable models")

@@ -427,14 +427,16 @@ class TestExitCodes:
         code, out, err = invoke("-i", BIRD)
         assert (code, out, err) == (2, "", "error: grounding exceeds the cap of 5 rules\n")
 
+    # 260 ground instances, 11 of which can fire
+    PATH = ("".join(f"node(n{i}).\n" for i in range(6)) + "edge(n0, n1).\n1 edge(n1, n2).\n"
+            "path(X, Y) :- edge(X, Y).\npath(X, Y) :- path(X, Z), path(Z, Y).\n")
+
     def test_grounding_cap_counts_only_instances_that_can_fire(self, monkeypatch, tmp_path):
-        # 260 ground instances, 11 of which can fire: inference fits under a
-        # cap of 100 and prints what it prints uncapped; the reward
-        # translation grounds every instance and is refused
+        # inference fits under a cap of 100 and prints what it prints
+        # uncapped; the reward translation grounds every instance and is
+        # refused
         src = tmp_path / "path.lpmln"
-        src.write_text("".join(f"node(n{i}).\n" for i in range(6)) +
-                       "edge(n0, n1).\n1 edge(n1, n2).\n"
-                       "path(X, Y) :- edge(X, Y).\npath(X, Y) :- path(X, Z), path(Z, Y).\n")
+        src.write_text(self.PATH)
         uncapped = invoke("-i", str(src), "-q", "path")
         assert uncapped[0] == 0 and "path(n0,n2) 0.73105857863\n" in uncapped[1]
         reward_text = asp_backend._reward_text
@@ -445,6 +447,20 @@ class TestExitCodes:
             refused = (2, "", f"error: grounding exceeds the cap of {cap} rules\n")
             assert invoke("-i", str(src), "-q", "path") == (uncapped if code == 0 else refused)
             assert invoke("-i", str(src), "--mode", "emit-asp-rwd") == refused
+
+    def test_evidence_is_blamed_on_the_instances_that_can_fire(self, monkeypatch, tmp_path):
+        # the evidence leaves no stable model; the program alone has one, and
+        # finding it grounds only its 11 instances that can fire, under the
+        # cap that every grounding here is held to
+        src, evid = tmp_path / "path.lpmln", tmp_path / "evid.db"
+        src.write_text(self.PATH)
+        evid.write_text(":- edge(n0, n1).\n")
+        for module in (cli, inference):
+            monkeypatch.setattr(module, "_ground_live",
+                                functools.partial(grounder._ground_live, cap=100))
+        monkeypatch.setattr(inference, "ground", functools.partial(grounder.ground, cap=100))
+        assert invoke("-i", str(src), "-e", str(evid), "-q", "path") == \
+            (3, "", "error: evidence is inconsistent with the program\n")
 
     def test_unsafe_program(self, tmp_path):
         bad = tmp_path / "unsafe.lpmln"

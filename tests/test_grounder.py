@@ -1,3 +1,4 @@
+import functools
 import random
 from itertools import product
 
@@ -331,6 +332,25 @@ class TestGroundLive:
         assert len(_ground_live(P(text), cap=16).rules) == 4
         with pytest.raises(GroundingCapError):
             _ground_live(P(text), cap=15)
+
+    def test_cap_bounds_the_query_atoms_tried_under_every_substitution(self):
+        # Y has as many inequalities as the universe has constants, so the
+        # query's atoms of rule 3 are found by trying every substitution,
+        # 4 of them: with the 2 facts, over a cap of 3, as ground counts;
+        # unqueried, the rule is only joined, and never fires
+        text = "q(a). s(e).\np(X) :- q(X), r(Y), Y != X, Y != a, Y != b, Y != c, Y != d.\n"
+        assert len(_ground_live(P(text), cap=3).rules) == 2
+        for grounding in (ground, functools.partial(_ground_live, query=("p",))):
+            with pytest.raises(GroundingCapError, match="^grounding exceeds the cap of 3 rules$"):
+                grounding(P(text), cap=3)
+
+    def test_a_rule_without_variables_fires_once(self):
+        # both of c's positive atoms are new in the same round
+        text = "a1. a2.\nc :- a1, a2.\n"
+        assert [r.origin_index for r in _ground_live(P(text), cap=3).rules] == [1, 2, 3]
+        for grounding in (ground, _ground_live):
+            with pytest.raises(GroundingCapError):
+                grounding(P(text), cap=2)
 
     def test_cap_bounds_the_substitutions_found(self):
         # 1 + 2 + ... + 6 path instances can fire on a chain of seven nodes

@@ -180,6 +180,23 @@ def test_the_substitution_walk_has_one_owner():
             assert _calls_of(reward_text, "_walk")
 
 
+def test_live_grounding_has_one_derivation():
+    # grounder._derive runs every _Join, of a rule with variables or
+    # without; facts only seed it, and no rule waits on a counter instead
+    assert not hasattr(lpmln.grounder, "_Waiting")  # folded into _Join
+    for path in sorted(Path(lpmln.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.name != "grounder.py":
+            assert not _mentions(tree, "_Join"), path.name
+            continue
+        derive = next(n for n in tree.body
+                      if isinstance(n, ast.FunctionDef) and n.name == "_derive")
+        joins = [n for n in ast.walk(tree) if isinstance(n, ast.Call)
+                 and isinstance(n.func, ast.Attribute) and n.func.attr == "join"
+                 and not isinstance(n.func.value, ast.Constant)]  # not str.join
+        assert joins and all(n in list(ast.walk(derive)) for n in joins)
+
+
 def test_cli_output_matches_the_recorded_benchmark_digests(tmp_path, monkeypatch):
     # every CLI op the benchmark can ask for prints the bytes whose SHA-256
     # perfbench/digests.json holds; perfbench/ is only read, bytecode included
