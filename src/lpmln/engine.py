@@ -250,11 +250,10 @@ class StableModelEnumerator:
         # derives it.  A rule with a positive or double-negated body atom
         # outside that set is satisfied by every model and never fires in
         # its reduct: the analysis and the specialisation skip it.  The
-        # CLI's grounder (_ground_live) has bounded derivability already,
-        # but this pass stays: library callers hand in all of ground's
-        # instances, and _ground_live keeps an instance with a head atom and
-        # an underivable ``not not`` atom on purpose, so that this set, and
-        # with it the free atoms, is the same from either grounder.
+        # CLI's grounder (_ground_live) keeps only the instances whose
+        # positive body atoms are derivable, but this pass stays: library
+        # callers hand in all of ground's instances, and it is the only
+        # check of ``not not`` atoms, which _ground_live leaves to it.
         derivable = _propagate(self.comp.rules, 0, -1, 0)
         self._live = [r for r in self.comp.rules if not (r.pos | r.neg2) & ~derivable]
         self._analyze()

@@ -17,22 +17,24 @@ translation's text (``asp_backend._reward_text``) is rendered from it
 without building any.
 
 ``_ground_live``, which the CLI's inference calls, builds only the
-instances that can fire: those whose positive body atoms are derivable
-with negation ignored, the bound the engine puts on every stable model.
-It finds them semi-naively.  Facts are built at once, and their head
-atoms are the first round's new atoms.  Every other rule is one join of
-its positive body literals against the atoms derived so far, one literal
-over the atoms new in the last round, on indexes of the bound argument
-positions; a rule without variables probes its atoms whole and so fires
-once.  It shares the desugaring, ``_compile``, ``_Pool`` and the instance
-build (``_instances``) with ``ground``, and keeps ``ground``'s order,
-errors and cap.  Its atoms are those of the instances it keeps, which are
-all that can be true in a stable model, and ``ground``'s atoms of the
-predicates queried, so that an underivable query atom prints at 0.  An
-instance that cannot fire is satisfied by every candidate and never
-counted in penalty mode, and an atom of none kept is false in every
-candidate, so inference gives the same output from either; reward mode
-would count such an instance, so the library keeps ``ground``.
+instances whose positive body atoms are derivable with negation ignored,
+the bound the engine puts on every stable model; it leaves ``not`` and
+``not not`` atoms to the engine, as a grounder leaves negation to its
+solver.  It finds them semi-naively.  Facts are built at once, and their
+head atoms are the first round's new atoms.  Every other rule is one
+join of its positive body literals against the atoms found so far, one
+literal over the atoms new in the last round, on indexes of the bound
+argument positions; a rule without variables probes its atoms whole and
+so fires once.  It shares the desugaring, ``_compile``, ``_Pool`` and
+the instance build (``_instances``) with ``ground``, and keeps
+``ground``'s order, errors and cap.  Its atoms are those of the
+instances it keeps, which are all that can be true in a stable model,
+and ``ground``'s atoms of the predicates queried, so that an underivable
+query atom prints at 0.  An instance left out is satisfied by every
+candidate and never counted in penalty mode, and an atom of none kept is
+false in every candidate, so inference gives the same output from
+either; reward mode would count such an instance, so the library keeps
+``ground``.
 """
 
 from __future__ import annotations
@@ -218,22 +220,21 @@ def _instances(rule: Rule, heads, body, combos) -> list[GroundRule]:
 
 def _ground_live(program: Program, cap: int = DEFAULT_GROUND_CAP,
                  query: tuple[str, ...] = ()) -> GroundProgram:
-    """The instances of ``ground(program)`` that can fire, in its order,
-    with their atoms and, for each predicate name in ``query``, all of
-    ``ground``'s atoms of that name.
+    """The instances of ``ground(program)`` whose positive body atoms are
+    derivable, in its order, with their atoms and, for each predicate name
+    in ``query``, all of ``ground``'s atoms of that name.
 
     An atom is derivable when it heads an instance whose positive body
     atoms are derivable, negation ignored: the least model by which the
     engine bounds every stable model.  Facts are built at once and their
     head atoms are the first round's new atoms; every other rule is a
-    ``_Join`` that ``_derive`` runs round by round.  Of the instances
-    found, one with a ``not not`` atom outside that model is left out too,
-    unless it has a head atom: the engine then derives the same atoms from
-    the instances kept as from ``ground``'s, keeps the same rules of both
-    and finds the same free atoms.  An atom of no instance kept is false in
-    every stable model; the query's are listed so that they print at 0.
-    ``cap`` bounds each level of each join and the facts and substitutions
-    found in all.
+    ``_Join`` that ``_derive`` runs round by round.  An instance is kept
+    whatever its ``not`` and ``not not`` atoms: the engine drops one whose
+    ``not not`` atom is underivable, and a kept instance adds no atom to
+    what the engine derives, so it finds the same free atoms as from
+    ``ground``'s.  An atom of no instance kept is false in every stable
+    model; the query's are listed so that they print at 0.  ``cap`` bounds
+    each level of each join and the facts and substitutions found in all.
     """
     program = _desugar_safe(program)
     universe = program.universe
@@ -252,6 +253,8 @@ def _ground_live(program: Program, cap: int = DEFAULT_GROUND_CAP,
         compiled = None
         if variables:
             if not universe:
+                if len(plans) > cap:  # every rule before has one instance, as in ground
+                    raise GroundingCapError(cap)
                 raise EmptyUniverseError(rule.index)
             compiled = _compile(rule, variables, pool, shared)
             if compiled is None:
@@ -260,11 +263,7 @@ def _ground_live(program: Program, cap: int = DEFAULT_GROUND_CAP,
             continue  # an inequality between equal constants
         plans.append(_Join(rule, variables, compiled, at))
     joins = [plan for plan in plans if type(plan) is _Join]
-    known = _derive(joins, delta, len(plans) - len(joins), cap)
-
-    def derived(src, ids):
-        return all(tuple([ids[s] if s >= 0 else ~s for s in args]) in known.get(p, ())
-                   for p, args in src)
+    _derive(joins, delta, len(plans) - len(joins), cap)
     out: list[GroundRule] = []
     for plan in plans:
         if type(plan) is GroundRule:
@@ -273,15 +272,13 @@ def _ground_live(program: Program, cap: int = DEFAULT_GROUND_CAP,
         rule = plan.rule
         k = len(plan.variables)
         if not k:  # it fired once or never
-            if plan.found and (rule.head or derived(plan.neg2, ())):
+            if plan.found:
                 out.append(_instance(rule, pool))
         else:
             if len(plan.found) == len(universe) ** k:  # every substitution, in product order
                 combos = zip(product(universe, repeat=k), product(range(len(universe)), repeat=k))
             else:
                 combos = ((tuple([universe[i] for i in ids]), ids) for ids in sorted(plan.found))
-            if not rule.head and plan.neg2:
-                combos = ((subst, ids) for subst, ids in combos if derived(plan.neg2, ids))
             out += _instances(rule, *plan.compiled[:2], combos)
         for predicate, ids in _atom_keys(plan, query, len(universe), cap):
             pool.get(predicate, tuple([universe[i] for i in ids]), None)
@@ -299,10 +296,11 @@ def _instance(rule: Rule, pool: _Pool) -> GroundRule:
                              for el in rule.body if isinstance(el, Literal)]))
 
 
-def _derive(joins: list[_Join], delta: dict, fired: int, cap: int) -> dict[tuple, set]:
-    """The derivable atoms, per ``(predicate, arity)`` as tuples of universe
-    positions, from ``delta``, the head atoms of the ``fired`` facts.  Each
-    join keeps its substitutions in ``found``; ``cap`` bounds them and the
+def _derive(joins: list[_Join], delta: dict, fired: int, cap: int) -> None:
+    """Derive the atoms that follow from ``delta``, the head atoms of the
+    ``fired`` facts, per ``(predicate, arity)`` as tuples of universe
+    positions, and leave in each join's ``found`` the substitutions under
+    which its positive body atoms are derivable; ``cap`` bounds them and the
     facts in all."""
     facts = _Facts()
     for plan in joins:
@@ -312,7 +310,7 @@ def _derive(joins: list[_Join], delta: dict, fired: int, cap: int) -> dict[tuple
         if fired > cap:
             raise GroundingCapError(cap)
         if not delta:
-            return facts.known
+            return
         facts.add(delta)
         fresh: dict = {}
         for plan in joins:
@@ -373,7 +371,7 @@ def _key(a: Atom, at: dict) -> tuple:
 
 
 class _Facts:
-    """The atoms derived so far: per ``(predicate, arity)``, their argument
+    """The atoms found so far: per ``(predicate, arity)``, their argument
     tuples of universe positions as a set and in derivation order, and
     indexes on the argument positions a join has bound, each brought up to
     date when it is read."""
@@ -407,7 +405,7 @@ class _Facts:
 
 class _Join:
     """The substitutions of one rule under which its positive body atoms are
-    derived.  An atom occurrence is ``((predicate, arity), src)``, with per
+    derivable.  An atom occurrence is ``((predicate, arity), src)``, with per
     argument the slot of its variable or ``~p`` for the constant at
     universe position ``p``.  A substitution is a list of universe
     positions by slot, -1 while unbound.  ``steps[i]`` joins positive
@@ -416,7 +414,7 @@ class _Join:
     ``i`` in the body over the older atoms only; a step tests each
     inequality as soon as it binds both sides.  A rule without variables
     has no ``compiled`` and no steps: it probes its positive atoms whole,
-    so it fires once, in the round its last one is derived."""
+    so it fires once, in the round its last one is found."""
 
     def __init__(self, rule: Rule, variables: tuple[str, ...], compiled, at: dict):
         self.rule = rule
@@ -430,12 +428,12 @@ class _Join:
             return ((a.predicate, len(a.args)),
                     tuple([slot[t.name] if t.name in slot else ~at[t.name] for t in a.args]))
         self.heads = [occurrence(a) for a in rule.head]
-        self.literals, self.positives, self.neg2 = [], [], []
+        self.literals, self.positives = [], []
         for el in rule.body:
             if isinstance(el, Literal):
                 self.literals.append(occurrence(el.atom))
-                if el.negation != 1:
-                    (self.neg2 if el.negation else self.positives).append(self.literals[-1])
+                if not el.negation:
+                    self.positives.append(self.literals[-1])
         self.found: list[list[int]] = []
         self.free = self.rest = []
         if not variables:  # its positive atoms as keys of ``delta``

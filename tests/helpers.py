@@ -61,10 +61,9 @@ def naive_ground(program: Program, universe=None) -> GroundProgram:
 
 
 def naive_live(program: Program) -> GroundProgram:
-    """The instances of ``naive_ground(program)`` that can fire: every
-    positive body atom lies in the least model of all instances with ``not``
-    and ``not not`` ignored, and so does every ``not not`` atom of an
-    instance without a head atom."""
+    """The instances of ``naive_ground(program)`` whose positive body atoms
+    all lie in the least model of all instances with ``not`` and ``not not``
+    ignored."""
     gp = naive_ground(program)
     model = set()
     grew = True
@@ -76,9 +75,7 @@ def naive_live(program: Program) -> GroundProgram:
                 model.update(r.head)
                 grew = True
     return GroundProgram(tuple(
-        r for r in gp.rules
-        if all(l.atom in model for l in r.body
-               if l.negation == 0 or l.negation == 2 and not r.head)))
+        r for r in gp.rules if all(l.atom in model for l in r.body if l.negation == 0)))
 
 
 def naive_atoms(gp: GroundProgram) -> tuple:

@@ -1,16 +1,17 @@
 import functools
+import io
 import random
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lpmln import check_safety, fixture_path, ground, parse_evidence, parse_program
-from lpmln.engine import StableModelEnumerator, _bit_indices
+from lpmln import check_safety, cli, fixture_path, ground, parse_evidence, parse_program
+from lpmln.engine import DEFAULT_ATOM_CAP, StableModelEnumerator, _bit_indices
 from lpmln.grounder import (
     EmptyUniverseError, GroundingCapError, GroundingError, UnsafeRuleError, _ground_live,
 )
-from lpmln.inference import distribution
+from lpmln.inference import DEFAULT_SCALE, distribution
 from lpmln.model import Term, merge_programs
 from helpers import P, naive_atoms, naive_ground, naive_live
 from strategies import programs, safe_programs
@@ -186,9 +187,10 @@ class TestAgainstNaiveGrounder:
             ["p(a,b)", "p(c,a)", "p(c,b)", "s(a)", "s(b)", "s(c)"]
         assert {r.origin_index for r in gp.rules} == {1, 2, 3, 4, 7}
 
-    def test_one_object_per_ground_atom_and_literal(self):
-        gp = ground(P("{q(X)} :- dom(X).\nr :- q(X), not q(X), not not q(X).\n"
-                      "dom(a). dom(b). dom(a).\n"))
+    @pytest.mark.parametrize("grounding", [ground, _ground_live])
+    def test_one_object_per_ground_atom_and_literal(self, grounding):
+        gp = grounding(P("{q(X)} :- dom(X).\nr :- q(X), not q(X), not not q(X).\n"
+                         "dom(a). dom(b). dom(a).\n"))
         atoms = [a for r in gp.rules for a in r.head + tuple(l.atom for l in r.body)]
         literals = [l for r in gp.rules for l in r.body]
         assert len({id(a) for a in atoms}) == len(set(atoms)) == len(gp.atoms)
@@ -245,6 +247,17 @@ def _engine_view(gp, hard_mode: str) -> tuple:
             [(gp.rules[r.index].origin_index, gp.rules[r.index].subst) for r in enum._live])
 
 
+def _outcome(render, gp):
+    """``render(gp)``, or the type and message of the error it raises, as
+    the CLI would report it."""
+    try:
+        return render(gp)
+    except (ValueError, RuntimeError) as e:
+        return type(e), str(e)
+
+
+# a derives q only through rule 1, whose not not atom is underivable
+_NOT_NOT = "a :- not not b.\n1 q :- a.\nq :- not p.\n{p}.\n:- not not b.\n"
 _FACTS = ("q(a).", 'q("c d").', "r(a, b1).", "r(b1, 0).", "r(0, a).", "z.")
 
 
@@ -285,6 +298,37 @@ class TestGroundLive:
         # through q/1 and r/2, constraints; the facts make bodies derivable
         self.check(merge_programs(program, P("".join(sorted(facts)))))
 
+    @staticmethod
+    def check_output(program):
+        """The CLI prints the same MAP, ``-all`` and marginal text, with
+        every predicate and one absent name queried, from ``_ground_live``'s
+        instances as from ``ground``'s, or fails with the same error."""
+        try:
+            full = ground(program)
+        except GroundingError:
+            return  # check compares the grounders' errors
+        query = tuple(sorted({a.predicate for a in full.atoms})) + ("absent",)
+        cap, scale = DEFAULT_ATOM_CAP, DEFAULT_SCALE
+        for hard_mode in ("strict", "relaxed"):
+            def marginal(gp):
+                warned = io.StringIO()
+                return cli._render_marginal(gp, query, hard_mode, cap, warned), warned.getvalue()
+            renders = [(lambda gp: cli._render_map(gp, hard_mode, cap, scale), ()),
+                       (lambda gp: cli._render_all(gp, hard_mode, cap, scale), ()),
+                       (marginal, query)]
+            for render, queried in renders:
+                live = _ground_live(program, query=queried)
+                assert _outcome(render, live) == _outcome(render, full)
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(safe_programs(5), st.sets(st.sampled_from(_FACTS)))
+    def test_property_cli_output_is_the_same(self, program, facts):
+        self.check_output(merge_programs(program, P("".join(sorted(facts)))))
+
+    def test_cli_output_with_a_headless_not_not_instance(self):
+        # _ground_live keeps rule 5's instance; the engine drops it
+        self.check_output(P(_NOT_NOT))
+
     @settings(derandomize=True, database=None, max_examples=100, deadline=None)
     @given(programs(4))
     def test_property_unsafe_and_empty_universe_programs(self, program):
@@ -318,12 +362,24 @@ class TestGroundLive:
         for text in ("p(a).\nq(X) :- not p(X).\n", "p(X) :- q(X).\n", "{p(X)} :- not q(X).\n"):
             self.check(P(text))
 
-    def test_a_not_not_instance_with_a_head_is_kept(self):
-        # a derives q only through the first rule, which its not not atom
-        # kills; kept, it leaves the engine the same derivable atoms and so
-        # the same free atoms and model order as ground's instances
-        gp = _ground_live(P("a :- not not b.\n1 q :- a.\nq :- not p.\n{p}.\n:- not not b.\n"))
-        assert [r.origin_index for r in gp.rules] == [1, 2, 3, 4]
+    @pytest.mark.parametrize("cap, error", [(2, GroundingCapError(2)), (3, EmptyUniverseError(4))])
+    def test_cap_comes_before_the_empty_universe(self, cap, error):
+        # three instances come before rule 4, the first with variables: over
+        # a cap of 2, both grounders stop at the cap first
+        for grounding in (ground, _ground_live):
+            with pytest.raises(type(error)) as caught:
+                grounding(P("a. b. c.\np(X) :- q(X).\n"), cap=cap)
+            assert str(caught.value) == str(error)
+
+    def test_a_not_not_instance_is_kept(self):
+        # b is underivable, so rules 1 and 5 cannot fire; both are kept, with
+        # or without a head, and the engine drops them, so it finds the same
+        # derivable atoms, free atoms and live rules as in ground's instances
+        program = P(_NOT_NOT)
+        gp = _ground_live(program)
+        assert [r.origin_index for r in gp.rules] == [1, 2, 3, 4, 5]
+        for hard_mode in ("strict", "relaxed"):
+            assert _engine_view(gp, hard_mode) == _engine_view(ground(program), hard_mode)
 
     def test_cap_bounds_every_join_level(self):
         # no instance of rule 5 can fire, but the join of p(X), p(Y) holds 16
