@@ -8,12 +8,20 @@ ground input.  Both come with the witness map ``phi_extend`` and an
 internal weak-constraint evaluator, so the correspondence between most
 probable stable models and optimal stable models can be checked end to
 end without an external solver.
+
+``_reward_text`` renders the reward translation of a program's grounding
+as ``emit_asp_text`` renders its records, without building the ground
+program or the records: per source rule it fills one line template column
+by column, from the grounder's substitution walk and the occurrences'
+texts, which are made from the universe's term names.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import count, tee
+from operator import itemgetter
 
 from .engine import DEFAULT_ATOM_CAP, StableModelEnumerator, _bit_indices, _Compiled
 from .grounder import (
@@ -22,8 +30,8 @@ from .grounder import (
 )
 from .inference import _check_scale, _scaled
 from .model import (
-    HARD, Atom, Interpretation, Literal, Program, Rule, Term, Weight, _Memo, _rule_line,
-    format_rule,
+    HARD, Atom, Interpretation, Literal, Program, Rule, Term, Weight, _atom_text, _Memo,
+    _rule_line, format_rule,
 )
 
 UNSAT = "unsat"
@@ -96,9 +104,14 @@ def translate_penalty(program: Program, scale: int = 1000,
                              program.universe)
 
 
+def _negated(negation: int) -> int:
+    """The negation depth of a body literal's negation: ``not a`` for ``a``
+    and for ``not not a``, ``not not a`` for ``not a``."""
+    return 1 if negation != 1 else 2
+
+
 def _negate(lit: Literal) -> Literal:
-    # not a -> not not a, not not a -> not a, a -> not a
-    return Literal(lit.atom, 1 if lit.negation != 1 else 2)
+    return Literal(lit.atom, _negated(lit.negation))
 
 
 def _reward_rule(w: Weight, scale: int) -> tuple[Term, int, int]:
@@ -141,59 +154,63 @@ def translate_reward(program: Program, scale: int = 1000) -> TranslatedProgram:
                              program.universe)
 
 
-def _body_texts(lit: Literal) -> tuple[str, str]:
-    """A body literal's text, and the text of its negation (its sat body)."""
-    return str(lit), str(_negate(lit))
-
-
-def _reward_template(n_head: int, n_body: int) -> str:
+def _reward_template(token: Term, n_head: int, n_body: int) -> str:
     """The format string of the rules of one instance of a rule with
-    ``n_head`` head atoms and ``n_body`` body literals, one per line: field
-    0 is the instance's marker, the next ``n_head`` the head atoms' texts
-    and the rest the body literals' ``_body_texts``."""
+    ``n_head`` head atoms and ``n_body`` body literals, one per line, its
+    marker ``sat(n,token)`` written in: field 0 is the instance's number n,
+    the next ``n_head`` are the head atoms' texts and then, per body
+    literal, its text and its negation's (its sat body)."""
+    marker = ("{0}", token.name)
     heads = [f"{{{i}}}" for i in range(1, n_head + 1)]
-    body = range(n_head + 1, n_head + n_body + 1)
-    sat_bodies = heads + [f"{{{j}[1]}}" for j in body]
-    # the guard is the marker under ``not not``
-    guarded = [f"{{{j}[0]}}" for j in body] + ["not not {0}"]
-    return "\n".join([_rule_line(("{0}",), (b,)) for b in sat_bodies]
-                     + [_rule_line(heads, guarded)])
+    body = [f"{{{j}}}" for j in range(n_head + 1, n_head + 2 * n_body + 1)]
+    sat = _atom_text(SAT, marker)
+    return "\n".join([_rule_line((sat,), (b,)) for b in heads + body[1::2]]
+                     + [_rule_line(heads, body[::2] + [_atom_text(SAT, marker, 2)])])
 
 
 def _reward_text(program: Program, scale: int, cap: int = DEFAULT_GROUND_CAP) -> str:
     """``emit_asp_text(translate_reward(ground_to_program(ground(program,
     cap)), scale))``, with ``ground``'s errors, rendered per source rule
     from its compiled occurrences: the rule's decisions and line template
-    are made once, each occurrence's texts once per instance key, and each
-    substitution fills the template with its marker, numbered from 1 in
-    ``ground``'s order.  No ground rule, marker atom or translated record
-    is built; ``scale`` is checked by the caller."""
+    are made once, and each occurrence's texts once per instance key and
+    negation depth, by its ``_Instances`` from the universe's names.  The
+    template is filled column by column: the instance numbers, from 1 in
+    ``ground``'s order, and per occurrence its texts, each column read
+    through its own ``tee`` copy of the rule's substitutions, which are
+    consumed in lockstep and so held one at a time.  No ground rule, atom,
+    literal or translated record is built; ``scale`` is checked by the
+    caller."""
     lines: list[str] = []
     weak: list[str] = []
-    n = 0
-    # per _Instances, which _walk shares among alike occurrences, the texts
-    # of ``form`` of its instances, by the same key
-    memos: dict[int, _Memo] = {}
+    # per _Instances, which _walk shares among alike occurrences, and
+    # negation depth, the texts of its instances by the same key
+    memos: dict[tuple, _Memo] = {}
 
-    def memo(made, form) -> _Memo:
-        texts = memos.get(id(made))
+    def column(key, made, negation: int, ids):
+        texts = memos.get((id(made), negation))
         if texts is None:
-            texts = memos[id(made)] = _Memo(lambda key: form(made[key]))
-        return texts
+            texts = memos[id(made), negation] = _Memo(lambda k: made.text(k, negation))
+        return map(texts.__getitem__, map(key, ids))
     for rule, heads, body, combos in _walk(program, _Pool(program.universe), cap):
         token, weight, level = _reward_rule(rule.weight, scale)
-        fill = _reward_template(len(heads), len(body)).format
-        fill_weak = _weak_line(("{0}",), weight, level, ("{1}",)).format
-        slots = ([(key, memo(made, str)) for key, made in heads]
-                 + [(key, memo(made, _body_texts)) for key, made in body])
-        for _, ids in combos:
-            n += 1
-            m = f"{SAT}({n},{token})"  # the marker sat(n, token), as Atom.__str__ writes it
-            lines.append(fill(m, *[texts[key(ids)] for key, texts in slots]))
-            weak.append(fill_weak(m, n))
+        fill = _reward_template(token, len(heads), len(body)).format
+        occurrences = [(key, made, 0) for key, made in heads]
+        for key, made in body:
+            occurrences += [(key, made, made.negation), (key, made, _negated(made.negation))]
+        copies = tee(map(_second, combos), len(occurrences))
+        columns = [column(*occurrence, ids) for occurrence, ids in zip(occurrences, copies)]
+        first = len(lines) + 1
+        # a rule without atoms has no variables, so one substitution: combos bounds it
+        lines += map(fill, count(first), *(columns or [combos]))
+        fill_weak = _weak_line((_atom_text(SAT, ("{0}", token.name)),), weight, level,
+                               ("{0}",)).format
+        weak += map(fill_weak, range(first, len(lines) + 1))
     lines += weak
     lines.append("")  # every line ends in a newline
     return "\n".join(lines)
+
+
+_second = itemgetter(1)
 
 
 def phi_extend(program: Program, interp: Interpretation, flavor: str) -> Interpretation:

@@ -13,7 +13,8 @@ over the atoms of those instances and, under -q, every atom of a queried
 predicate, so that an underivable one prints at 0.  The translations
 cover every instance: emit-asp-rwd renders its text straight from each
 source rule's substitutions (``asp_backend._reward_text``), without
-grounding the program first; emit-mln grounds it.
+grounding the program first; emit-mln grounds it.  The argument parser is
+built once, at import; ``run`` only parses.
 
 Exit codes: 0 success (-h too, its help on run's stdout), 1 parse, safety
 or usage error (an LPMLN_ATOM_CAP that is not a non-negative integer and
@@ -61,17 +62,22 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-class _Help(argparse.Action, Exception):
-    """``-h``: the action raises itself, to stop parsing as argparse's help does."""
+class _Help(Exception):
+    """``-h`` was given: parsing stops, as at argparse's help."""
+
+
+class _HelpAction(argparse.Action):
+    """``-h``: raises a fresh ``_Help``, so that no traceback gathers on the
+    one parser's action from run to run."""
 
     def __call__(self, parser, namespace, values, option_string=None):
-        raise self
+        raise _Help
 
 
 def _build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="lpmln", add_help=False, description=(
         "Exact inference and translations for weighted answer set programs."))
-    p.add_argument("-h", "--help", action=_Help, nargs=0, help="show this help message and exit")
+    p.add_argument("-h", "--help", action=_HelpAction, nargs=0, help="show this help message and exit")
     p.add_argument("-i", dest="input", required=True, metavar="FILE",
                    help="input program")
     p.add_argument("-e", dest="evidence", metavar="FILE",
@@ -104,6 +110,10 @@ def _decimal(text: str) -> int:
         except ValueError:  # more digits than int() converts
             pass
     raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
+# built once per process: building it costs a dozen times what parsing does
+_PARSER = _build_parser()
 
 
 def _fmt(p: float) -> str:
@@ -207,9 +217,8 @@ def run(argv, stdout=None, stderr=None) -> int:
         tail = argv[at + 1:at + 2]
         clingo_opts = tail[0] if tail else ""
         del argv[at:at + 2]
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         raw_cap = os.environ.get("LPMLN_ATOM_CAP", str(DEFAULT_ATOM_CAP))
         try:
             cap = _decimal(raw_cap)
@@ -259,7 +268,7 @@ def run(argv, stdout=None, stderr=None) -> int:
             Path(args.output).write_text(text, encoding="utf-8")
             return EXIT_OK
     except _Help:
-        stdout.write(parser.format_help())
+        stdout.write(_PARSER.format_help())
         return EXIT_OK
     except (GroundingCapError, EnumerationCapError) as e:  # first: GroundingCapError is a ValueError
         print(f"error: {e}", file=stderr)

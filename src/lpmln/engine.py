@@ -63,7 +63,9 @@ The record layout, the lane patterns and the packed counts, which
 ``_transpose`` is the one read-back: it packs a slice's vectors as the rows
 of one bit matrix in one integer, transposes every 8x8 block with three
 delta swaps and reads each lane with one strided byte slice.
-``_bit_indices`` is the one reader of set bits, lanes and atoms alike.
+``_bit_indices`` is the one reader of set bits, lanes and atoms alike: a
+loop over the lowest set bit for a few, else one pass over the binary
+digits, linear in the mask's length where the loop is quadratic.
 
 Interpretations are manipulated as integer bitsets internally; the public
 functions speak frozensets of atoms.
@@ -73,6 +75,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import compress, count
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .grounder import GroundProgram, GroundRule
@@ -684,12 +687,19 @@ def _propagate(rules: Sequence[_CompiledRule], bits: int, yes: int, no: int) -> 
 
 
 def _bit_indices(bits: int) -> list[int]:
-    out = []
-    while bits:
-        low = bits & -bits
-        out.append(low.bit_length() - 1)
-        bits ^= low
-    return out
+    """The positions of the set bits of ``bits``, ascending."""
+    if bits.bit_count() < 8:  # a few big-integer steps a bit
+        out = []
+        while bits:
+            low = bits & -bits
+            out.append(low.bit_length() - 1)
+            bits ^= low
+        return out
+    # one C pass over the binary digits, lowest first, as 0 and 1 bytes
+    return list(compress(count(), bin(bits)[:1:-1].encode().translate(_DIGIT_BITS)))
+
+
+_DIGIT_BITS = bytes.maketrans(b"01", b"\0\1")
 
 
 def _tarjan_scc(n: int, succ: list[list[int]]) -> list[int]:

@@ -14,7 +14,8 @@ object throughout the program.  The substitutions are walked in one place,
 ``_walk``, with the universe product, the inequality filter, the cap and
 the walk's errors: ``ground`` builds its instances from it, and the reward
 translation's text (``asp_backend._reward_text``) is rendered from it
-without building any.
+without building any: an occurrence's ``_Instances`` writes the text of
+its instance at a key from the universe's term names, pooling nothing.
 
 ``_ground_live``, which the CLI's inference calls, builds only the
 instances whose positive body atoms are derivable with negation ignored,
@@ -46,7 +47,7 @@ from operator import itemgetter
 
 from .model import (
     Atom, Literal, Program, Rule, Term, Weight,
-    _choice_marker, atom_sort_key, desugar_program,
+    _atom_text, _choice_marker, atom_sort_key, desugar_program,
 )
 
 DEFAULT_GROUND_CAP = 2 ** 22
@@ -587,6 +588,14 @@ class _Instances(dict):
         args = tuple(universe[ids[s]] if type(s) is int else s for s in self.spec)
         made = self[key] = self.pool.get(self.predicate, args, self.negation)
         return made
+
+    def text(self, key, negation: int) -> str:
+        """The text of the instance at ``key`` under ``negation`` ``not``s,
+        made from ``spec`` and the universe's names: no atom is pooled."""
+        ids = key if type(key) is tuple else (key,)
+        universe = self.pool.universe
+        return _atom_text(self.predicate, [universe[ids[s]].name if type(s) is int else s.name
+                                           for s in self.spec], negation)
 
 
 def _occurrence(a: Atom, negation: int | None, slot: dict[str, int], pool: _Pool,

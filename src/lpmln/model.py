@@ -8,7 +8,7 @@ and backends all consume these values and never mutate them.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from numbers import Real
@@ -25,6 +25,18 @@ class Term:
     """
 
     name: str
+
+    def __hash__(self) -> int:
+        # the dataclass's value, computed once, as Atom's
+        try:
+            return self._hash
+        except AttributeError:
+            h = self.__dict__["_hash"] = hash((self.name,))
+            return h
+
+    def __getstate__(self) -> dict:
+        # as for Atom: no salted hash may travel
+        return {"name": self.name}
 
     @property
     def is_variable(self) -> bool:
@@ -87,10 +99,16 @@ class Atom:
         # rendered once: an emitted translation repeats each ground atom
         text = getattr(self, "_text", None)
         if text is None:
-            text = self.__dict__["_text"] = (
-                f"{self.predicate}({','.join([t.name for t in self.args])})"
-                if self.args else self.predicate)
+            text = self.__dict__["_text"] = _atom_text(self.predicate,
+                                                       [t.name for t in self.args])
         return text
+
+
+def _atom_text(predicate: str, names: Sequence[str], negation: int = 0) -> str:
+    """The text of the atom ``predicate(names...)`` under ``negation``
+    ``not``s: the one owner of the atom and literal syntax, for pooled atoms
+    and for texts made straight from universe names alike."""
+    return "not " * negation + (f"{predicate}({','.join(names)})" if names else predicate)
 
 
 def atom(predicate: str, *args: Union[Term, str, int]) -> Atom:
@@ -117,7 +135,9 @@ class Literal:
         # rendered once, like Atom
         text = getattr(self, "_text", None)
         if text is None:
-            text = self.__dict__["_text"] = "not " * self.negation + str(self.atom)
+            a = self.atom
+            text = self.__dict__["_text"] = _atom_text(a.predicate, [t.name for t in a.args],
+                                                       self.negation)
         return text
 
 

@@ -1,12 +1,13 @@
 import functools
 import random
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lpmln import asp_backend, fixture_path, ground, parse_program
+from lpmln import asp_backend, fixture_path, grounder, ground, parse_program
 from lpmln.asp_backend import (
     NonGroundProgramError, TranslatedProgram, WeakConstraint, emit_asp_text,
     optimal_models, phi_extend, translate_penalty, translate_reward, wc_penalty,
@@ -31,6 +32,14 @@ def _outcome(emit, prog, scale):
         return emit(prog, scale)
     except GroundingError as e:
         return type(e), str(e)
+
+
+def _records_text(prog, scale):
+    """The reward text through the records, or the type and message of the
+    grounding error."""
+    return _outcome(
+        lambda p, s: emit_asp_text(translate_reward(ground_to_program(ground(p)), s)),
+        prog, scale)
 
 
 def translated_models(tp, cap=24):
@@ -324,9 +333,44 @@ class TestEmission:
     def test_property_direct_reward_text_matches_records(self, prog, scale):
         # the text emit-asp-rwd renders from the source rules is the records',
         # and a program ground refuses it refuses alike
-        assert _outcome(asp_backend._reward_text, prog, scale) == _outcome(
-            lambda p, s: emit_asp_text(translate_reward(ground_to_program(ground(p)), s)),
-            prog, scale)
+        assert _outcome(asp_backend._reward_text, prog, scale) == _records_text(prog, scale)
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(safe_programs(), st.sampled_from([1, 7, 1000]))
+    def test_property_direct_reward_text_matches_records_when_safe(self, prog, scale):
+        # most unrestricted programs are unsafe: safe ones reach the rules
+        # with variables, and so the text's columns
+        assert _outcome(asp_backend._reward_text, prog, scale) == _records_text(prog, scale)
+
+    @pytest.mark.parametrize("text", [
+        ":- a != b.\n", "1.5 :- a != b.\n", "p(a).\n:- a != b.\n", ":- a != a.\n",
+    ])
+    def test_reward_text_of_rules_without_atoms(self, text):
+        # a rule whose every body element is an inequality has no atom
+        # occurrence, hence no text column: its one instance is still numbered
+        prog = P(text)
+        for scale in (1, 1000):
+            got = asp_backend._reward_text(prog, scale)
+            assert got == _records_text(prog, scale)
+        assert asp_backend._reward_text(P(":- a != b.\n"), 1000) == (
+            ':- not not sat(1,"alpha").\n:~ sat(1,"alpha"). [-1000@1,1]\n')
+
+    def test_reward_text_pools_no_atom(self, monkeypatch, tmp_path):
+        # every text is made from the universe's names: on a reach instance
+        # the text is the records' with the pool closed
+        bench = Path(__file__).resolve().parent.parent / "perfbench"
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        monkeypatch.syspath_prepend(str(bench))
+        import workloads
+
+        prog = parse_program(workloads.reach_instance(0)[0])
+        expected = _records_text(prog, 1000)
+
+        def closed(*args):
+            raise AssertionError("an atom was pooled")
+        monkeypatch.setattr(grounder._Pool, "get", closed)
+        assert asp_backend._reward_text(prog, 1000) == expected
+        assert len(expected.splitlines()) == workloads.reach_emit_lines()
 
     @pytest.mark.parametrize("text, cap, kind", [
         ("p(a).\nq(X) :- not p(X).\n", 100, UnsafeRuleError),

@@ -535,6 +535,18 @@ class TestInputContract:
         assert "--scale SCALE" in out
         assert capsys.readouterr() == ("", "")
 
+    def test_help_twice_from_the_one_parser(self, monkeypatch):
+        # the parser is built at import, once per process: run only parses,
+        # and -h leaves no traceback behind to grow from run to run
+        def build():
+            raise AssertionError("run built a parser")
+        monkeypatch.setattr(cli, "_build_parser", build)
+        first, second = invoke("-h"), invoke("-h")
+        assert first == second and first[0] == 0
+        assert first[1] == cli._PARSER.format_help()
+        help_action = next(a for a in cli._PARSER._actions if "-h" in a.option_strings)
+        assert not isinstance(help_action, BaseException)
+
     @pytest.mark.parametrize("flags", [(), ("-q", "residentbird"),
                                        ("--mode", "emit-asp-rwd")])
     def test_negative_atom_cap(self, flags):

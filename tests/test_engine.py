@@ -404,6 +404,24 @@ def _random_columns(rng, width, count, base=0, spread=3, extra=0):
     return [(p, rng.getrandbits(width + extra)) for p in positions]
 
 
+def _naive_bit_indices(bits):
+    return [i for i in range(bits.bit_length()) if bits >> i & 1]
+
+
+def _random_masks(count):
+    rng = random.Random(0)
+    return [rng.getrandbits(rng.randint(1, 2048)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("bits", [
+    0, 1 << 700, 1 | 1 << 130 | 1 << 276, int("10" * 30, 2) | 1, (1 << 1024) - 1,
+    0x7F << 900, 0xFF << 900,  # the last for the loop, the first for the digit pass
+] + _random_masks(40), ids=lambda bits: f"{bits.bit_length()}b{bits.bit_count()}")
+def test_bit_indices_matches_a_naive_reader(bits):
+    # the loop reads a few set bits, the digit pass many: both are the naive reader
+    assert engine._bit_indices(bits) == _naive_bit_indices(bits)
+
+
 class TestBitSlicedKernel:
     """Candidates are decided a slice of 2 ** _LANE_BITS at a time; at every
     lane width the result must be the oracle's, in candidate order."""

@@ -170,6 +170,32 @@ class TestAtomHash:
             assert sorted([other, b]) == sorted([obj, other])
 
 
+class TestTermHash:
+    def test_hash_is_the_field_tuple_hash(self):
+        t = Term("n0")
+        assert hash(t) == hash(("n0",)) == hash(t)
+        assert hash(Term('"c d"')) == hash(('"c d"',))
+
+    def test_cached_hash_does_not_survive_pickling(self):
+        t = Term("alice")
+        hash(t)
+        assert vars(t)["_hash"] == hash(("alice",))
+        for b in (pickle.loads(pickle.dumps(t)), copy.deepcopy(t), copy.copy(t)):
+            assert vars(b) == {"name": "alice"}
+            assert b == t and hash(b) == hash(t)
+
+    def test_cached_hash_changes_neither_order_nor_equality(self):
+        names = ["b", "A", "0", "a", '"z"', "b1", "-7"]
+        cached = [Term(n) for n in names]
+        for t in cached:
+            hash(t)
+        twins = [Term(n) for n in names]  # never hashed
+        assert all("_hash" not in vars(t) for t in twins)
+        assert cached == twins and [t.name for t in sorted(cached)] == sorted(names)
+        assert sorted(cached) == sorted(twins)
+        assert [a < b for a in cached for b in twins] == [a < b for a in twins for b in twins]
+
+
 class TestConstructorContracts:
     """The constructors' results and error messages."""
 

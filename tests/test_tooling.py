@@ -180,6 +180,31 @@ def test_the_substitution_walk_has_one_owner():
             assert _calls_of(reward_text, "_walk")
 
 
+def _method(tree: ast.AST, cls: str, name: str) -> ast.FunctionDef:
+    owner = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == cls)
+    return next(n for n in owner.body if isinstance(n, ast.FunctionDef) and n.name == name)
+
+
+def test_the_atom_text_has_one_owner():
+    # model._atom_text writes ``not``s, a predicate and its arguments: for a
+    # pooled atom or literal and for a text made straight from universe
+    # names alike, so the reward text cannot drift from the records'
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(Path(lpmln.__file__).parent.glob("*.py"))}
+    model = trees["model.py"]
+    owner = next(n for n in model.body
+                 if isinstance(n, ast.FunctionDef) and n.name == "_atom_text")
+    for cls, tree in (("Atom", model), ("Literal", model), ("_Instances", trees["grounder.py"])):
+        method = _method(tree, cls, "text" if cls == "_Instances" else "__str__")
+        assert _calls_of(method, "_atom_text"), cls
+    # and no other code writes a "not "
+    inside = {id(n) for n in ast.walk(owner)}
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and node.value == "not " and id(node) not in inside:
+                raise AssertionError((name, node.lineno))
+
+
 def test_live_grounding_has_one_derivation():
     # grounder._derive runs every _Join, of a rule with variables or
     # without; facts only seed it, and no rule waits on a counter instead
