@@ -39,7 +39,6 @@ import os
 import re
 import sys
 import warnings
-from functools import reduce
 from operator import or_
 from pathlib import Path
 
@@ -120,12 +119,24 @@ def _fmt(p: float) -> str:
     return f"{p:.12g}"
 
 
-def _byte_tables(items: list, combine) -> list[_Memo]:
-    """Per byte position of a bitset over ``items``, a memo from the byte's
-    value to ``combine`` of the items of its set bits, in bit order."""
+def _byte_tables(items: list, join) -> list[_Memo]:
+    """Per byte position of a bitset over ``items``, a memo from a non-zero
+    byte value to the items of its set bits in bit order, joined pairwise
+    by ``join``: a value is its lowest bit's item joined to the memoised
+    value of the rest."""
     def table(chunk):
-        return _Memo(lambda x: combine(v for i, v in enumerate(chunk) if x >> i & 1))
+        def make(x):
+            low = x & -x
+            rest = x ^ low
+            first = chunk[low.bit_length() - 1]
+            return join(first, memo[rest]) if rest else first
+        memo = _Memo(make)
+        return memo
     return [table(items[p:p + 8]) for p in range(0, len(items), 8)]
+
+
+def _spaced(a: str, b: str) -> str:
+    return f"{a} {b}"
 
 
 def _model_printer(gp, comp, scale: int, masks: list[int]):
@@ -154,11 +165,11 @@ def _model_printer(gp, comp, scale: int, masks: list[int]):
     rule_bits = [0] * union.bit_length()
     for r, m in marker_of.items():
         rule_bits[r] = bit[m]
-    to_markers = _byte_tables(rule_bits, lambda bits: reduce(or_, bits, 0))
+    to_markers = _byte_tables(rule_bits, or_)
     # a marker that occurs in the program prints only when the model does not hold it
     held = [(bit[m], 1 << comp.index[m]) for m in order if m in comp.index]
-    atom_text = _byte_tables([str(a) for a in comp.atoms], " ".join)
-    text = atom_text + _byte_tables([str(m) for m in order], " ".join)
+    atom_text = _byte_tables([str(a) for a in comp.atoms], _spaced)
+    text = atom_text + _byte_tables([str(m) for m in order], _spaced)
     n_rule, n_atom, n_marker = len(to_markers), len(atom_text), len(text) - len(atom_text)
 
     def lines(b, violated, soft):

@@ -274,15 +274,21 @@ class StableModelEnumerator:
         # edges head -> body atom, positive ones first: the DFS order fixes the stage order
         succ: list[list[int]] = [[] for _ in range(n)]
         for r in self._live:
-            head_atoms |= r.head
-            if r.disjunctive:
-                disjunctive |= r.head
+            head = r.head
+            if not head:
+                continue  # a constraint: it frees no atom and adds no edge
+            head_atoms |= head
+            if head & (head - 1):
+                disjunctive |= head
+                heads = _bit_indices(head)
+            else:
+                heads = (head.bit_length() - 1,)
             if not comp.hard >> r.index & 1:
-                soft |= r.head
+                soft |= head
             elif self.hard_mode == "relaxed":
-                relaxed |= r.head
+                relaxed |= head
             body = _bit_indices(r.pos) + _bit_indices(r.neg1 | r.neg2)
-            for h in _bit_indices(r.head):
+            for h in heads:
                 succ[h] += body
 
         comp_id = _tarjan_scc(n, succ)
@@ -303,7 +309,7 @@ class StableModelEnumerator:
         scc_rules: list[list[_CompiledRule]] = [[] for _ in range(n)]
         for r in self._live:
             if r.head and not r.disjunctive and (r.head & det):
-                scc_rules[comp_id[_bit_indices(r.head)[0]]].append(r)
+                scc_rules[comp_id[r.head.bit_length() - 1]].append(r)
         self.closure_stages = [rs for rs in scc_rules if rs]
 
     def _specialise(self) -> None:
@@ -688,6 +694,8 @@ def _propagate(rules: Sequence[_CompiledRule], bits: int, yes: int, no: int) -> 
 
 def _bit_indices(bits: int) -> list[int]:
     """The positions of the set bits of ``bits``, ascending."""
+    if not bits & (bits - 1):  # zero or one set bit
+        return [bits.bit_length() - 1] if bits else []
     if bits.bit_count() < 8:  # a few big-integer steps a bit
         out = []
         while bits:

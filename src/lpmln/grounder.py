@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import count, islice, product
+from itertools import count, islice, product, repeat
 from operator import itemgetter
 
 from .model import (
@@ -213,10 +213,17 @@ def _walk(program: Program, pool: _Pool, cap: int):
 
 def _instances(rule: Rule, heads, body, combos) -> list[GroundRule]:
     """The instances of a rule compiled by ``_compile``, one per ``(subst,
-    ids)`` of ``combos``: the terms substituted and their universe positions."""
-    return [GroundRule(rule.index, rule.weight, tuple([made[key(ids)] for key, made in heads]),
-                       tuple([made[key(ids)] for key, made in body]), subst)
-            for subst, ids in combos]
+    ids)`` of ``combos``: the terms substituted and their universe
+    positions.  Each occurrence's instances are looked up column by column."""
+    combos = list(combos)
+    ids = [i for _, i in combos]
+
+    def rows(occurrences):
+        if not occurrences:
+            return repeat(())
+        return zip(*[list(map(made.__getitem__, map(key, ids))) for key, made in occurrences])
+    return list(map(GroundRule, repeat(rule.index), repeat(rule.weight), rows(heads), rows(body),
+                    [subst for subst, _ in combos]))
 
 
 def _ground_live(program: Program, cap: int = DEFAULT_GROUND_CAP,
@@ -282,7 +289,7 @@ def _ground_live(program: Program, cap: int = DEFAULT_GROUND_CAP,
                 combos = ((tuple([universe[i] for i in ids]), ids) for ids in sorted(plan.found))
             out += _instances(rule, *plan.compiled[:2], combos)
         for predicate, ids in _atom_keys(plan, query, len(universe), cap):
-            pool.get(predicate, tuple([universe[i] for i in ids]), None)
+            pool.get(predicate, ids, None)
     gp = GroundProgram(tuple(out))
     # the atoms of the instances kept and the query's: those in the pool
     gp.__dict__["atoms"] = tuple(sorted(pool.atoms.values(), key=atom_sort_key))
@@ -292,8 +299,8 @@ def _ground_live(program: Program, cap: int = DEFAULT_GROUND_CAP,
 def _instance(rule: Rule, pool: _Pool) -> GroundRule:
     """The one instance of a rule without variables, its inequalities left out."""
     return GroundRule(rule.index, rule.weight,
-                      tuple([pool.get(a.predicate, a.args, None) for a in rule.head]),
-                      tuple([pool.get(el.atom.predicate, el.atom.args, el.negation)
+                      tuple([pool.get(a.predicate, pool.key(a.args), None) for a in rule.head]),
+                      tuple([pool.get(el.atom.predicate, pool.key(el.atom.args), el.negation)
                              for el in rule.body if isinstance(el, Literal)]))
 
 
@@ -546,8 +553,11 @@ class _Join:
 
 
 class _Pool:
-    """One object per ground atom, by ``(predicate, args)``, and per ground
-    literal, by ``(atom, negation)``."""
+    """One object per ground atom and per ground literal.  An atom is keyed
+    by its predicate and its key: per argument, the argument's universe
+    position, or the term itself outside the universe; a literal by its
+    atom's predicate and key and its negation.  The keys hash in C, so no
+    term or atom is hashed to find them."""
 
     def __init__(self, universe: tuple[Term, ...]):
         self.universe = universe
@@ -555,15 +565,24 @@ class _Pool:
         self.atoms: dict[tuple, Atom] = {}
         self.literals: dict[tuple, Literal] = {}
 
-    def get(self, predicate: str, args: tuple[Term, ...], negation: int | None):
-        a = self.atoms.get((predicate, args))
+    def key(self, args: tuple[Term, ...]) -> tuple:
+        """The key of an atom with the arguments ``args``."""
+        position = self.position
+        return tuple([position.get(t, t) for t in args])
+
+    def get(self, predicate: str, key: tuple, negation: int | None):
+        """The atom ``predicate`` with the key ``key``, or its literal under
+        ``negation``."""
+        a = self.atoms.get((predicate, key))
         if a is None:
-            a = self.atoms[predicate, args] = Atom(predicate, args)
+            universe = self.universe
+            a = self.atoms[predicate, key] = Atom(
+                predicate, tuple([universe[i] if type(i) is int else i for i in key]))
         if negation is None:
             return a
-        lit = self.literals.get((a, negation))
+        lit = self.literals.get((predicate, key, negation))
         if lit is None:
-            lit = self.literals[a, negation] = Literal(a, negation)
+            lit = self.literals[predicate, key, negation] = Literal(a, negation)
         return lit
 
 
@@ -581,12 +600,15 @@ class _Instances(dict):
         self.negation = negation
         self.spec = spec
         self.pool = pool
+        # without constants, the key's positions are the pool's key
+        self.constants = any(type(s) is not int for s in spec)
 
     def __missing__(self, key):
         ids = key if type(key) is tuple else (key,)
-        universe = self.pool.universe
-        args = tuple(universe[ids[s]] if type(s) is int else s for s in self.spec)
-        made = self[key] = self.pool.get(self.predicate, args, self.negation)
+        if self.constants:
+            position = self.pool.position
+            ids = tuple([ids[s] if type(s) is int else position.get(s, s) for s in self.spec])
+        made = self[key] = self.pool.get(self.predicate, ids, self.negation)
         return made
 
     def text(self, key, negation: int) -> str:

@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import HARD, Atom, Inequality, Literal, Program, Rule, Term, soft
 
@@ -47,68 +48,83 @@ class LpmlnSyntaxError(ValueError):
         self.span = span
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
+    """One lexeme and where it starts.  ``span`` is made only when read:
+    by an error, or a test."""
+
     kind: str  # NUM IDENT VAR QUOTED PUNCT EOF
     text: str
-    span: SourceSpan
+    line: int
+    column: int
+
+    @property
+    def span(self) -> SourceSpan:
+        return SourceSpan(self.line, self.column, len(self.text))
 
 
 # The lexical grammar, ASCII only: one alternative per lexeme, tried in
-# order at each position.  A numeral glued to a letter or "_" ("1e16",
-# "2a") matches with a ``glued`` group, which is an error.
+# order at each position; the last takes any other character, an error.
+# A numeral glued to a letter or "_" ("1e16", "2a") matches with a
+# ``glued`` group, and a word that starts with "_" as ``underscore``: both
+# are errors.
 _LEXEME = re.compile(r"""
     (?P<space>[ \t\r]+)
   | (?P<comment>%[^\n]*)
   | (?P<newline>\n)
   | (?P<QUOTED>"[^"\n]*")
   | (?P<NUM>-?[0-9]+(?:\.[0-9]+)?)(?P<glued>[A-Za-z_])?
-  | (?P<word>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<IDENT>[a-z][A-Za-z0-9_]*)
+  | (?P<VAR>[A-Z][A-Za-z0-9_]*)
   | (?P<PUNCT>:-|!=|::|[(){};,./@])
+  | (?P<underscore>_[A-Za-z0-9_]*)
+  | (?P<other>.)
 """, re.VERBOSE)
+_KINDS = frozenset(("QUOTED", "NUM", "IDENT", "VAR", "PUNCT"))
 
 
 def _tokenize(text: str) -> list[_Token]:
+    """The tokens of ``text``, then an EOF token.  A column counts
+    characters from the start of its line; the end of input after a
+    comment is at its '%'."""
     toks: list[_Token] = []
-    pos, line, col = 0, 1, 1
-    while pos < len(text):
-        m = _LEXEME.match(text, pos)
-        if m is None:
-            c = text[pos]
-            message = ("unterminated quoted constant" if c == '"'
-                       else f"unexpected character {c!r}")
-            raise LpmlnSyntaxError(message, SourceSpan(line, col, 1))
-        kind, lexeme = m.lastgroup, m.group()
-        if kind == "glued":
-            raise LpmlnSyntaxError(
-                f"a numeral must be followed by a space or punctuation, found {m['glued']!r}",
-                SourceSpan(line, col + len(m["NUM"]), 1))
-        if kind == "word":
-            if lexeme[0] == "_":
-                raise LpmlnSyntaxError("identifiers must start with a letter",
-                                       SourceSpan(line, col, len(lexeme)))
-            kind = "VAR" if lexeme[0].isupper() else "IDENT"
-        # a comment leaves col at its '%': the end of input after it is there
-        if kind == "newline":
-            line, col = line + 1, 1
-        elif kind != "comment":
-            if kind != "space":
-                toks.append(_Token(kind, lexeme, SourceSpan(line, col, len(lexeme))))
-            col += len(lexeme)
-        pos = m.end()
-    toks.append(_Token("EOF", "", SourceSpan(line, col, 0)))
+    append = toks.append
+    line, start, comment = 1, 0, -1  # start: where the line starts
+    for m in _LEXEME.finditer(text):
+        kind = m.lastgroup
+        if kind in _KINDS:
+            append(_Token(kind, m.group(), line, m.start() - start + 1))
+        elif kind == "newline":
+            line, start = line + 1, m.end()
+        elif kind == "comment":
+            comment = m.start()
+        elif kind != "space":
+            at = m.start()
+            if kind == "glued":
+                at += len(m["NUM"])
+                message = f"a numeral must be followed by a space or punctuation, found {m[kind]!r}"
+            elif kind == "underscore":
+                message = "identifiers must start with a letter"
+            elif m.group() == '"':
+                message = "unterminated quoted constant"
+            else:
+                message = f"unexpected character {m.group()!r}"
+            length = len(m.group()) if kind == "underscore" else 1
+            raise LpmlnSyntaxError(message, SourceSpan(line, at - start + 1, length))
+    append(_Token("EOF", "", line, (comment if comment >= start else len(text)) - start + 1))
     return toks
 
 
 class _Parser:
     def __init__(self, text: str):
         self.toks = _tokenize(text)
+        self.toks.append(self.toks[-1])  # a second EOF: peek(1) at EOF reads EOF
         self.pos = 0
+        self.terms: dict[str, Term] = {}  # one Term per spelling
 
     # -- token helpers
 
     def peek(self, ahead: int = 0) -> _Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+        return self.toks[self.pos + ahead]
 
     def next(self) -> _Token:
         t = self.toks[self.pos]
@@ -123,7 +139,7 @@ class _Parser:
         return t
 
     def at(self, text: str) -> bool:
-        return self.peek().text == text
+        return self.toks[self.pos].text == text
 
     # -- grammar
 
@@ -232,7 +248,10 @@ class _Parser:
     def term(self) -> Term:
         t = self.next()
         if t.kind in ("IDENT", "VAR", "QUOTED") or (t.kind == "NUM" and "." not in t.text):
-            return Term(t.text)
+            term = self.terms.get(t.text)
+            if term is None:
+                term = self.terms[t.text] = Term(t.text)
+            return term
         raise LpmlnSyntaxError(f"expected a term, found {t.text or 'end of input'!r}", t.span)
 
     def body_element(self):

@@ -139,6 +139,15 @@ class TestAllMode:
         assert code == 0
         assert out.splitlines()[0:2 * len(tied):2] == [reference(m) for m in tied]
 
+    def test_model_order_with_a_constraint_last(self, tmp_path):
+        # the last rule is a constraint on z, the atom that sorts last; it
+        # adds no dependency edge, so a alone is free and {z}, with a
+        # false, comes first
+        (tmp_path / "c.lpmln").write_text("{a}.\nz :- not a.\nb :- not z.\n:- b, z.\n")
+        assert invoke("-i", str(tmp_path / "c.lpmln"), "-all") == (0, (
+            "Answer: 1\nz\nOptimization: 0\nAnswer: 2\na b\nOptimization: 0\n\n"
+            "Probability of Answer 1 : 0.5\nProbability of Answer 2 : 0.5\n"), "")
+
     def test_a_marker_of_two_rules_prints_once(self):
         # markers are deduplicated by marker, not by rule: two ground rules
         # with one origin and one substitution share their marker

@@ -414,11 +414,13 @@ def _random_masks(count):
 
 
 @pytest.mark.parametrize("bits", [
-    0, 1 << 700, 1 | 1 << 130 | 1 << 276, int("10" * 30, 2) | 1, (1 << 1024) - 1,
+    0, 1, 1 << 300, 1 << 700, 0b11, 1 | 1 << 130 | 1 << 276, int("10" * 30, 2) | 1,
+    (1 << 1024) - 1, 0x1FF,
     0x7F << 900, 0xFF << 900,  # the last for the loop, the first for the digit pass
 ] + _random_masks(40), ids=lambda bits: f"{bits.bit_length()}b{bits.bit_count()}")
 def test_bit_indices_matches_a_naive_reader(bits):
-    # the loop reads a few set bits, the digit pass many: both are the naive reader
+    # zero or one set bit is read at once, a few by the loop, many by the
+    # digit pass: each is the naive reader
     assert engine._bit_indices(bits) == _naive_bit_indices(bits)
 
 
@@ -678,6 +680,10 @@ class TestRuleGraph:
         # a positive cycle is one closure stage, computed before what negates it
         ("{c}.\np :- q.\nq :- p.\np :- c.\nr :- not p.\n", "strict",
          [("c", "negative cycle")], [["p", "q", "p"], ["r"]]),
+        # a constraint adds no edge, not even last in rule order with z, the
+        # atom that sorts last, in its body: b and z stay closure atoms
+        ("{a}.\nz :- not a.\nb :- not z.\n:- b, z.\n", "strict",
+         [("a", "negative cycle")], [["z"], ["b"]]),
     ])
     def test_negative_cycles_and_stages(self, text, hard_mode, free, stages):
         enum = StableModelEnumerator(ground(P(text)), hard_mode)

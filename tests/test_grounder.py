@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lpmln import check_safety, cli, fixture_path, ground, parse_evidence, parse_program
+from lpmln import check_safety, cli, fixture_path, ground, grounder, parse_evidence, parse_program
 from lpmln.engine import DEFAULT_ATOM_CAP, StableModelEnumerator, _bit_indices
 from lpmln.grounder import (
     EmptyUniverseError, GroundingCapError, GroundingError, UnsafeRuleError, _ground_live,
@@ -197,6 +197,20 @@ class TestAgainstNaiveGrounder:
         assert len({id(l) for l in literals}) == len(set(literals))
         assert all(any(a is b for b in gp.atoms) for a in atoms)
 
+
+    @pytest.mark.parametrize("grounding", [
+        ground, _ground_live, functools.partial(ground, universe=(Term("a"),)),
+    ], ids=["ground", "_ground_live", "ground-over-a"])
+    def test_one_object_per_ground_atom_with_constants(self, grounding):
+        # an atom written with a constant, in a fact, in a rule with
+        # variables and in one without, is one object; over the universe
+        # (a), b and c are constants outside it
+        gp = grounding(P("dom(a). dom(b).\n{q(X)} :- dom(X).\nr :- q(X), dom(a), not q(b).\n"
+                         "s :- dom(b), not dom(c), q(a).\n"))
+        atoms = [a for r in gp.rules for a in r.head + tuple(l.atom for l in r.body)]
+        assert len({id(a) for a in atoms}) == len(set(atoms)) == len(gp.atoms)
+        assert all(any(a is b for b in gp.atoms) for a in atoms)
+        assert [str(a) for a in gp.atoms][:3] == ["dom(a)", "dom(b)", "dom(c)"]
 
 def _reach_text(index: int, n: int = 14) -> str:
     """Transitive closure over a chain of ``n`` nodes with five cuts, plus
@@ -407,6 +421,22 @@ class TestGroundLive:
         for grounding in (ground, _ground_live):
             with pytest.raises(GroundingCapError):
                 grounding(P(text), cap=2)
+
+    def test_the_choice_head_cap_is_hit_inside_complete(self):
+        # complete binds the choice head's free Y for each of the join's
+        # substitutions and stops once it has made more than the cap, before
+        # _derive counts what fired
+        program = grounder._desugar_safe(P("r(a). r(b). r(c).\n{p(X, Y)} :- r(X).\n"))
+        rule = program.rules[-1]
+        universe = program.universe
+        plan = grounder._Join(rule, rule.variables(),
+                              grounder._compile(rule, rule.variables(), grounder._Pool(universe), {}),
+                              {t.name: i for i, t in enumerate(universe)})
+        assert plan.free == [1]
+        subs = [[x, -1] for x in range(3)]
+        assert plan.complete(subs, 9) == [[x, y] for x in range(3) for y in range(3)]
+        with pytest.raises(GroundingCapError, match="^grounding exceeds the cap of 5 rules$"):
+            plan.complete(subs, 5)
 
     def test_cap_bounds_the_substitutions_found(self):
         # 1 + 2 + ... + 6 path instances can fire on a chain of seven nodes

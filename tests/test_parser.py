@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 
 import pytest
@@ -9,7 +10,7 @@ from lpmln import (
     parse_query_spec, pretty_program,
 )
 from lpmln.model import Atom, Inequality, Literal, Program, Rule, Weight
-from lpmln.parser import _tokenize
+from lpmln.parser import SourceSpan, _Parser, _tokenize
 from helpers import random_program_text
 from strategies import programs
 
@@ -68,6 +69,52 @@ class TestParseProgram:
         assert prog.rules[0].weight.value == 2.0
         assert prog.rules[0].head[0].predicate == "residentbird"
 
+
+class TestTermsPerParse:
+    TEXT = 'p(a, X, "s", 1) :- q(X, a), a != X.\nq(a, 1).\n'
+
+    @staticmethod
+    def _terms(prog):
+        rule, fact = prog.rules
+        return (rule.head[0].args, rule.body[0].atom.args, (rule.body[1].lhs, rule.body[1].rhs),
+                fact.head[0].args)
+
+    def test_one_term_per_spelling_within_a_parse(self):
+        (a, x, s, one), (x2, a2), (a3, x3), (a4, one2) = self._terms(parse_program(self.TEXT))
+        assert a is a2 is a3 is a4 and x is x2 is x3 and one is one2
+        assert len({id(t) for t in (a, x, s, one)}) == 4
+
+    def test_separate_parses_share_nothing(self):
+        one, two = parse_program(self.TEXT), parse_program(self.TEXT)
+        for ts, us in zip(self._terms(one), self._terms(two)):
+            for t, u in zip(ts, us):
+                assert t is not u and t == u and hash(t) == hash(u)
+        assert one == two and hash(one) == hash(two)
+        back = pickle.loads(pickle.dumps(one))
+        assert back == one and hash(back) == hash(one) and str(back) == str(one)
+        assert pickle.loads(pickle.dumps(self._terms(one)[0][0])).__dict__ == {"name": "a"}
+
+
+class TestPeek:
+    def test_peek_past_the_last_token_reads_end_of_input(self):
+        p = _Parser("a.")
+        assert p.peek(1).text == "."
+        p.next()
+        assert p.peek(1).kind == "EOF"
+        p.next()
+        assert p.peek().kind == p.peek(1).kind == "EOF"
+        assert p.peek(1).span == p.peek().span == SourceSpan(1, 3, 0)
+        assert p.next().kind == "EOF" and p.peek().kind == "EOF"  # next stays at the end
+
+    @pytest.mark.parametrize("text, message", [
+        ("2", "1:2: expected a predicate name, found 'end of input'"),
+        ("a :- b", "1:7: expected '.', found 'end of input'"),
+        ("a :- b,", "1:8: expected a term, found 'end of input'"),
+    ])
+    def test_the_last_token_looks_ahead_to_end_of_input(self, text, message):
+        with pytest.raises(LpmlnSyntaxError) as exc:
+            parse_program(text)
+        assert str(exc.value) == message
 
 class TestParseErrors:
     @pytest.mark.parametrize("text", [
