@@ -28,8 +28,10 @@ enumeration cap; it and --scale are ASCII decimal numerals.
 Once per run it builds text tables: per byte of the atom bitset, a memo
 from the byte's value to the joined names of its atoms (bit order is print
 order), and the same over the sorted unsat markers of the rules the
-printed models violate.  Per model it reads the bytes of the violation
-mask, the bitset and the marker bits, looks them up and joins once.
+printed models violate.  A value is filled from the value without its
+lowest bit: that bit's name, a space, then the memoised rest.  Per model
+it reads the bytes of the violation mask, the bitset and the marker bits,
+looks them up and joins once.
 """
 
 from __future__ import annotations

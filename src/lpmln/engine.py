@@ -63,9 +63,11 @@ The record layout, the lane patterns and the packed counts, which
 ``_transpose`` is the one read-back: it packs a slice's vectors as the rows
 of one bit matrix in one integer, transposes every 8x8 block with three
 delta swaps and reads each lane with one strided byte slice.
-``_bit_indices`` is the one reader of set bits, lanes and atoms alike: a
-loop over the lowest set bit for a few, else one pass over the binary
-digits, linear in the mask's length where the loop is quadratic.
+``_bit_indices`` is the one reader of set bits, lanes and atoms alike:
+zero or one set bit at once, a loop over the lowest set bit for a few,
+else one pass over the binary digits, linear in the mask's length where
+the loop is quadratic.  The analysis reads a single-atom head as
+``head.bit_length() - 1``; a constraint, head mask 0, adds no edge.
 
 Interpretations are manipulated as integer bitsets internally; the public
 functions speak frozensets of atoms.

@@ -10,12 +10,14 @@ inequalities are decided on those positions before any object is built,
 and each atom occurrence keeps its instances by the values of the
 variables it uses (occurrences alike but for their variables' names share
 them).  Ground atoms and literals are pooled, so one ground atom is one
-object throughout the program.  The substitutions are walked in one place,
-``_walk``, with the universe product, the inequality filter, the cap and
-the walk's errors: ``ground`` builds its instances from it, and the reward
-translation's text (``asp_backend._reward_text``) is rendered from it
-without building any: an occurrence's ``_Instances`` writes the text of
-its instance at a key from the universe's term names, pooling nothing.
+object throughout the program; the pool finds them by their arguments'
+universe positions, whose tuples hash without a call into Python.  The
+substitutions are walked in one place, ``_walk``, with the universe
+product, the inequality filter, the cap and the walk's errors: ``ground``
+builds its instances from it, and the reward translation's text
+(``asp_backend._reward_text``) is rendered from it without building any:
+an occurrence's ``_Instances`` writes the text of its instance at a key
+from the universe's term names, pooling nothing.
 
 ``_ground_live``, which the CLI's inference calls, builds only the
 instances whose positive body atoms are derivable with negation ignored,

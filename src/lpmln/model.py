@@ -25,14 +25,14 @@ class Term:
     """
 
     name: str
+    _hash = None  # not a field: the cached hash, in the instance once computed
 
     def __hash__(self) -> int:
         # the dataclass's value, computed once, as Atom's
-        try:
-            return self._hash
-        except AttributeError:
+        h = self._hash
+        if h is None:
             h = self.__dict__["_hash"] = hash((self.name,))
-            return h
+        return h
 
     def __getstate__(self) -> dict:
         # as for Atom: no salted hash may travel
@@ -68,6 +68,7 @@ def const(name: str) -> Term:
 class Atom:
     predicate: str
     args: tuple[Term, ...] = ()
+    _hash = None  # not a field: the cached hash, in the instance once computed
 
     @property
     def arity(self) -> int:
@@ -84,12 +85,12 @@ class Atom:
 
     def __hash__(self) -> int:
         # the value the dataclass would compute, so set and dict order stay
-        # put; computed once, since atoms key every bitset index
-        try:
-            return self._hash
-        except AttributeError:
+        # put; computed once, since atoms key every bitset index.  Until
+        # then ``_hash`` reads the class's None: no AttributeError is raised
+        h = self._hash
+        if h is None:
             h = self.__dict__["_hash"] = hash((self.predicate, self.args))
-            return h
+        return h
 
     def __getstate__(self) -> dict:
         # string hashes are salted per process: no cache may travel

@@ -19,6 +19,12 @@ punctuation (there is no exponent notation).  Any other character outside
 a quoted constant or a comment, a non-ASCII digit included, is an
 unexpected character.  Comments run from '%' to end of line.  Input is
 UTF-8 text.
+
+A token is a light record, ``_Token``: a named tuple of its kind, text,
+line and column.  Its ``SourceSpan`` is made only when something reads
+it, an error or a test.  A parse makes one ``Term`` per spelling, kept
+on its ``_Parser``: two occurrences of one spelling in one parse are one
+object, and separate parses share none.
 """
 
 from __future__ import annotations
