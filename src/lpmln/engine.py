@@ -275,6 +275,7 @@ class StableModelEnumerator:
         head_atoms = soft = disjunctive = relaxed = 0
         # edges head -> body atom, positive ones first: the DFS order fixes the stage order
         succ: list[list[int]] = [[] for _ in range(n)]
+        negative = []  # (head atoms, negated atoms) of each rule with both
         for r in self._live:
             head = r.head
             if not head:
@@ -289,13 +290,17 @@ class StableModelEnumerator:
                 soft |= head
             elif self.hard_mode == "relaxed":
                 relaxed |= head
-            body = _bit_indices(r.pos) + _bit_indices(r.neg1 | r.neg2)
+            body = _bit_indices(r.pos)
+            if r.neg1 | r.neg2:
+                neg = _bit_indices(r.neg1 | r.neg2)
+                negative.append((heads, neg))
+                body += neg
             for h in heads:
                 succ[h] += body
 
         comp_id = _tarjan_scc(n, succ)
-        neg_sccs = {comp_id[h] for r in self._live if r.neg1 | r.neg2 for h in _bit_indices(r.head)
-                    for b in _bit_indices(r.neg1 | r.neg2) if comp_id[b] == comp_id[h]}
+        neg_sccs = {comp_id[h] for heads, neg in negative for h in heads
+                    for b in neg if comp_id[b] == comp_id[h]}
         negative_cycle = sum(1 << i for i, c in enumerate(comp_id) if c in neg_sccs)
         free = (soft | disjunctive | relaxed | negative_cycle) & head_atoms
 
@@ -310,7 +315,7 @@ class StableModelEnumerator:
         # inside it, so a stage's negated atoms are settled before it runs.
         scc_rules: list[list[_CompiledRule]] = [[] for _ in range(n)]
         for r in self._live:
-            if r.head and not r.disjunctive and (r.head & det):
+            if r.head & det:  # so one atom: a disjunctive head's atoms are free
                 scc_rules[comp_id[r.head.bit_length() - 1]].append(r)
         self.closure_stages = [rs for rs in scc_rules if rs]
 

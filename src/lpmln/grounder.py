@@ -293,8 +293,11 @@ def _ground_live(program: Program, cap: int = DEFAULT_GROUND_CAP,
         for predicate, ids in _atom_keys(plan, query, len(universe), cap):
             pool.get(predicate, ids, None)
     gp = GroundProgram(tuple(out))
-    # the atoms of the instances kept and the query's: those in the pool
-    gp.__dict__["atoms"] = tuple(sorted(pool.atoms.values(), key=atom_sort_key))
+    # the atoms of the instances kept and the query's: those in the pool.
+    # Every argument is in the universe, which is sorted by name, so the
+    # pool's keys order the atoms as atom_sort_key does
+    atoms = pool.atoms
+    gp.__dict__["atoms"] = tuple([atoms[p, k] for p, _, k in sorted([(p, len(k), k) for p, k in atoms])])
     return gp
 
 

@@ -197,7 +197,6 @@ class TestAgainstNaiveGrounder:
         assert len({id(l) for l in literals}) == len(set(literals))
         assert all(any(a is b for b in gp.atoms) for a in atoms)
 
-
     @pytest.mark.parametrize("grounding", [
         ground, _ground_live, functools.partial(ground, universe=(Term("a"),)),
     ], ids=["ground", "_ground_live", "ground-over-a"])
@@ -211,6 +210,7 @@ class TestAgainstNaiveGrounder:
         assert len({id(a) for a in atoms}) == len(set(atoms)) == len(gp.atoms)
         assert all(any(a is b for b in gp.atoms) for a in atoms)
         assert [str(a) for a in gp.atoms][:3] == ["dom(a)", "dom(b)", "dom(c)"]
+
 
 def _reach_text(index: int, n: int = 14) -> str:
     """Transitive closure over a chain of ``n`` nodes with five cuts, plus
@@ -437,6 +437,15 @@ class TestGroundLive:
         assert plan.complete(subs, 9) == [[x, y] for x in range(3) for y in range(3)]
         with pytest.raises(GroundingCapError, match="^grounding exceeds the cap of 5 rules$"):
             plan.complete(subs, 5)
+
+    def test_atoms_sort_by_predicate_arity_and_names(self):
+        # the atoms are ordered from the pool's position keys: arity comes
+        # before the arguments, and names compare as strings ("10" < "9")
+        gp = _ground_live(P("p(9). p(10). p(10, 9). p(9, 10). p(b, 10). q(b).\n"
+                            "r(X) :- p(X), q(b).\n"))
+        assert [str(a) for a in gp.atoms] == [
+            "p(10)", "p(9)", "p(10,9)", "p(9,10)", "p(b,10)", "q(b)", "r(10)", "r(9)"]
+        assert gp.atoms == naive_atoms(gp)
 
     def test_cap_bounds_the_substitutions_found(self):
         # 1 + 2 + ... + 6 path instances can fire on a chain of seven nodes

@@ -116,6 +116,7 @@ class TestPeek:
             parse_program(text)
         assert str(exc.value) == message
 
+
 class TestParseErrors:
     @pytest.mark.parametrize("text", [
         "2.x u.\n",
