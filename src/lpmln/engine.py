@@ -32,16 +32,18 @@ with it too).  Per slice, ``_derive`` closes every lane, one residual
 closure stage after another; ``_rule_pass`` gives each residual rule the
 lanes that violate it and the lanes whose reduct keeps it; strict mode
 drops the lanes that violate a hard rule; and ``_stable_lanes`` keeps the
-lanes that are minimal models of their reducts, by ``_derive`` from no
-atoms or, when a rule the slice keeps is disjunctive, by subset search per
-lane.  Minimality is decided above ``sure`` because every model of the
-reduct contains ``sure``, and a dropped rule is satisfied by every
-interpretation between ``sure`` and the candidate.  These functions, with
-``_kept_lanes`` as the one conjunction of lane literals (only the fixpoint
-``_derive`` keeps its own), are the only code that decides reducts,
-violation and minimality: a single interpretation, as in
-``is_stable_model``, ``reduce_program`` and ``_Compiled.violated``, is one
-lane over the full program.
+lanes that are minimal models of their reducts.  Every model of a lane's
+reduct below its candidate holds what ``_derive`` derives from no atoms,
+so a lane derived whole is minimal and one left with an unfounded atom is
+not, unless a rule of the slice is disjunctive: then subset search above
+the derived atoms settles that lane.  Minimality is decided above ``sure``
+because every model of the reduct contains ``sure``, and a dropped rule is
+satisfied by every interpretation between ``sure`` and the candidate.
+These functions, with ``_kept_lanes`` as the one conjunction of lane
+literals (only the fixpoint ``_derive`` keeps its own), are the only code
+that decides reducts, violation and minimality: a single interpretation,
+as in ``is_stable_model``, ``reduce_program`` and ``_Compiled.violated``,
+is one lane over the full program.
 
 Each slice keeps one record (``_record``): its stable lanes, the rules
 they violate with those lanes, and the varying atoms' vectors; a slice
@@ -323,28 +325,24 @@ class StableModelEnumerator:
         """Bound every candidate by propagation over the closure stages, the
         lower bound under the upper and the upper under the lower (a stage's
         negated atoms are settled when it runs), then keep only the rules
-        whose truth can vary, stripped of their fixed literals and head atoms."""
+        whose truth can vary, stripped of their fixed literals and head atoms,
+        each as one lane row, which its closure stage's rows share."""
         sure = 0  # true in every candidate
         maybe = sum(1 << p for p in self.free_positions)  # true in some candidate
         for stage in self.closure_stages:
             sure, maybe = _propagate(stage, sure, sure, maybe), _propagate(stage, maybe, maybe, sure)
         self.sure = sure
-
-        def residual(rules):
-            out = []
-            for r in rules:
-                if r.pos & ~maybe or r.neg1 & sure or r.neg2 & ~maybe or r.head & sure:
-                    continue  # holds in every candidate
-                out.append(_CompiledRule(r.head & maybe, r.pos & ~sure, r.neg1 & maybe,
-                                         r.neg2 & ~sure, r.index))
-            return out
-
-        self.residual = residual(self._live)
-        # The same rules as atom positions, for the lane-parallel kernel.
-        # Every atom they mention can vary: fixed ones were stripped.
+        self.residual = [_CompiledRule(r.head & maybe, r.pos & ~sure, r.neg1 & maybe,
+                                       r.neg2 & ~sure, r.index)
+                         for r in self._live
+                         if not (r.pos & ~maybe or r.neg1 & sure or r.neg2 & ~maybe
+                                 or r.head & sure)]  # the others hold in every candidate
+        # every atom a lane row mentions can vary: fixed ones were stripped
         self._varying = _bit_indices(maybe & ~sure)
-        self._lane_stages = [_lane_form(rs) for rs in map(residual, self.closure_stages) if rs]
         self._lane_rules = _lane_form(self.residual)
+        row = {form[0].index: form for form in self._lane_rules}
+        stages = ([row[r.index] for r in stage if r.index in row] for stage in self.closure_stages)
+        self._lane_stages = [rows for rows in stages if rows]
 
     def _free_atoms(self) -> list[tuple[str, str]]:
         """Each free atom with the first reason that makes it free."""
@@ -565,8 +563,8 @@ def _kept_lanes(neg1: Sequence[int], neg2: Sequence[int], val: list[int], full: 
 def _derive(reduct: Sequence[tuple], derived: list[int]) -> list[int]:
     """Lane-parallel least fixpoint of a reduct in ``_rule_pass``'s form,
     in place from the lane vectors ``derived``: entry p gains the lanes
-    that derive atom p.  Sound for non-disjunctive reducts; multi-atom
-    heads never derive here."""
+    that derive atom p.  Only single-atom heads derive: from no atoms, a
+    lower bound on every model of a lane's reduct below its candidate."""
     changed = True
     while changed:
         changed = False
@@ -587,23 +585,26 @@ def _stable_lanes(reduct: Sequence[tuple], val: list[int], varying: list[int],
                   alive: int, sure: int) -> int:
     """The lanes of ``alive`` whose candidate (``val`` over the positions
     ``varying``, plus ``sure``) is a minimal model of its reduct above
-    ``sure``.  ``_derive`` decides every lane at once unless a rule of
-    ``_rule_pass``'s ``reduct`` is disjunctive; then subset search runs per
-    lane on that lane's reduct."""
-    width = alive.bit_length()
-    if any(len(head) > 1 for _, head, _, _ in reduct):
-        stable = 0
-        atoms = [(p, val[p]) for p in varying]
-        for m, bits in zip(_bit_indices(alive), _transpose(atoms, width, alive)):
-            lane_reduct = [(r.head, r.pos) for r, _, _, keep in reduct if keep >> m & 1]
-            if _minimal_subsets(lane_reduct, bits | sure, sure):
-                stable |= 1 << m
-        return stable
+    ``sure``.  ``_derive`` accepts every lane whose candidate it derives
+    whole.  A lane left with an unfounded atom is rejected, unless a rule of
+    ``_rule_pass``'s ``reduct`` is disjunctive; then subset search on the
+    lane's own reduct, above its derived atoms, settles it."""
     derived = _derive(reduct, [0] * len(val))
     unfounded = 0
     for p in varying:
         unfounded |= val[p] & ~derived[p]
-    return alive & ~unfounded
+    stable = alive & ~unfounded
+    search = alive & unfounded
+    if search and any(len(head) > 1 for _, head, _, _ in reduct):
+        width = search.bit_length()
+        lanes = zip(_bit_indices(search),
+                    _transpose([(p, val[p]) for p in varying], width, search),
+                    _transpose([(p, derived[p]) for p in varying], width, search))
+        for m, bits, floor in lanes:
+            lane_reduct = [(r.head, r.pos) for r, _, _, keep in reduct if keep >> m & 1]
+            if _minimal_subsets(lane_reduct, bits | sure, floor | sure):
+                stable |= 1 << m
+    return stable
 
 
 def _transpose(columns: list[tuple[int, int]], width: int, lanes: int) -> list[int]:

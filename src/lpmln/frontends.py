@@ -8,14 +8,13 @@ text format (documented in the README).
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 
 from .model import (
-    HARD, Atom, Literal, Program, Rule, Term, merge_programs, soft,
+    HARD, Atom, Literal, Program, Rule, Term, _log_odds, merge_programs,
 )
 from .parser import _Parser
 
@@ -27,7 +26,7 @@ def problog_to_lpmln(facts, rules: Program | None = None) -> Program:
     for k, (p, a) in enumerate(facts, start=1):
         if not 0.0 < p < 1.0:
             raise ValueError(f"probabilistic fact needs 0 < p < 1, got {p}")
-        out.append(Rule(k, soft(math.log(p / (1.0 - p))), (a,)))
+        out.append(Rule(k, _log_odds(p), (a,)))
     prog = Program(tuple(out))
     if rules is None:
         return prog
@@ -202,7 +201,7 @@ def bayes_to_lpmln(net: BayesNet) -> Program:
             elif p == 0.0:
                 push(HARD, (), (Literal(pf, 0),))
             else:
-                push(soft(math.log(p / (1.0 - p))), (pf,))
+                push(_log_odds(p), (pf,))
     for name, parents in net.nodes:
         for values in product((True, False), repeat=len(parents)):
             body = [Literal(Atom(parent), 0 if v else 1)

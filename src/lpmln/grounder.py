@@ -250,14 +250,13 @@ def _ground_live(program: Program, cap: int = DEFAULT_GROUND_CAP,
     universe = program.universe
     pool = _Pool(universe)
     shared: dict = {}
-    at = {t.name: i for i, t in enumerate(universe)}
     plans: list = []  # per rule with instances: a fact's instance, or the rule's _Join
     delta: dict = {}  # the facts' head atoms
     for rule in program.rules:
         if not rule.body:  # a fact: safe, so without variables
             plans.append(_instance(rule, pool))
-            for p, t in [_key(a, at) for a in rule.head]:
-                delta.setdefault(p, set()).add(t)
+            for a in rule.head:
+                delta.setdefault((a.predicate, len(a.args)), set()).add(pool.key(a.args))
             continue
         variables = rule.variables()
         compiled = None
@@ -271,7 +270,7 @@ def _ground_live(program: Program, cap: int = DEFAULT_GROUND_CAP,
                 continue
         elif any(not isinstance(el, Literal) and el.lhs == el.rhs for el in rule.body):
             continue  # an inequality between equal constants
-        plans.append(_Join(rule, variables, compiled, at))
+        plans.append(_Join(rule, variables, compiled, pool))
     joins = [plan for plan in plans if type(plan) is _Join]
     _derive(joins, delta, len(plans) - len(joins), cap)
     out: list[GroundRule] = []
@@ -378,11 +377,6 @@ def _atom_keys(plan: _Join, query: tuple[str, ...], size: int, cap: int) -> set[
     return keys
 
 
-def _key(a: Atom, at: dict) -> tuple:
-    """A ground atom as ``((predicate, arity), universe positions of its arguments)``."""
-    return (a.predicate, len(a.args)), tuple([at[t.name] for t in a.args])
-
-
 class _Facts:
     """The atoms found so far: per ``(predicate, arity)``, their argument
     tuples of universe positions as a set and in derivation order, and
@@ -429,17 +423,17 @@ class _Join:
     has no ``compiled`` and no steps: it probes its positive atoms whole,
     so it fires once, in the round its last one is found."""
 
-    def __init__(self, rule: Rule, variables: tuple[str, ...], compiled, at: dict):
+    def __init__(self, rule: Rule, variables: tuple[str, ...], compiled, pool: _Pool):
         self.rule = rule
         self.variables = variables
         self.compiled = compiled
         self.unequal = compiled[2] if compiled else []
-        self.size = len(at)
+        self.size = len(pool.universe)
         slot = {v: i for i, v in enumerate(variables)}
 
         def occurrence(a: Atom):
             return ((a.predicate, len(a.args)),
-                    tuple([slot[t.name] if t.name in slot else ~at[t.name] for t in a.args]))
+                    tuple([slot[t.name] if t.name in slot else ~pool.position[t] for t in a.args]))
         self.heads = [occurrence(a) for a in rule.head]
         self.literals, self.positives = [], []
         for el in rule.body:

@@ -195,6 +195,11 @@ def soft(value: float) -> Weight:
     return Weight(value)
 
 
+def _log_odds(p: float) -> Weight:
+    """The weight ln(p/(1-p)) of a ProbLog fact or Bayes-net parameter, 0 < p < 1."""
+    return soft(math.log(p / (1.0 - p)))
+
+
 @dataclass(frozen=True)
 class Rule:
     """One weighted rule: ``weight: h1 ; ... ; hk :- body``.

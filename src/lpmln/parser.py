@@ -34,7 +34,7 @@ import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .model import HARD, Atom, Inequality, Literal, Program, Rule, Term, soft
+from .model import HARD, Atom, Inequality, Literal, Program, Rule, Term, _log_odds, soft
 
 
 @dataclass(frozen=True)
@@ -167,7 +167,7 @@ class _Parser:
                 raise LpmlnSyntaxError("probabilistic fact needs 0 < p < 1", t.span)
             head = self.atom()
             self.expect(".")
-            return Rule(index, soft(math.log(p / (1.0 - p))), (head,))
+            return Rule(index, _log_odds(p), (head,))
         if t.kind == "NUM" and self.peek(1).text != "(":
             # A leading numeric literal followed by anything but '(' is a weight.
             self.next()

@@ -1,5 +1,8 @@
+import io
 import random
+import sys
 from itertools import compress
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -11,9 +14,10 @@ from lpmln import (
 )
 from lpmln import engine
 from lpmln.engine import (
-    EnumerationCapError, StableModelEnumerator, _Compiled, _derive, _lane_form,
+    EnumerationCapError, StableModelEnumerator, _bit_indices, _Compiled, _derive, _lane_form,
     _minimal_subsets, _models_reduct, _rule_pass,
 )
+from lpmln.cli import run
 from lpmln.model import atom
 from helpers import (
     P, _powerset, naive_is_stable, naive_sm, random_program_text, random_text_with_facts,
@@ -596,6 +600,85 @@ class TestBitSlicedKernel:
                                wraps=engine._minimal_subsets) as search:
             _assert_matches_full_program(gp, text)
         assert search.called
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_stable_lanes_match_subset_search_from_sure(self, lane_bits, monkeypatch, seed):
+        # the reference: per lane, subset search over every true atom outside
+        # sure; some programs all hard and with facts, so that sure is not empty
+        stable_lanes = engine._stable_lanes
+        outcomes = set()
+
+        def checked(reduct, val, varying, alive, sure):
+            got = stable_lanes(reduct, val, varying, alive, sure)
+            assert not got & ~alive
+            derived = _derive(reduct, [0] * len(val))
+            disjunctive = any(len(head) > 1 for _, head, _, _ in reduct)
+            for m in _bit_indices(alive):
+                bits = sum(1 << p for p in varying if val[p] >> m & 1) | sure
+                lane = [(r.head, r.pos) for r, _, _, keep in reduct if keep >> m & 1]
+                want = _minimal_subsets(lane, bits, sure)
+                assert (got >> m & 1) == want
+                if disjunctive and any((val[p] & ~derived[p]) >> m & 1 for p in varying):
+                    outcomes.add((want, bool(sure)))  # a lane the search settles
+            return got
+        monkeypatch.setattr(engine, "_stable_lanes", checked)
+        rng = random.Random(3000 + seed)
+        for _ in range(100):
+            n = rng.randint(2, 6)
+            text = random_program_text(rng, n, rng.randint(1, 8), rng.choice((0.3, 1.0)),
+                                       allow_disjunction=True)
+            text += "".join(f"a{k}.\n" for k in rng.sample(range(1, n + 1), rng.randint(0, 2)))
+            for hard_mode in ("strict", "relaxed"):
+                StableModelEnumerator(ground(P(text)), hard_mode)._enumerate()
+        # searched lanes accepted and rejected, with sure empty or not
+        assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+
+    @pytest.mark.parametrize("edge, mutant", [
+        (None, "a ; b."),  # beside perfbench's clique_instance(7, 0)
+        ("edge(n1, n5).", "edg;e(n1, n5)."),  # in clique10.lpmln, one token mutated
+        ("edge(n8, n0).", "e;dge(n8, n0)."),
+    ])
+    def test_one_disjunctive_fact_keeps_the_search_below_the_candidates(
+            self, monkeypatch, tmp_path, edge, mutant):
+        # a clique program plus one disjunctive fact on atoms nothing else
+        # mentions: its MAP models are the clique's MAP models, each with one
+        # of the fact's atoms.  Every candidate holding one of them is left
+        # unfounded, but the search runs only above its derived atoms
+        if edge is None:
+            monkeypatch.setattr(sys, "dont_write_bytecode", True)
+            monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+            import workloads
+
+            base = workloads.clique_instance(7, 0)[0]
+            text = base + mutant + "\n"
+        else:
+            source = fixture_path("clique10.lpmln").read_text(encoding="utf-8")
+            assert source.count(edge) == 1
+            base, text = source.replace(edge, ""), source.replace(edge, mutant)
+        added = mutant[:-1].replace(" ", "").split(";")  # as printed: "edg", "e(n1,n5)"
+
+        def map_models(program):
+            path = tmp_path / "in.lpmln"
+            path.write_text(program, encoding="utf-8")
+            out = io.StringIO()
+            assert run(["-i", str(path)], out, io.StringIO()) == 0
+            lines = out.getvalue().splitlines()
+            assert lines[-1] == "OPTIMUM FOUND"
+            return {(frozenset(m.split()), opt) for m, opt in zip(lines[:-1:2], lines[1::2])}
+
+        expected = {(m | {x}, opt) for m, opt in map_models(base) for x in added}
+        candidates = 2 ** len(StableModelEnumerator(ground(P(text)), "strict").free_positions)
+        models_reduct = engine._models_reduct
+        calls = 0
+
+        def counted(reduct, bits):
+            nonlocal calls
+            calls += 1
+            assert calls <= candidates, "more reduct checks than candidates"
+            return models_reduct(reduct, bits)
+        monkeypatch.setattr(engine, "_models_reduct", counted)
+        assert map_models(text) == expected
+        assert calls
 
     def test_fire_bayes_spans_slices_in_candidate_order(self, lane_bits):
         enum = StableModelEnumerator(_fixture_gp("fire_bayes.lpmln"), "strict")

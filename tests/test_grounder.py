@@ -429,9 +429,9 @@ class TestGroundLive:
         program = grounder._desugar_safe(P("r(a). r(b). r(c).\n{p(X, Y)} :- r(X).\n"))
         rule = program.rules[-1]
         universe = program.universe
+        pool = grounder._Pool(universe)
         plan = grounder._Join(rule, rule.variables(),
-                              grounder._compile(rule, rule.variables(), grounder._Pool(universe), {}),
-                              {t.name: i for i, t in enumerate(universe)})
+                              grounder._compile(rule, rule.variables(), pool, {}), pool)
         assert plan.free == [1]
         subs = [[x, -1] for x in range(3)]
         assert plan.complete(subs, 9) == [[x, y] for x in range(3) for y in range(3)]
